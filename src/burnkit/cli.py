@@ -73,10 +73,11 @@ def cmd_compute(args: argparse.Namespace) -> int:
         exact = burning_number_exact(g, budget=budget)
         if exact.value != result.value:
             print(
-                f"warning: exact value {exact.value} disagrees with "
+                f"error: exact value {exact.value} disagrees with "
                 f"{result.method} value {result.value}",
                 file=sys.stderr,
             )
+            return 1
         certificate = exact.certificate
 
     q, r = _qr_fields(g.vertex_count)

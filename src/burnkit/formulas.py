@@ -65,9 +65,6 @@ J5 = frozenset(
     }
 )
 
-assert len(D1) == 1 and len(D2) == 1 and len(D3) == 4 and len(D4) == 12
-assert len(J5) == 23
-
 
 def b_path(n: int) -> int:
     """Burning number of the n-vertex path: ceil(sqrt(n))."""

@@ -3,23 +3,38 @@
 A burning sequence (x1,...,xk) is valid iff d(xi,xj) >= j-i for every pair
 i < j and the dilated closed neighborhoods N_{k-1}[x1] u ... u N_0[xk]
 cover every vertex. The solver runs iterative deepening on k from a
-rigorous lower bound; each level is a depth-first search over source
-choices backed by bitmask set arithmetic. The search at a level is a
-complete decision procedure, so the first success both yields an optimal
-certificate and, together with the exhausted levels below it, proves
-optimality.
+rigorous lower bound. Each level is decided by a search for the covering
+half alone: b(G) <= k iff V(G) is covered by closed balls of radii
+k-1, ..., 0 whose centers are free (no distance condition, repeats
+allowed). The first level with a cover is therefore b(G), and the
+exhausted levels below it are the optimality proof.
 
-Pruning at each node (all cuts preserve completeness):
-  * pairwise distance constraints, maintained as a forbidden-vertex mask;
-  * cover budget: remaining positions cannot cover more than the sum of
-    the largest balls at their radii;
-  * reachability: every uncovered vertex must lie within the next radius
-    of some still-legal candidate source.
+Cover search (``_cover``); its state is the uncovered-vertex mask and the
+unused-radii mask, and every cut keeps it complete:
+  * cover budget: the unused radii cannot cover more vertices than the
+    sum of the largest balls at those radii;
+  * branching: some ball must cover the uncovered vertex with the fewest
+    centers at the largest unused radius, so only the centers of that
+    vertex's balls are tried, radii from largest to smallest;
+  * dominance: at one radius, a candidate whose share of the uncovered
+    vertices is a subset of an already-tried candidate's share is
+    skipped, since swapping in the larger center keeps every completion
+    valid.
 
-Candidate sources are tried in a frozen per-graph order (decreasing
-two-hop ball size, ties by vertex id), which makes certificates
-deterministic: the first sequence found under that order, not the
-globally lexicographic minimum among all optima.
+A cover becomes a certificate round by round (``_to_sequence``): a center
+that is already burned when its round comes is swapped for an unburned
+vertex, whose ball is then redundant because the burned center's ball lies
+inside the ball of the source that burned it. At the first feasible level
+no round runs out of unburned vertices, so the certificate has length
+exactly k. Above b(G) a cover may convert to a shorter sequence; there
+``find_sequence`` falls back to a depth-first search over source sequences
+(``_search``) to keep the strict definition, under which some longer
+lengths admit no sequence at all (K4 burns in 2 rounds, never in 3).
+
+Branch vertices, candidate centers and swaps are chosen by fixed rules
+(set sizes, ties by vertex id), which makes certificates deterministic:
+the first cover found under those rules, not the globally lexicographic
+minimum among all optima.
 """
 
 from __future__ import annotations
@@ -27,7 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
 
 from .graphs import (
     GeneralizedStar,
@@ -139,40 +154,122 @@ class _Budget:
 
 
 class _Prepared:
-    """Distance matrix, bitmask balls by radius, and frozen search order."""
+    """Distance matrix, bitmask balls by radius, and frozen search orders."""
 
     def __init__(self, g: Graph, max_radius: int):
         n = g.vertex_count
         self.n = n
         self.full = (1 << n) - 1
+        self.adjacency = g.adjacency
         self.dist = distance_matrix(g)
         inf = 2 * n
-        self.ecc = [max((d for d in row if d < inf), default=0) for row in self.dist]
+        self.ecc = [max(row) for row in self.dist]
+        for v, e in enumerate(self.ecc):
+            if e >= inf:  # disconnected: farthest vertex in v's component
+                self.ecc[v] = max(d for d in self.dist[v] if d < inf)
+        self.diameter = max(self.ecc, default=0)
         # balls[r][v]: vertices within distance r of v, as a bitmask
         self.balls: list[list[int]] = [[1 << v for v in range(n)]]
-        for r in range(1, max_radius + 1):
-            prev = self.balls[-1]
+        self.maxball: list[int] = []
+        self.tiers: list[list[tuple[int, int]]] = []
+        self.extend(max(max_radius, 2))
+        # frozen candidate order: densest two-hop neighborhood first, ties by
+        # id. Branch vertices come early, which finds sequences far faster
+        # than eccentricity ordering.
+        two_hop = self.balls[2]
+        self.order = sorted(range(n), key=lambda v: (-two_hop[v].bit_count(), v))
+
+    def extend(self, max_radius: int) -> None:
+        """Grow the balls to ``max_radius`` and the tables built from them."""
+        n, adjacency, ecc, balls = self.n, self.adjacency, self.ecc, self.balls
+        for r in range(len(balls), max_radius + 1):
+            prev = balls[-1]
             layer = []
             for v in range(n):
-                if r > self.ecc[v]:
-                    layer.append(prev[v])  # saturated: whole component
-                    continue
-                row = self.dist[v]
                 mask = prev[v]
-                for u in range(n):
-                    if row[u] == r:
-                        mask |= 1 << u
+                if r <= ecc[v]:  # otherwise saturated: whole component
+                    for u in adjacency[v]:
+                        mask |= prev[u]
                 layer.append(mask)
-            self.balls.append(layer)
-        self.maxball = [max(m.bit_count() for m in layer) for layer in self.balls]
+            balls.append(layer)
+        for layer in balls[len(self.maxball):]:
+            sizes = [m.bit_count() for m in layer]
+            self.maxball.append(max(sizes))
+            # tiers: vertices grouped by ball size, smallest balls first
+            by_size: dict[int, int] = {}
+            for v, s in enumerate(sizes):
+                by_size[s] = by_size.get(s, 0) | (1 << v)
+            self.tiers.append([(s, by_size[s]) for s in sorted(by_size)])
         # capacity[r] = most vertices coverable by positions with radii r..0
         self.capacity = list(itertools.accumulate(self.maxball))
-        # frozen candidate order: densest two-hop neighborhood first, ties by
-        # id. Branch vertices come early, which finds covers far faster than
-        # eccentricity ordering; exhaustive (refutation) passes visit the
-        # same node set either way.
-        two_hop = self.balls[min(2, len(self.balls) - 1)]
-        self.order = sorted(range(n), key=lambda v: (-two_hop[v].bit_count(), v))
+
+
+def _cover(prep: _Prepared, k: int, budget: _Budget) -> Optional[list[Optional[int]]]:
+    """Centers of balls of radii k-1..0 covering V(G), or None if none exist.
+
+    Entry i of the result is the center of radius k-1-i, or None when that
+    radius was not needed. The search is complete, so None is a proof.
+    """
+    balls, maxball, tiers = prep.balls, prep.maxball, prep.tiers
+    centers: list[Optional[int]] = [None] * k
+
+    def rec(uncovered: int, radii: int, capacity: int) -> bool:
+        budget.tick()
+        if not uncovered:
+            return True
+        count = uncovered.bit_count()
+        if count > capacity:
+            return False
+        # branch on the uncovered vertex with the fewest centers at the
+        # largest unused radius, ties by lowest id
+        for _, tier in tiers[radii.bit_length() - 1]:
+            pending = tier & uncovered
+            if pending:
+                u = (pending & -pending).bit_length() - 1
+                break
+        rest = radii
+        while rest:
+            r = rest.bit_length() - 1
+            rest ^= 1 << r
+            ball_r = balls[r]
+            # a center whose share stays the same at the next smaller unused
+            # radius is tried there instead, keeping radius r for later
+            ball_next = balls[rest.bit_length() - 1] if rest else None
+            # the radii after r cover at most `left` vertices, so a share
+            # needs `need` of them; centers with smaller balls are not listed
+            left = capacity - maxball[r]
+            need = count - left
+            big = 0
+            for size, tier in reversed(tiers[r]):
+                if size < need:
+                    break
+                big |= tier
+            options = []
+            cand = ball_r[u] & big
+            while cand:
+                low = cand & -cand
+                c = low.bit_length() - 1
+                share = ball_r[c] & uncovered
+                if ball_next is None or ball_next[c] & uncovered != share:
+                    options.append((-share.bit_count(), c, share))
+                cand ^= low
+            # largest share first, ties by id
+            options.sort()
+            tried: list[int] = []
+            for size, c, share in options:
+                if count + size > left:
+                    break  # this and every later share leave too much uncovered
+                if any(not share & ~t for t in tried):
+                    continue  # dominated by an already-tried center
+                tried.append(share)
+                if rec(uncovered & ~share, radii ^ (1 << r), left):
+                    centers[k - 1 - r] = c
+                    return True
+        return False
+
+    if rec(prep.full, (1 << k) - 1, prep.capacity[k - 1]):
+        return centers
+    return None
 
 
 def _search(prep: _Prepared, k: int, budget: _Budget) -> Optional[tuple[int, ...]]:
@@ -237,6 +334,31 @@ def _search(prep: _Prepared, k: int, budget: _Budget) -> Optional[tuple[int, ...
     return None
 
 
+def _to_sequence(
+    prep: _Prepared, centers: Sequence[Optional[int]]
+) -> tuple[int, ...]:
+    """Burning sequence from a cover, centers listed by descending radius.
+
+    Round i keeps its center unless the center is already burned (or the
+    cover left it None); then it takes the first unburned vertex in
+    ``prep.order``. A burned center's ball lies inside the ball of the
+    source that burned it, so the swap keeps the cover. The result is
+    shorter than the cover when some round finds every vertex burned.
+    """
+    balls, full = prep.balls, prep.full
+    seq: list[int] = []
+    for i, c in enumerate(centers):
+        burned = 0
+        for m, x in enumerate(seq):
+            burned |= balls[i - 1 - m][x]
+        if burned == full:
+            break
+        if c is None or (burned >> c) & 1:
+            c = next(v for v in prep.order if not (burned >> v) & 1)
+        seq.append(c)
+    return tuple(seq)
+
+
 def find_sequence(
     g: Graph, k: int, budget: Optional[int] = None
 ) -> Optional[tuple[int, ...]]:
@@ -251,13 +373,22 @@ def find_sequence(
     if k < 1:
         raise ValueError("sequence length must be >= 1")
     prep = _Prepared(g, max_radius=k - 1)
+    state = _Budget(budget)
     try:
-        return _search(prep, k, _Budget(budget))
+        centers = _cover(prep, k, state)
+        if centers is None:
+            return None  # every burning sequence is a cover
+        seq = _to_sequence(prep, centers)
+        if len(seq) == k:
+            return seq
+        # g burns in fewer than k rounds, and a strict length-k sequence
+        # may not exist at all
+        return _search(prep, k, state)
     except _BudgetExhausted:
         raise Inconclusive(1, g.vertex_count) from None
 
 
-def _greedy_upper(g: Graph, prep: _Prepared) -> tuple[int, ...]:
+def _greedy_upper(prep: _Prepared) -> tuple[int, ...]:
     """A valid burning sequence found greedily; its length is an upper bound.
 
     Round t picks the still-unburned vertex farthest from the burning
@@ -266,22 +397,18 @@ def _greedy_upper(g: Graph, prep: _Prepared) -> tuple[int, ...]:
     terminates in at most n rounds.
     """
     n, dist = prep.n, prep.dist
-    seq: list[int] = []
-    while True:
-        k = len(seq)
-        burned = set()
-        for m, x in enumerate(seq):
-            radius = k - 1 - m
-            row = dist[x]
-            burned.update(v for v in range(n) if row[v] <= radius)
-        if len(burned) == n:
-            return tuple(seq)
-        if not seq:
-            seq.append(min(range(n), key=lambda v: (prep.ecc[v], v)))
-            continue
-        unburned = [v for v in range(n) if v not in burned]
-        pick = max(unburned, key=lambda v: (min(dist[v][b] for b in burned), -v))
+    inf = 2 * n
+    seq = [min(range(n), key=lambda v: (prep.ecc[v], v))]
+    # gap[v]: hops from v to the burned set, inf while v's component has
+    # no fire; the burned vertices are exactly those with gap 0
+    gap = list(dist[seq[0]])
+    while any(gap):
+        pick = max((v for v in range(n) if gap[v]), key=lambda v: (gap[v], -v))
         seq.append(pick)
+        # fire spreads one hop from everything burning, then pick ignites
+        row = dist[pick]
+        gap = [min(d - 1 if 0 < d < inf else d, e) for d, e in zip(gap, row)]
+    return tuple(seq)
 
 
 def _structural_lower(g: Graph) -> int:
@@ -317,21 +444,17 @@ def burning_number_exact(g: Graph, budget: Optional[int] = None) -> BurnResult:
     if n < 1:
         raise ValueError("graph must have at least one vertex")
 
-    probe = _Prepared(g, max_radius=0)
-    inf = 2 * n
-    diam = max(
-        (d for row in probe.dist for d in row if d < inf), default=0
-    )
+    prep = _Prepared(g, max_radius=0)
     lower = max(
         1,
         len(connected_components(g)),
-        ceil_sqrt(diam + 1),
+        ceil_sqrt(prep.diameter + 1),
         _structural_lower(g),
     )
-    upper_seq = _greedy_upper(g, probe)
+    upper_seq = _greedy_upper(prep)
     upper = len(upper_seq)
 
-    prep = _Prepared(g, max_radius=max(upper - 1, 0))
+    prep.extend(upper - 1)
     while lower < upper and prep.capacity[lower - 1] < n:
         lower += 1
 
@@ -339,18 +462,23 @@ def burning_number_exact(g: Graph, budget: Optional[int] = None) -> BurnResult:
     k = lower
     try:
         while True:
-            seq = _search(prep, k, budget_state)
-            if seq is None and k >= upper:
-                raise AssertionError("complete search missed the greedy witness")
-            if seq is not None:
-                return BurnResult(
-                    value=k,
-                    method=EXACT,
-                    lower_bound=lower,
-                    upper_bound=upper,
-                    certificate=seq,
-                )
-            k += 1
+            centers = _cover(prep, k, budget_state)
+            if centers is None:
+                if k >= upper:
+                    raise AssertionError("complete search missed the greedy witness")
+                k += 1
+                continue
+            seq = _to_sequence(prep, centers)
+            if len(seq) != k:
+                # every level below k is refuted, so g cannot burn sooner
+                raise AssertionError(f"cover at the first feasible level {k} gave {seq}")
+            return BurnResult(
+                value=k,
+                method=EXACT,
+                lower_bound=lower,
+                upper_bound=upper,
+                certificate=seq,
+            )
     except _BudgetExhausted:
         raise Inconclusive(max(lower, k), upper) from None
 

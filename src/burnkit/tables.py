@@ -243,15 +243,6 @@ B6_LITERALS = frozenset(
     }
 )
 
-# Startup count checks: catch any accidental edit of the catalogs. The
-# parametric templates are counted at q = 10, where nothing degenerates.
-assert len(C3_LITERALS) == 2
-assert len(param_b1(10)) == 15
-assert len(param_b2(10)) == 15
-assert len(param_b3(10)) == 9
-assert len(B4_LITERALS) == len(B5_LITERALS) == len(B6_LITERALS) == 23
-assert len(set_a(10)) == 2 and len(set_b(10)) == 2
-
 
 def in_c4(g: int, a1: int, a2: int, q: int) -> bool:
     """Fourth family: n = q^2+2q-2 chain with the cycle part dominant."""

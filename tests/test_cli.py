@@ -87,6 +87,14 @@ class TestCmdCompute:
         assert verify_sequence(build("cycle:5"), tuple(doc["certificate"]))
         assert len(doc["certificate"]) == doc["value"]
 
+    def test_certificate_mismatch_fails_verification(self, capsys, monkeypatch):
+        monkeypatch.setattr("burnkit.formulas.b_cycle", lambda n: 2)
+        rc = main(["compute", "--family", "cycle:5", "--certificate"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "exact value 3 disagrees with formula-cycle value 2" in captured.err
+        assert "certificate=" not in captured.out
+
     def test_file_input(self, tmp_path, capsys):
         path = write_family(tmp_path, "cycle:4")
         assert main(["compute", "--file", path]) == 0

@@ -24,6 +24,7 @@ from burnkit.solver import burning_number_exact
 
 class TestCatalogCounts:
     def test_pair_sets(self):
+        assert len(D1) == 1 and len(D2) == 1 and len(D3) == 4 and len(D4) == 12
         assert D1 == {(2, 2)}
         assert D2 == {(3, 2)}
         assert D3 == {(1, 1), (3, 3), (4, 2), (5, 5)}

@@ -6,6 +6,8 @@ from burnkit.families import build, enumerate_sweep
 from burnkit.graphs import Graph, TUnicyclic, distance_matrix
 from burnkit.solver import (
     Inconclusive,
+    _Prepared,
+    _to_sequence,
     burning_number_exact,
     check_sequence,
     extract_partition,
@@ -113,6 +115,56 @@ class TestExact:
         with pytest.raises(Inconclusive) as exc:
             burning_number_exact(g, budget=3)
         assert exc.value.lower_bound <= 5 <= exc.value.upper_bound
+
+
+def grid_graph(rows, cols, perm=None):
+    perm = perm or list(range(rows * cols))
+    edges = []
+    for i in range(rows):
+        for j in range(cols):
+            v = i * cols + j
+            if j + 1 < cols:
+                edges.append((perm[v], perm[v + 1]))
+            if i + 1 < rows:
+                edges.append((perm[v], perm[v + cols]))
+    return Graph(rows * cols, edges)
+
+
+class TestCoverSearch:
+    def test_forest_58_19_4_certified(self):
+        g = build("forest:58,19,4")
+        res = burning_number_exact(g)
+        assert res.value == 10
+        assert len(res.certificate) == 10 and verify_sequence(g, res.certificate)
+        assert find_sequence(g, 9) is None
+
+    def test_interchangeable_radii_refuted_quickly(self):
+        # balls of every radius agree on isolated vertices; trying each
+        # radius for each of them would take factorially many nodes
+        g = build("forest:2,2" + ",1" * 10)
+        assert burning_number_exact(g).value == 12
+        assert find_sequence(g, 11, budget=1_000) is None
+
+    def test_strict_fallback_above_burning_number(self):
+        k4 = Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+        assert burning_number_exact(k4).value == 2
+        assert find_sequence(k4, 3) is None
+        found = find_sequence(k4, 2)
+        assert found is not None and verify_sequence(k4, found)
+
+    def test_relabelled_grid_certificates_repeat(self):
+        perm = [(7 * v + 3) % 36 for v in range(36)]
+        runs = [burning_number_exact(grid_graph(6, 6, perm)) for _ in range(2)]
+        assert runs[0].certificate == runs[1].certificate
+        assert verify_sequence(grid_graph(6, 6, perm), runs[0].certificate)
+
+    @pytest.mark.parametrize("centers", [(2, 2, 2), (2, None, None)])
+    def test_cover_converts_to_valid_sequence(self, centers):
+        # the radius-2 ball at the middle of path:5 covers it all, so the
+        # repeated or missing centers must be swapped for unburned vertices
+        g = build("path:5")
+        seq = _to_sequence(_Prepared(g, max_radius=2), centers)
+        assert len(seq) == 3 and verify_sequence(g, seq)
 
 
 class TestPartition:

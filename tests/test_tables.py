@@ -9,6 +9,7 @@ from burnkit.tables import (
     B4_LITERALS,
     B5_LITERALS,
     B6_LITERALS,
+    C3_LITERALS,
     DEGREE_B2,
     FALLBACK,
     b_unicyclic_t1,
@@ -30,10 +31,13 @@ from burnkit.tables import (
 
 class TestCatalogs:
     def test_counts(self):
+        # parametric templates are counted at q = 10, where nothing degenerates
+        assert len(C3_LITERALS) == 2
         assert len(param_b1(10)) == 15
         assert len(param_b2(10)) == 15
         assert len(param_b3(10)) == 9
         assert len(B4_LITERALS) == len(B5_LITERALS) == len(B6_LITERALS) == 23
+        assert len(set_a(10)) == 2 and len(set_b(10)) == 2
 
     def test_set_a(self):
         assert set_a(3) == {(7, 4)}  # the two templates coincide at q=3
