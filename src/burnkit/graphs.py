@@ -138,9 +138,14 @@ def distance_matrix(g: Graph, infinity: int | None = None) -> list[list[int]]:
     return rows
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    """Vertex lists of the connected components, each sorted, in id order."""
+def connected_components(g: Graph, excluded: Iterable[int] = ()) -> list[list[int]]:
+    """Vertex lists of the connected components, each sorted, in id order.
+
+    Vertices in ``excluded`` are removed from the graph first.
+    """
     seen = [False] * g.vertex_count
+    for v in excluded:
+        seen[v] = True
     comps = []
     for s in range(g.vertex_count):
         if seen[s]:
@@ -258,7 +263,7 @@ def recognize_family(g: Graph) -> FamilyDescriptor:
     hub = hubs[0]
     if m == n - 1:
         # tree with a single branch vertex: a generalized star
-        arm_comps = _arm_components(g, {hub})
+        arm_comps = connected_components(g, (hub,))
         arms = tuple(sorted((len(c) for c in arm_comps), reverse=True))
         if len(arms) >= 3 and sum(arms) + 1 == n:
             return GeneralizedStar(arms)
@@ -268,34 +273,13 @@ def recognize_family(g: Graph) -> FamilyDescriptor:
         core = cycle_vertices(g)
         if hub not in core:
             return Other()
-        arm_comps = _arm_components(g, set(core))
+        arm_comps = connected_components(g, core)
         arms = tuple(sorted((len(c) for c in arm_comps), reverse=True))
         if arms and sum(arms) + len(core) == n:
             return TUnicyclic(g=len(core), arms=arms)
         return Other()
 
     return Other()
-
-
-def _arm_components(g: Graph, excluded: set[int]) -> list[list[int]]:
-    """Connected components of the graph minus ``excluded`` vertices."""
-    seen = set(excluded)
-    comps = []
-    for s in range(g.vertex_count):
-        if s in seen:
-            continue
-        comp = [s]
-        seen.add(s)
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in g.adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
-                    comp.append(v)
-                    queue.append(v)
-        comps.append(comp)
-    return comps
 
 
 # --------------------------------------------------------------------------

@@ -366,7 +366,8 @@ def find_sequence(
 
     The search is complete, so a None return is a proof that ``g`` admits
     no length-k burning sequence. Raises Inconclusive when the node budget
-    runs out first.
+    runs out first; it carries the geodesic lower bound and the greedy
+    upper bound on the burning number.
     """
     if g.vertex_count < 1:
         raise ValueError("graph must have at least one vertex")
@@ -385,7 +386,7 @@ def find_sequence(
         # may not exist at all
         return _search(prep, k, state)
     except _BudgetExhausted:
-        raise Inconclusive(1, g.vertex_count) from None
+        raise Inconclusive(ceil_sqrt(prep.diameter + 1), len(_greedy_upper(prep))) from None
 
 
 def _greedy_upper(prep: _Prepared) -> tuple[int, ...]:

@@ -1,14 +1,23 @@
 """O(1) burning-number classification for 1- and 2-arm unicyclic graphs.
 
 Write n = q^2 + r with 1 <= r <= 2q+1. For a unicyclic graph with one or
-two pendant paths (arms) hanging at a single cycle vertex, the burning
-number is always q or q+1; the classification below decides which, keyed
-on (q, r), the cycle length g, and the arm lengths. The exceptional
-parameter families where the answer is q+1 despite the generic q-row
-conditions are materialized per query for the instance's own q (and r,
-where relevant); parametric tuples that degenerate for small q (cycle
-length below 3, arm below 1, or arms out of descending order, which makes
-the tuple an alias of another family's member) are dropped.
+two pendant paths (arms) hanging at a single cycle vertex (the hub), the
+burning number is always q or q+1; the classification below decides which,
+keyed on (q, r), the cycle length g, and the arm lengths.
+
+Most exceptions, where the answer is q+1 despite the generic q-row
+conditions, follow from the linear forests with at most three components
+by the *residual-forest* rule: a fire of radius q-1 at the hub burns 2q-1
+cycle vertices and q-1 vertices of each arm, leaving the linear forest
+(g-2q+1, a1-q+1[, a2-q+1]). The one-arm exceptions are the pairs whose
+residual forest is an exceptional two-path forest; the long-chain two-arm
+exceptions are the triples of order q^2+2q-2 whose residual forest is an
+exceptional three-path forest. The other two-arm exceptions (``set_b``,
+``set_c1``..``set_c3``) are parametric catalogs materialized per query for
+the instance's own q (and r, where relevant); tuples that degenerate for
+small q (cycle length below 3, arm below 1, or arms out of descending
+order, which makes the tuple an alias of another family's member) are
+dropped.
 
 Every lookup returns a BurnResult carrying the bound sandwich. Parameter
 combinations matching no row fall back to the exact solver with the
@@ -23,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, TextIO, Union
 
 from . import families
-from .formulas import t_unicyclic_bounds
+from .formulas import t_unicyclic_bounds, three_paths_exceptional, two_paths_exceptional
 from .graphs import TUnicyclic, qr_decompose
 from .solver import BurnResult, burning_number_exact
 
@@ -33,18 +42,24 @@ DEGREE_B2 = "degree-b2"
 FALLBACK = "fallback-exact"
 
 
-def _valid_pair(g: int, a: int) -> bool:
-    return g >= 3 and a >= 1
-
-
 def _valid_triple(g: int, a1: int, a2: int) -> bool:
     return g >= 3 and a1 >= a2 >= 1
 
 
-def set_a(q: int) -> frozenset[tuple[int, int]]:
-    """(g, a) pairs forcing q+1 in the one-arm table; both have r = q-1."""
-    raw = [(2 * q + 1, q * q - q - 2), (q * q - 2, q + 1)]
-    return frozenset((g, a) for g, a in raw if _valid_pair(g, a))
+def residual_exceptional(q: int, g: int, *arms: int) -> bool:
+    """True iff the residual forest of the hub fire is exceptional.
+
+    A fire of radius q-1 at the hub burns 2q-1 cycle vertices and q-1
+    vertices of each arm, leaving the linear forest (g-2q+1, a-q+1 per
+    arm). Its parts, sorted descending, go to the two- or three-path
+    exception test; a forest with an empty part is never exceptional.
+    """
+    parts = sorted((g - 2 * q + 1, *(a - q + 1 for a in arms)), reverse=True)
+    if parts[-1] < 1:
+        return False
+    if len(parts) == 2:
+        return two_paths_exceptional(*parts)
+    return three_paths_exceptional(*parts)
 
 
 def set_b(q: int) -> frozenset[tuple[int, int, int]]:
@@ -95,189 +110,22 @@ def set_c3(q: int) -> frozenset[tuple[int, int, int]]:
     return frozenset(t for t in raw if _valid_triple(*t)) | C3_LITERALS
 
 
-def param_b1(q: int) -> frozenset[tuple[int, int, int]]:
-    """Long-cycle members of the fourth exception family (cycle part largest)."""
-    s = q * q
-    raw = [
-        (s - 2, q, q),
-        (s - 6, q + 2, q + 2),
-        (s - 10, q + 4, q + 4),
-        (s - 3, q + 1, q),
-        (s - 5, q + 3, q),
-        (s - 7, q + 3, q + 2),
-        (s - 8, q + 3, q + 3),
-        (s - 7, q + 5, q),
-        (s - 10, q + 5, q + 3),
-        (s - 11, q + 5, q + 4),
-        (s - 12, q + 5, q + 5),
-        (s - 14, q + 6, q + 6),
-        (s - 12, q + 7, q + 3),
-        (s - 14, q + 7, q + 5),
-        (s - 14, q + 9, q + 3),
-    ]
-    return frozenset(t for t in raw if _valid_triple(*t))
-
-
-def param_b2(q: int) -> frozenset[tuple[int, int, int]]:
-    """Members with the long arm largest and the cycle part paired second."""
-    s = q * q - q
-    raw = [
-        (2 * q, s - 2, q),
-        (2 * q + 2, s - 6, q + 2),
-        (2 * q + 4, s - 10, q + 4),
-        (2 * q + 1, s - 3, q),
-        (2 * q + 3, s - 5, q),
-        (2 * q + 3, s - 7, q + 2),
-        (2 * q + 3, s - 8, q + 3),
-        (2 * q + 5, s - 7, q),
-        (2 * q + 5, s - 10, q + 3),
-        (2 * q + 5, s - 11, q + 4),
-        (2 * q + 5, s - 12, q + 5),
-        (2 * q + 6, s - 14, q + 6),
-        (2 * q + 7, s - 12, q + 3),
-        (2 * q + 7, s - 14, q + 5),
-        (2 * q + 9, s - 14, q + 3),
-    ]
-    return frozenset(t for t in raw if _valid_triple(*t))
-
-
-def param_b3(q: int) -> frozenset[tuple[int, int, int]]:
-    """Members with the cycle part smallest; equal-pair cases live in the
-    previous family, so this one has nine templates, not fifteen."""
-    s = q * q - q
-    raw = [
-        (2 * q, s - 3, q + 1),
-        (2 * q, s - 5, q + 3),
-        (2 * q + 2, s - 7, q + 3),
-        (2 * q, s - 7, q + 5),
-        (2 * q + 3, s - 10, q + 5),
-        (2 * q + 4, s - 11, q + 5),
-        (2 * q + 3, s - 12, q + 7),
-        (2 * q + 5, s - 14, q + 7),
-        (2 * q + 3, s - 14, q + 9),
-    ]
-    return frozenset(t for t in raw if _valid_triple(*t))
-
-
-B4_LITERALS = frozenset(
-    {
-        (24, 16, 6),
-        (22, 16, 8),
-        (35, 19, 7),
-        (32, 19, 10),
-        (30, 19, 12),
-        (28, 19, 14),
-        (26, 19, 16),
-        (30, 21, 10),
-        (28, 21, 12),
-        (45, 22, 11),
-        (43, 22, 13),
-        (41, 22, 15),
-        (34, 22, 22),
-        (43, 24, 11),
-        (41, 24, 13),
-        (32, 24, 22),
-        (41, 26, 11),
-        (60, 25, 12),
-        (58, 25, 14),
-        (47, 25, 25),
-        (58, 27, 12),
-        (47, 38, 12),
-        (77, 28, 13),
-    }
-)
-
-B5_LITERALS = frozenset(
-    {
-        (22, 18, 6),
-        (22, 16, 8),
-        (26, 28, 7),
-        (26, 25, 10),
-        (26, 23, 12),
-        (26, 21, 14),
-        (26, 19, 16),
-        (28, 23, 10),
-        (28, 21, 12),
-        (30, 37, 11),
-        (30, 35, 13),
-        (30, 33, 15),
-        (30, 26, 22),
-        (32, 35, 11),
-        (32, 33, 13),
-        (32, 24, 22),
-        (34, 33, 11),
-        (34, 51, 12),
-        (34, 49, 14),
-        (34, 38, 25),
-        (36, 49, 12),
-        (47, 38, 12),
-        (38, 67, 13),
-    }
-)
-
-B6_LITERALS = frozenset(
-    {
-        (12, 18, 16),
-        (14, 16, 16),
-        (14, 28, 19),
-        (17, 25, 19),
-        (19, 23, 19),
-        (21, 21, 19),
-        (23, 19, 19),
-        (17, 23, 21),
-        (19, 21, 21),
-        (19, 37, 22),
-        (21, 35, 22),
-        (23, 33, 22),
-        (30, 26, 22),
-        (19, 35, 24),
-        (21, 33, 24),
-        (30, 24, 24),
-        (19, 33, 26),
-        (21, 51, 25),
-        (23, 49, 25),
-        (34, 38, 25),
-        (21, 49, 27),
-        (21, 38, 38),
-        (23, 67, 28),
-    }
-)
-
-
-def in_c4(g: int, a1: int, a2: int, q: int) -> bool:
-    """Fourth family: n = q^2+2q-2 chain with the cycle part dominant."""
-    n = g + a1 + a2
-    if n == q * q + 2 * q - 2 and a2 == q + 1 and g - q >= a1 >= a2:
-        return True
-    return (g, a1, a2) in param_b1(q) or (g, a1, a2) in B4_LITERALS
-
-
-def in_c5(g: int, a1: int, a2: int, q: int) -> bool:
-    """Fifth family: n = q^2+2q-2 chain with the cycle part in the middle."""
-    n = g + a1 + a2
-    if n == q * q + 2 * q - 2 and a2 == q + 1 and a1 >= g - q >= a2:
-        return True
-    return (g, a1, a2) in param_b2(q) or (g, a1, a2) in B5_LITERALS
-
-
-def in_c6(g: int, a1: int, a2: int, q: int) -> bool:
-    """Sixth family: n = q^2+2q-2 chain with the cycle part smallest."""
-    n = g + a1 + a2
-    if n == q * q + 2 * q - 2 and g - q == q + 1 and a1 >= a2 >= g - q:
-        return True
-    return (g, a1, a2) in param_b3(q) or (g, a1, a2) in B6_LITERALS
-
-
 def in_c_union(g: int, a1: int, a2: int, q: int, r: int) -> bool:
-    """Membership in the union of the six two-arm exception families."""
+    """Membership in the union of the six two-arm exception families.
+
+    The first three are the catalogs ``set_c1``..``set_c3``. The other
+    three are the long chains on the order n = q^2+2q-2 (r = 2q-2): there
+    a triple is exceptional exactly when its residual forest
+    (g-2q+1, a1-q+1, a2-q+1) is an exceptional three-path forest, which
+    covers the parametric members, the chain conditions and the images of
+    the sporadic catalog ``formulas.J5`` alike.
+    """
     triple = (g, a1, a2)
     return (
         triple in set_c1(q, r)
         or triple in set_c2(q)
         or triple in set_c3(q)
-        or in_c4(g, a1, a2, q)
-        or in_c5(g, a1, a2, q)
-        or in_c6(g, a1, a2, q)
+        or (r == 2 * q - 2 and residual_exceptional(q, g, a1, a2))
     )
 
 
@@ -302,7 +150,8 @@ def b_unicyclic_t1(g: int, a: int, budget: Optional[int] = None) -> BurnResult:
 
     Orders 4 and 5 are settled by the degree criterion (b = 2). Otherwise,
     with n = q^2 + r: the value is q+1 when q <= r <= 2q+1, or g >= q^2+1,
-    or g <= 2r, or (g, a) is one of the two exceptional pairs; it is q when
+    or g <= 2r, or the pair is exceptional (its residual forest
+    (g-2q+1, a-q+1) is an exceptional two-path forest); it is q when
     1 <= r <= q-1, 2r+1 <= g <= q^2, and the pair is not exceptional.
     """
     if g < 3 or a < 1:
@@ -312,7 +161,7 @@ def b_unicyclic_t1(g: int, a: int, budget: Optional[int] = None) -> BurnResult:
         return _result(2, DEGREE_B2, n, 1)
     qr = qr_decompose(n)
     q, r = qr.q, qr.r
-    exceptional = (g, a) in set_a(q)
+    exceptional = residual_exceptional(q, g, a)
     plus = (q <= r <= 2 * q + 1) or g >= q * q + 1 or g <= 2 * r or exceptional
     flat = (1 <= r <= q - 1) and (2 * r + 1 <= g <= q * q) and not exceptional
     if plus and not flat:

@@ -116,6 +116,14 @@ class TestExact:
             burning_number_exact(g, budget=3)
         assert exc.value.lower_bound <= 5 <= exc.value.upper_bound
 
+    def test_find_sequence_inconclusive_carries_real_bounds(self):
+        g = build("uni:9;10,2")
+        with pytest.raises(Inconclusive) as exc:
+            find_sequence(g, 4, budget=3)
+        lower, upper = exc.value.lower_bound, exc.value.upper_bound
+        assert lower <= burning_number_exact(g).value <= upper
+        assert 1 < lower and upper < g.vertex_count  # tighter than [1, n]
+
 
 def grid_graph(rows, cols, perm=None):
     perm = perm or list(range(rows * cols))

@@ -1,14 +1,13 @@
+import hashlib
 import io
 
 import pytest
 
 from burnkit.families import build, enumerate_sweep
 from burnkit.graphs import qr_decompose
+from burnkit.intmath import ceil_sqrt
 from burnkit.solver import burning_number_exact, unicyclic_spanning_upper
 from burnkit.tables import (
-    B4_LITERALS,
-    B5_LITERALS,
-    B6_LITERALS,
     C3_LITERALS,
     DEGREE_B2,
     FALLBACK,
@@ -17,31 +16,75 @@ from burnkit.tables import (
     errata_covers,
     in_c_union,
     load_errata,
-    param_b1,
-    param_b2,
-    param_b3,
     parse_errata,
-    set_a,
+    residual_exceptional,
     set_b,
     set_c1,
     set_c2,
     set_c3,
 )
+from perfbench.catalogs import T2_LITERALS, t1_members, t2_members
+
+
+def _digest(members):
+    return hashlib.sha256(repr(sorted(members)).encode()).hexdigest()[:16]
+
+
+class TestFrozenEquivalence:
+    """Table decisions frozen when the literal exception catalogs were
+    replaced by the residual-forest rule; the counts and digests were taken
+    from the catalog-based tables and must never be edited to make a
+    changed table pass."""
+
+    def test_two_arm_orders_q2_plus_2q_minus_2(self):
+        # every order n = q^2+2q-2 the two-arm long-chain families live on
+        checked, plus = 0, []
+        for q in range(2, 15):
+            n = q * q + 2 * q - 2
+            for g in range(3, n - 1):
+                for a2 in range(1, (n - g) // 2 + 1):
+                    a1 = n - g - a2
+                    res = b_unicyclic_t2(g, a1, a2)
+                    assert res.method != FALLBACK, (g, a1, a2)
+                    checked += 1
+                    if res.value == q + 1:
+                        plus.append((g, a1, a2))
+        assert checked == 40_984
+        assert len(plus) == 19_446
+        assert _digest(plus) == "eb588de11b3e4acc"
+
+    def test_one_arm_orders_6_to_400(self):
+        checked, plus = 0, []
+        for n in range(6, 401):
+            q = qr_decompose(n).q
+            for g in range(3, n):
+                res = b_unicyclic_t1(g, n - g)
+                assert res.method != FALLBACK, (g, n - g)
+                checked += 1
+                if res.value == q + 1:
+                    plus.append((g, n - g))
+        assert checked == 79_000
+        assert len(plus) == 47_685
+        assert _digest(plus) == "c51e68517afb5d61"
+
+    def test_frozen_catalog_members_classify_plus_one(self):
+        # the benchmark's frozen copy of the old catalogs; a member at order
+        # n = q^2+r (r >= 1) needs q+1 = ceil(sqrt(n)) rounds
+        for g, a1, a2 in T2_LITERALS:
+            assert b_unicyclic_t2(g, a1, a2).value == ceil_sqrt(g + a1 + a2), (g, a1, a2)
+        for q in range(2, 31):
+            for g, a1, a2 in t2_members(q):
+                assert b_unicyclic_t2(g, a1, a2).value == ceil_sqrt(g + a1 + a2), (g, a1, a2)
+            for g, a in t1_members(q):
+                assert b_unicyclic_t1(g, a).value == ceil_sqrt(g + a), (g, a)
 
 
 class TestCatalogs:
     def test_counts(self):
         # parametric templates are counted at q = 10, where nothing degenerates
         assert len(C3_LITERALS) == 2
-        assert len(param_b1(10)) == 15
-        assert len(param_b2(10)) == 15
-        assert len(param_b3(10)) == 9
-        assert len(B4_LITERALS) == len(B5_LITERALS) == len(B6_LITERALS) == 23
-        assert len(set_a(10)) == 2 and len(set_b(10)) == 2
-
-    def test_set_a(self):
-        assert set_a(3) == {(7, 4)}  # the two templates coincide at q=3
-        assert set_a(4) == {(9, 10), (14, 5)}
+        assert len(set_b(10)) == 2 and len(set_c2(10)) == 3
+        assert len(set_c3(10)) == 14 + len(C3_LITERALS)
 
     def test_set_b_small_q(self):
         assert set_b(3) == {(4, 4, 4), (5, 4, 4)}
@@ -52,7 +95,7 @@ class TestCatalogs:
 
     def test_degenerate_q_drops_invalid_tuples(self):
         for q in (1, 2, 3):
-            for triple in set_c2(q) | set_c3(q) | param_b1(q) | param_b2(q) | param_b3(q):
+            for triple in set_b(q) | set_c2(q) | set_c3(q):
                 g, a1, a2 = triple
                 assert g >= 3 and a1 >= a2 >= 1
 
@@ -64,11 +107,23 @@ class TestCatalogs:
             for r in range(1, 2 * q - 1):
                 members |= set_c1(q, r)
             members |= set_c2(q) | set_c3(q)
-            members |= param_b1(q) | param_b2(q) | param_b3(q)
-        members |= B4_LITERALS | B5_LITERALS | B6_LITERALS
         for g, a1, a2 in members:
             qr = qr_decompose(g + a1 + a2)
             assert in_c_union(g, a1, a2, qr.q, qr.r), (g, a1, a2)
+
+    @pytest.mark.parametrize(
+        "q,parts,expected",
+        [
+            (3, (7, 4), True),        # residual (2, 2): a (t*t - 2, 2) pair
+            (3, (6, 4), False),       # residual (1, 2)
+            (3, (4, 1), False),       # arm part 1 - 3 + 1 <= 0
+            (10, (77, 28, 13), True),  # residual (58, 19, 4), a J5 member
+            (10, (77, 28, 12), False),
+            (3, (3, 5, 5), False),    # cycle part 3 - 6 + 1 <= 0
+        ],
+    )
+    def test_residual_exceptional(self, q, parts, expected):
+        assert residual_exceptional(q, *parts) is expected
 
 
 class TestTableT1:
@@ -82,6 +137,10 @@ class TestTableT1:
             (4, 1, 2),   # n=5
             (3, 3, 3),   # n=6 boundary
             (5, 1, 3),   # n=6 boundary
+            # residual forest exceptional, but already q+1 by r >= q
+            (5, 3, 3),
+            (7, 9, 4),
+            (12, 4, 4),
         ],
     )
     def test_values(self, g, a, value):
@@ -119,6 +178,15 @@ class TestTableT2:
             (3, 1, 1, 2),    # n=5: degree criterion
             (4, 1, 1, 2),    # n=6
             (3, 2, 2, 3),    # n=7 boundary
+            # chain-condition members whose residual forest has an empty
+            # part; q+1 by the row 3 <= g <= r
+            (3, 5, 5, 4),
+            (4, 6, 3, 4),
+            (4, 11, 7, 5),
+            (4, 9, 9, 5),
+            (5, 9, 8, 5),
+            (6, 9, 7, 5),
+            (6, 8, 8, 5),
         ],
     )
     def test_values(self, g, a1, a2, value):
