@@ -22,7 +22,7 @@ from .families import SWEEP_CLASSES, SpecError, build, enumerate_sweep, format_s
 from .graphs import (
     GraphFormatError,
     TUnicyclic,
-    distance_matrix,
+    distance_rows,
     qr_decompose,
     read_graph,
     recognize_family,
@@ -126,10 +126,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return 0
     if check.failed_pair is not None:
         i, j = check.failed_pair
-        d = distance_matrix(g)[sources[i - 1]][sources[j - 1]]
+        x, y = sources[i - 1], sources[j - 1]
+        d = distance_rows(g, (x,))[0][y]
         print(
             f"invalid: distance condition failed for positions ({i},{j}): "
-            f"d({sources[i - 1]},{sources[j - 1]})={d} < {j - i}"
+            f"d({x},{y})={d} < {j - i}"
         )
     else:
         uncovered = ",".join(map(str, sorted(check.uncovered)))

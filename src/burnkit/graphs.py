@@ -2,10 +2,14 @@
 
 Graphs are immutable after construction (adjacency stored as tuples), so
 every operation in this module is pure and safe to share across threads.
-Vertex ids are exactly 0..n-1. Unreachable distances are marked with the
-``UNREACHABLE`` sentinel (-1) in user-facing tables; internal callers that
-want infinity-like comparisons should use :func:`distance_matrix`, which
-substitutes a large finite value.
+Vertex ids are exactly 0..n-1.
+
+Every distance comes from one breadth-first kernel that writes a given
+fill value for unreachable vertices in the same pass. :func:`bfs_distances`
+fills with the ``UNREACHABLE`` sentinel (-1). :func:`distance_rows` and
+:func:`distance_matrix` fill with 2n, which exceeds every finite distance,
+so callers can compare against it as infinity; a caller that reads only
+some sources' rows asks :func:`distance_rows` for just those.
 """
 
 from __future__ import annotations
@@ -68,10 +72,17 @@ class Graph:
 
     def without_edge(self, u: int, v: int) -> "Graph":
         """Copy of the graph with edge (u, v) removed."""
-        if v not in self.adjacency[u]:
+        if not (0 <= u < self.vertex_count and v in self.adjacency[u]):
             raise ValueError(f"no edge ({u},{v})")
-        kept = [(a, b) for a, b in self.edges() if {a, b} != {u, v}]
-        return Graph(self.vertex_count, kept)
+        adjacency = list(self.adjacency)
+        adjacency[u] = tuple(w for w in adjacency[u] if w != v)
+        adjacency[v] = tuple(w for w in adjacency[v] if w != u)
+        # removing an edge keeps the lists sorted and the graph simple, so
+        # the copy skips the constructor's validation
+        g = Graph.__new__(Graph)
+        g.vertex_count = self.vertex_count
+        g.adjacency = tuple(adjacency)
+        return g
 
     def __eq__(self, other) -> bool:
         return (
@@ -95,21 +106,31 @@ class DistanceTable:
     dist: tuple[int, ...]
 
 
+def _bfs(g: Graph, source: int, fill: int) -> list[int]:
+    """Hop distances from ``source``, ``fill`` for other components.
+
+    ``fill`` marks unvisited vertices during the search, so it must not be
+    a distance, i.e. not in 0..n-1.
+    """
+    adjacency = g.adjacency
+    if not 0 <= source < len(adjacency):
+        raise ValueError(f"invalid source vertex {source}")
+    dist = [fill] * len(adjacency)
+    dist[source] = 0
+    # the loop reads the list as it grows, so the list is the FIFO queue
+    frontier = [source]
+    for u in frontier:
+        du = dist[u] + 1
+        for v in adjacency[u]:
+            if dist[v] == fill:
+                dist[v] = du
+                frontier.append(v)
+    return dist
+
+
 def bfs_distances(g: Graph, source: int) -> DistanceTable:
     """Exact hop distances from ``source`` to every vertex."""
-    if not 0 <= source < g.vertex_count:
-        raise ValueError(f"invalid source vertex {source}")
-    dist = [UNREACHABLE] * g.vertex_count
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in g.adjacency[u]:
-            if dist[v] == UNREACHABLE:
-                dist[v] = du + 1
-                queue.append(v)
-    return DistanceTable(source=source, dist=tuple(dist))
+    return DistanceTable(source=source, dist=tuple(_bfs(g, source, UNREACHABLE)))
 
 
 def closed_ball(g: Graph, center: int, radius: int) -> frozenset[int]:
@@ -128,14 +149,25 @@ def distance_matrix(g: Graph, infinity: int | None = None) -> list[list[int]]:
     """All-pairs hop distances with unreachable pairs set to ``infinity``.
 
     Defaults to 2*n, which exceeds every finite distance and every position
-    gap a burning sequence can demand.
+    gap a burning sequence can demand. An ``infinity`` in 0..n-1 could not
+    be told apart from a distance and raises ValueError.
     """
-    inf = 2 * g.vertex_count if infinity is None else infinity
-    rows = []
-    for s in range(g.vertex_count):
-        row = list(bfs_distances(g, s).dist)
-        rows.append([inf if d == UNREACHABLE else d for d in row])
-    return rows
+    n = g.vertex_count
+    if infinity is None:
+        return distance_rows(g, range(n))
+    if 0 <= infinity < n:
+        raise ValueError(f"infinity {infinity} is a possible distance for n={n}")
+    return [_bfs(g, s, infinity) for s in range(n)]
+
+
+def distance_rows(g: Graph, sources: Iterable[int]) -> list[list[int]]:
+    """The rows of :func:`distance_matrix` for ``sources``, in their order.
+
+    Costs one breadth-first search per source instead of one per vertex.
+    Raises ValueError on a source that is not a vertex.
+    """
+    inf = 2 * g.vertex_count
+    return [_bfs(g, s, inf) for s in sources]
 
 
 def connected_components(g: Graph, excluded: Iterable[int] = ()) -> list[list[int]]:
@@ -311,6 +343,12 @@ def qr_decompose(n: int) -> QRDecomposition:
 # Graph text format
 # --------------------------------------------------------------------------
 
+# Largest order a graph file may declare. The header is checked before
+# anything is allocated, so a file cannot ask for more memory than about
+# 100 bytes per vertex of this limit.
+MAX_VERTICES = 1_000_000
+
+
 def _data_lines(text: str) -> Iterator[str]:
     for line in text.splitlines():
         stripped = line.strip()
@@ -321,7 +359,8 @@ def _data_lines(text: str) -> Iterator[str]:
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format: "n m" header, then m lines "u v".
 
-    Blank lines and lines starting with '#' are ignored anywhere.
+    Blank lines and lines starting with '#' are ignored anywhere. A header
+    declaring more than ``MAX_VERTICES`` vertices is rejected.
     """
     lines = _data_lines(text)
     try:
@@ -335,6 +374,8 @@ def parse_graph(text: str) -> Graph:
         n, m = int(fields[0]), int(fields[1])
     except ValueError:
         raise GraphFormatError(f"non-integer header {header!r}") from None
+    if n > MAX_VERTICES:
+        raise GraphFormatError(f"header declares {n} vertices, more than {MAX_VERTICES}")
     edges = []
     for line in lines:
         fields = line.split()

@@ -52,11 +52,16 @@ from .graphs import (
     connected_components,
     cycle_vertices,
     distance_matrix,
+    distance_rows,
     recognize_family,
 )
 from .intmath import ceil_sqrt
 
 EXACT = "exact"
+
+# _cover and _search recurse once per round, so a deeper search would run
+# into the interpreter's recursion limit (1000 frames by default)
+MAX_ROUNDS = 500
 
 
 @dataclass(frozen=True)
@@ -94,14 +99,8 @@ class SequenceCheck:
     uncovered: frozenset[int] = frozenset()
 
 
-def check_sequence(g: Graph, sources: tuple[int, ...]) -> SequenceCheck:
-    """Check both burning-sequence conditions, reporting what failed.
-
-    Malformed input (empty sequence, duplicate or out-of-range ids) raises
-    ValueError; that is distinct from a well-formed but invalid sequence.
-    Distances across components are infinite, so the pairwise condition
-    holds vacuously there.
-    """
+def _validated(g: Graph, sources: tuple[int, ...]) -> tuple[int, ...]:
+    """``sources`` as a tuple; ValueError if empty, repeated or out of range."""
     seq = tuple(sources)
     if not seq:
         raise ValueError("burning sequence must contain at least one source")
@@ -110,21 +109,36 @@ def check_sequence(g: Graph, sources: tuple[int, ...]) -> SequenceCheck:
             raise ValueError(f"invalid vertex id {v}")
     if len(set(seq)) != len(seq):
         raise ValueError(f"duplicate sources in sequence {seq}")
+    return seq
 
+
+def _check_rows(seq: tuple[int, ...], rows: list[list[int]]) -> SequenceCheck:
+    """Both conditions for ``seq``, given its sources' distance rows."""
     k = len(seq)
-    dist = distance_matrix(g)  # unreachable pairs get 2n, satisfying any gap
     for i, j in itertools.combinations(range(k), 2):
-        if dist[seq[i]][seq[j]] < j - i:
+        if rows[i][seq[j]] < j - i:
             return SequenceCheck(ok=False, failed_pair=(i + 1, j + 1))
     covered = set()
-    for i, x in enumerate(seq):
+    for i, row in enumerate(rows):
         radius = k - 1 - i
-        row = dist[x]
-        covered.update(v for v in range(g.vertex_count) if row[v] <= radius)
-    uncovered = frozenset(range(g.vertex_count)) - covered
+        covered.update(v for v, d in enumerate(row) if d <= radius)
+    uncovered = frozenset(range(len(rows[0]))) - covered
     if uncovered:
         return SequenceCheck(ok=False, uncovered=uncovered)
     return SequenceCheck(ok=True)
+
+
+def check_sequence(g: Graph, sources: tuple[int, ...]) -> SequenceCheck:
+    """Check both burning-sequence conditions, reporting what failed.
+
+    Malformed input (empty sequence, duplicate or out-of-range ids) raises
+    ValueError before any distance is computed; that is distinct from a
+    well-formed but invalid sequence. Only the k sources' distance rows
+    are computed. Distances across components are 2n, more than any gap,
+    so the pairwise condition holds vacuously there.
+    """
+    seq = _validated(g, sources)
+    return _check_rows(seq, distance_rows(g, seq))
 
 
 def verify_sequence(g: Graph, sources: tuple[int, ...]) -> bool:
@@ -138,6 +152,14 @@ def verify_sequence(g: Graph, sources: tuple[int, ...]) -> bool:
 
 class _BudgetExhausted(Exception):
     pass
+
+
+def _check_rounds(k: int) -> None:
+    if k > MAX_ROUNDS:
+        raise ValueError(
+            f"exact search supports at most {MAX_ROUNDS} rounds; "
+            f"this graph needs at least {k}"
+        )
 
 
 class _Budget:
@@ -373,6 +395,7 @@ def find_sequence(
         raise ValueError("graph must have at least one vertex")
     if k < 1:
         raise ValueError("sequence length must be >= 1")
+    _check_rounds(k)
     prep = _Prepared(g, max_radius=k - 1)
     state = _Budget(budget)
     try:
@@ -445,10 +468,12 @@ def burning_number_exact(g: Graph, budget: Optional[int] = None) -> BurnResult:
     if n < 1:
         raise ValueError("graph must have at least one vertex")
 
+    components = len(connected_components(g))
+    _check_rounds(components)  # before the O(n^2) preparation
     prep = _Prepared(g, max_radius=0)
     lower = max(
         1,
-        len(connected_components(g)),
+        components,
         ceil_sqrt(prep.diameter + 1),
         _structural_lower(g),
     )
@@ -463,6 +488,7 @@ def burning_number_exact(g: Graph, budget: Optional[int] = None) -> BurnResult:
     k = lower
     try:
         while True:
+            _check_rounds(k)
             centers = _cover(prep, k, budget_state)
             if centers is None:
                 if k >= upper:
@@ -507,14 +533,13 @@ def extract_partition(g: Graph, sources: tuple[int, ...]) -> list[TreePart]:
     height at most k-i, and the roots inherit the sequence's pairwise
     distance gaps.
     """
-    seq = tuple(sources)
-    if not check_sequence(g, seq).ok:
+    seq = _validated(g, sources)
+    rows = distance_rows(g, seq)
+    if not _check_rows(seq, rows).ok:
         raise ValueError(f"not a valid burning sequence: {seq}")
-    k = len(seq)
     n = g.vertex_count
-    dist = distance_matrix(g)
     # round at which each vertex burns; source m burns exactly at round m+1
-    burn = [min(m + 1 + dist[x][v] for m, x in enumerate(seq)) for v in range(n)]
+    burn = [min(m + 1 + row[v] for m, row in enumerate(rows)) for v in range(n)]
     part = [-1] * n
     parent: dict[int, int] = {}
     for m, x in enumerate(seq):

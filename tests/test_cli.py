@@ -103,6 +103,20 @@ class TestCmdCompute:
     def test_unreadable_file(self, capsys):
         assert main(["compute", "--file", "/nonexistent/graph.txt"]) == 2
 
+    @pytest.mark.parametrize(
+        "header,args",
+        [
+            ("100000000000 0", []),  # would not fit in memory
+            ("3000 0", ["--method", "exact"]),  # more rounds than the search's stack
+        ],
+    )
+    def test_hostile_file_is_input_error(self, tmp_path, capsys, header, args):
+        path = tmp_path / "g.txt"
+        path.write_text(header + "\n")
+        assert main(["compute", "--file", str(path)] + args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unparsable_spec(self, capsys):
         assert main(["compute", "--family", "cycle:2"]) == 2
 

@@ -1,10 +1,13 @@
 import io
+import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burnkit.graphs import (
+    MAX_VERTICES,
     UNREACHABLE,
     Cycle,
     GeneralizedStar,
@@ -18,13 +21,15 @@ from burnkit.graphs import (
     closed_ball,
     connected_components,
     cycle_vertices,
+    distance_matrix,
+    distance_rows,
     parse_graph,
     qr_decompose,
     read_graph,
     recognize_family,
     write_graph,
 )
-from burnkit.families import build
+from burnkit.families import build, enumerate_sweep
 from burnkit.intmath import ceil_div, ceil_sqrt, is_square
 
 
@@ -34,6 +39,54 @@ def graphs(draw, max_n=10):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
     return Graph(n, edges)
+
+
+def reference_bfs(g, source):
+    """Distances from ``source`` by the deque BFS the kernel replaced."""
+    if not 0 <= source < g.vertex_count:
+        raise ValueError(f"invalid source vertex {source}")
+    dist = [UNREACHABLE] * g.vertex_count
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in g.adjacency[u]:
+            if dist[v] == UNREACHABLE:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def reference_matrix(g, infinity=None):
+    """The all-pairs matrix built in two passes: UNREACHABLE, then infinity."""
+    inf = 2 * g.vertex_count if infinity is None else infinity
+    return [
+        [inf if d == UNREACHABLE else d for d in reference_bfs(g, s)]
+        for s in range(g.vertex_count)
+    ]
+
+
+def grid(rows, cols):
+    edges = [(i * cols + j, i * cols + j + 1) for i in range(rows) for j in range(cols - 1)]
+    edges += [(i * cols + j, (i + 1) * cols + j) for i in range(rows - 1) for j in range(cols)]
+    return Graph(rows * cols, edges)
+
+
+DISTANCE_CASES = [
+    build("path:1"),
+    build("path:12"),
+    build("cycle:3"),
+    build("cycle:11"),
+    build("uni:7;4"),
+    build("uni:9;10,2"),
+    build("star:4,3,2"),
+    grid(4, 5),
+    grid(1, 6),
+    build("forest:5,3,1"),
+    build("forest:2,2,1,1"),
+    Graph(5),
+    Graph(7, [(0, 1), (1, 2), (2, 0), (4, 5)]),
+]
 
 
 class TestGraph:
@@ -61,6 +114,18 @@ class TestGraph:
         assert h.edge_count == 3
         with pytest.raises(ValueError):
             g.without_edge(0, 2)
+        with pytest.raises(ValueError):
+            g.without_edge(-1, 2)  # adjacency[-1] would be vertex 3's
+
+    def test_without_edge_matches_rebuilt_graph(self):
+        for family_class in ("uni1", "uni2"):
+            for desc in enumerate_sweep(family_class, 20):
+                g = build(desc)
+                edges = list(g.edges())
+                for u, v in edges:
+                    rebuilt = Graph(g.vertex_count, [e for e in edges if e != (u, v)])
+                    assert g.without_edge(u, v) == rebuilt
+                    assert g.without_edge(v, u) == rebuilt
 
 
 class TestBfs:
@@ -103,6 +168,40 @@ class TestBfs:
             for u, v in g.edges():
                 if dist[u] != UNREACHABLE and dist[v] != UNREACHABLE:
                     assert abs(dist[u] - dist[v]) <= 1
+
+
+class TestDistanceRows:
+    @pytest.mark.parametrize("g", DISTANCE_CASES, ids=repr)
+    def test_matrix_matches_reference(self, g):
+        assert distance_matrix(g) == reference_matrix(g)
+        assert distance_matrix(g, infinity=-5) == reference_matrix(g, infinity=-5)
+        for s in range(g.vertex_count):
+            assert list(bfs_distances(g, s).dist) == reference_bfs(g, s)
+
+    @pytest.mark.parametrize("g", DISTANCE_CASES, ids=repr)
+    def test_rows_are_matrix_rows(self, g):
+        ref = reference_matrix(g)
+        n = g.vertex_count
+        rng = random.Random(n)
+        for _ in range(5):
+            sources = [rng.randrange(n) for _ in range(rng.randint(1, n + 2))]
+            assert distance_rows(g, sources) == [ref[s] for s in sources]
+        assert distance_rows(g, range(n)) == ref
+        assert distance_rows(g, ()) == []
+
+    @given(graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_random_graphs_match_reference(self, g):
+        assert distance_rows(g, range(g.vertex_count)) == reference_matrix(g)
+
+    @pytest.mark.parametrize("source", [-1, 5, 6])
+    def test_invalid_source(self, source):
+        with pytest.raises(ValueError):
+            distance_rows(build("path:5"), [0, source])
+
+    def test_infinity_that_is_a_distance_rejected(self):
+        with pytest.raises(ValueError):
+            distance_matrix(build("path:5"), infinity=4)
 
 
 class TestClosedBall:
@@ -232,6 +331,11 @@ class TestGraphFormat:
     def test_malformed_rejected(self, text):
         with pytest.raises(GraphFormatError):
             parse_graph(text)
+
+    @pytest.mark.parametrize("n", [MAX_VERTICES + 1, 100000000000])
+    def test_huge_header_rejected_before_allocation(self, n):
+        with pytest.raises(GraphFormatError, match="more than"):
+            parse_graph(f"{n} 0\n")
 
     @given(graphs())
     @settings(max_examples=30, deadline=None)

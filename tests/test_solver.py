@@ -1,11 +1,17 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burnkit.families import build, enumerate_sweep
 from burnkit.graphs import Graph, TUnicyclic, distance_matrix
+from burnkit import solver
 from burnkit.solver import (
+    MAX_ROUNDS,
     Inconclusive,
+    SequenceCheck,
     _Prepared,
     _to_sequence,
     burning_number_exact,
@@ -18,6 +24,7 @@ from burnkit.solver import (
 )
 
 from .oracle import brute_burnable, brute_burning_number
+from .test_graphs import reference_matrix
 
 
 @st.composite
@@ -116,6 +123,26 @@ class TestExact:
             burning_number_exact(g, budget=3)
         assert exc.value.lower_bound <= 5 <= exc.value.upper_bound
 
+    def test_round_limit(self, monkeypatch):
+        # MAX_ROUNDS isolated vertices still solve; one more is refused
+        # before the distance matrix is built
+        assert burning_number_exact(Graph(MAX_ROUNDS)).value == MAX_ROUNDS
+
+        def fail(*args, **kwargs):
+            raise AssertionError("search prepared beyond the round limit")
+
+        monkeypatch.setattr(solver, "_Prepared", fail)
+        with pytest.raises(ValueError, match="at most"):
+            burning_number_exact(Graph(MAX_ROUNDS + 1))
+        with pytest.raises(ValueError, match="at most"):
+            find_sequence(build("path:3"), MAX_ROUNDS + 1)
+
+    def test_round_limit_reached_while_deepening(self):
+        # MAX_ROUNDS components, but the burning number is one more
+        g = Graph(2 * MAX_ROUNDS, [(2 * i, 2 * i + 1) for i in range(MAX_ROUNDS)])
+        with pytest.raises(ValueError, match=f"at least {MAX_ROUNDS + 1}"):
+            burning_number_exact(g)
+
     def test_find_sequence_inconclusive_carries_real_bounds(self):
         g = build("uni:9;10,2")
         with pytest.raises(Inconclusive) as exc:
@@ -136,6 +163,83 @@ def grid_graph(rows, cols, perm=None):
             if i + 1 < rows:
                 edges.append((perm[v], perm[v + cols]))
     return Graph(rows * cols, edges)
+
+
+def reference_check(g, seq):
+    """check_sequence as it was before distance rows: the full matrix."""
+    k = len(seq)
+    dist = reference_matrix(g)
+    for i, j in itertools.combinations(range(k), 2):
+        if dist[seq[i]][seq[j]] < j - i:
+            return SequenceCheck(ok=False, failed_pair=(i + 1, j + 1))
+    covered = set()
+    for i, x in enumerate(seq):
+        covered.update(v for v in range(g.vertex_count) if dist[x][v] <= k - 1 - i)
+    uncovered = frozenset(range(g.vertex_count)) - covered
+    if uncovered:
+        return SequenceCheck(ok=False, uncovered=uncovered)
+    return SequenceCheck(ok=True)
+
+
+class TestCheckSequenceRows:
+    GRAPHS = [
+        build("path:9"),
+        build("cycle:10"),
+        build("uni:9;10,2"),
+        build("uni:6;3"),
+        build("star:4,3,2"),
+        build("forest:5,3,1"),
+        build("forest:2,2,1,1"),
+        grid_graph(4, 4),
+        Graph(6),
+        Graph(8, [(0, 1), (1, 2), (2, 0), (4, 5), (5, 6)]),
+    ]
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=repr)
+    def test_certificates_match_reference(self, g):
+        cert = burning_number_exact(g).certificate
+        assert check_sequence(g, cert) == reference_check(g, cert) == SequenceCheck(ok=True)
+
+    def test_sweep_certificates_match_reference(self):
+        for family_class, max_n in (("uni2", 14), ("uni1", 14), ("forest3", 12)):
+            for desc in enumerate_sweep(family_class, max_n):
+                g = build(desc)
+                cert = burning_number_exact(g).certificate
+                assert check_sequence(g, cert) == reference_check(g, cert)
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=repr)
+    def test_random_sequences_match_reference(self, g):
+        rng = random.Random(g.vertex_count * 1000 + g.edge_count)
+        n = g.vertex_count
+        outcomes = set()
+        for _ in range(300):
+            seq = tuple(rng.sample(range(n), rng.randint(1, n)))
+            got = check_sequence(g, seq)
+            assert got == reference_check(g, seq)
+            outcomes.add("ok" if got.ok else "pair" if got.failed_pair else "cover")
+        # the pairwise condition can fail unless every vertex is isolated
+        assert "pair" in outcomes or g.edge_count == 0
+        assert "cover" in outcomes
+
+    def test_random_sequences_on_random_graphs(self):
+        rng = random.Random(2024)
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            pairs = list(itertools.combinations(range(n), 2))
+            g = Graph(n, rng.sample(pairs, rng.randint(0, min(len(pairs), n + 2))))
+            seq = tuple(rng.sample(range(n), rng.randint(1, n)))
+            assert check_sequence(g, seq) == reference_check(g, seq)
+
+    @pytest.mark.parametrize("seq", [(), (0, 0), (0, 9), (-1,)])
+    def test_malformed_raises_before_any_search(self, seq, monkeypatch):
+        def fail(*args):
+            raise AssertionError("distance rows computed for malformed input")
+
+        monkeypatch.setattr(solver, "distance_rows", fail)
+        with pytest.raises(ValueError):
+            check_sequence(build("cycle:4"), seq)
+        with pytest.raises(ValueError):
+            extract_partition(build("cycle:4"), seq)
 
 
 class TestCoverSearch:
