@@ -283,11 +283,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             file=sys.stderr,
         )
         return 3
-    except (GraphFormatError, SpecError, NoClosedForm, FileNotFoundError) as exc:
+    except (GraphFormatError, SpecError, NoClosedForm, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError:
+        print("error: out of memory: the input is too large to solve", file=sys.stderr)
         return 2
 
 

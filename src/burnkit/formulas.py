@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .graphs import Graph
-from .intmath import ceil_div, ceil_sqrt, is_square
+from .intmath import ceil_sqrt, counting_lower, is_square
 
 # Pair sets used by the two- and three-component exception families.
 D1 = frozenset({(2, 2)})
@@ -145,12 +145,12 @@ def t_unicyclic_bounds(n: int, t: int) -> tuple[int, int]:
     """Bound sandwich for a unicyclic graph with t arms at one vertex.
 
     lower = ceil(sqrt(n + (t^2+4t)/4) - t/2), evaluated exactly as the
-    least integer m with (2m + t)^2 >= 4n + t^2 + 4t; upper = ceil(sqrt(n)).
+    least integer m with m^2 + t(m-1) >= n (the counting bound the exact
+    solver uses for one branch vertex); upper = ceil(sqrt(n)).
     """
     if t < 0 or n < 3 + t:
         raise ValueError(f"need t >= 0 and n >= 3 + t, got (n={n}, t={t})")
-    lower = ceil_div(ceil_sqrt(4 * n + t * t + 4 * t) - t, 2)
-    return lower, ceil_sqrt(n)
+    return counting_lower(n, t), ceil_sqrt(n)
 
 
 def b_generalized_star_upper(arms: tuple[int, ...]) -> int:

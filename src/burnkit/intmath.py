@@ -28,3 +28,12 @@ def is_square(n: int) -> bool:
 def ceil_div(a: int, b: int) -> int:
     """Ceiling of a/b for positive b."""
     return -(-a // b)
+
+
+def counting_lower(n: int, t: int) -> int:
+    """Least integer k with k*k + t*(k-1) >= n, for n >= 1 and t >= 0.
+
+    k*k + t*(k-1) >= n is (2k + t)^2 >= 4n + t^2 + 4t, so k is
+    ceil((ceil_sqrt(4n + t^2 + 4t) - t) / 2).
+    """
+    return ceil_div(ceil_sqrt(4 * n + t * t + 4 * t) - t, 2)

@@ -55,7 +55,7 @@ from .graphs import (
     distance_rows,
     recognize_family,
 )
-from .intmath import ceil_sqrt
+from .intmath import ceil_sqrt, counting_lower
 
 EXACT = "exact"
 
@@ -447,11 +447,7 @@ def _structural_lower(g: Graph) -> int:
     if len(hubs) > 1:
         return 1
     extra = 0 if not hubs else g.degree(hubs[0]) - 2
-    n = g.vertex_count
-    k = 1
-    while k * k + extra * (k - 1) < n:
-        k += 1
-    return k
+    return counting_lower(g.vertex_count, extra)
 
 
 def burning_number_exact(g: Graph, budget: Optional[int] = None) -> BurnResult:

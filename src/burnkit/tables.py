@@ -5,19 +5,18 @@ two pendant paths (arms) hanging at a single cycle vertex (the hub), the
 burning number is always q or q+1; the classification below decides which,
 keyed on (q, r), the cycle length g, and the arm lengths.
 
-Most exceptions, where the answer is q+1 despite the generic q-row
-conditions, follow from the linear forests with at most three components
-by the *residual-forest* rule: a fire of radius q-1 at the hub burns 2q-1
+The exceptions, where the answer is q+1 although a q row's conditions
+hold, follow from the linear forests with at most three components by
+the *residual-forest* rule: a fire of radius q-1 at the hub burns 2q-1
 cycle vertices and q-1 vertices of each arm, leaving the linear forest
 (g-2q+1, a1-q+1[, a2-q+1]). The one-arm exceptions are the pairs whose
-residual forest is an exceptional two-path forest; the long-chain two-arm
-exceptions are the triples of order q^2+2q-2 whose residual forest is an
-exceptional three-path forest. The other two-arm exceptions (``set_b``,
-``set_c1``..``set_c3``) are parametric catalogs materialized per query for
-the instance's own q (and r, where relevant); tuples that degenerate for
-small q (cycle length below 3, arm below 1, or arms out of descending
-order, which makes the tuple an alias of another family's member) are
-dropped.
+residual forest is an exceptional two-path forest. The two-arm
+exceptions (``exceptional``) are the triples whose first arm and cycle
+leave an exceptional two-path forest while the second arm has length
+r-q+1, the triples of order q^2+r with r >= 2q-3 whose residual forest is
+an exceptional three-path forest, and five literal triples (two on short
+cycles, g <= 2q-1) that no such rule gives without also flagging triples
+that burn in q rounds.
 
 Every lookup returns a BurnResult carrying the bound sandwich. Parameter
 combinations matching no row fall back to the exact solver with the
@@ -42,10 +41,6 @@ DEGREE_B2 = "degree-b2"
 FALLBACK = "fallback-exact"
 
 
-def _valid_triple(g: int, a1: int, a2: int) -> bool:
-    return g >= 3 and a1 >= a2 >= 1
-
-
 def residual_exceptional(q: int, g: int, *arms: int) -> bool:
     """True iff the residual forest of the hub fire is exceptional.
 
@@ -62,70 +57,28 @@ def residual_exceptional(q: int, g: int, *arms: int) -> bool:
     return three_paths_exceptional(*parts)
 
 
-def set_b(q: int) -> frozenset[tuple[int, int, int]]:
-    """(g, a1, a2) triples forcing q+1 in the short-cycle two-arm rows."""
-    raw = [
+def exceptional(q: int, r: int, g: int, a1: int, a2: int) -> bool:
+    """True iff the two-arm triple (g, a1 >= a2) of order q^2 + r needs q+1
+    although it satisfies the conditions of a q row.
+
+    Five triples are literal: two with a short cycle (g <= 2q-1) and three
+    with a long one. Every other exception has a long cycle (g >= 2q) and
+    follows from the residual forest of the hub fire: either the cycle and
+    the first arm leave an exceptional two-path forest and the second arm
+    has length r-q+1, or r >= 2q-3 and the cycle and both arms leave an
+    exceptional three-path forest. A queried triple is always valid and
+    sorted, so no literal needs a validity filter.
+    """
+    if (g, a1, a2) in (
         (2 * q - 2, q * q - q - 2, q + 1),
         (2 * q - 1, q * q - q - 2, q + 1),
-    ]
-    return frozenset(t for t in raw if _valid_triple(*t))
-
-
-def set_c1(q: int, r: int) -> frozenset[tuple[int, int, int]]:
-    """Two r-dependent triples; empty when r - q + 1 < 1."""
-    a2 = r - q + 1
-    raw = [(2 * q + 1, q * q - q - 2, a2), (q * q - 2, q + 1, a2)]
-    return frozenset(t for t in raw if _valid_triple(*t))
-
-
-def set_c2(q: int) -> frozenset[tuple[int, int, int]]:
-    raw = [
         (q * q - 7, q + 2, q + 1),
         (2 * q + 1, q * q - q - 6, q + 1),
         (2 * q + 1, q * q - q - 7, q + 2),
-    ]
-    return frozenset(t for t in raw if _valid_triple(*t))
-
-
-C3_LITERALS = frozenset({(22, 16, 7), (13, 16, 16)})
-
-
-def set_c3(q: int) -> frozenset[tuple[int, int, int]]:
-    raw = [
-        (q * q - 3, q, q),
-        (q * q - 5, q + 1, q + 1),
-        (q * q - 6, q + 2, q + 1),
-        (q * q - 7, q + 2, q + 2),
-        (q * q - 7, q + 3, q + 1),
-        (q * q - 11, q + 4, q + 4),
-        (2 * q + 4, q * q - q - 11, q + 4),
-        (2 * q + 1, q * q - q - 5, q + 1),
-        (2 * q + 1, q * q - q - 6, q + 2),
-        (2 * q + 1, q * q - q - 7, q + 3),
-        (2 * q + 2, q * q - q - 6, q + 1),
-        (2 * q + 2, q * q - q - 7, q + 2),
-        (2 * q + 3, q * q - q - 7, q + 1),
-        (2 * q, q * q - q - 3, q),
-    ]
-    return frozenset(t for t in raw if _valid_triple(*t)) | C3_LITERALS
-
-
-def in_c_union(g: int, a1: int, a2: int, q: int, r: int) -> bool:
-    """Membership in the union of the six two-arm exception families.
-
-    The first three are the catalogs ``set_c1``..``set_c3``. The other
-    three are the long chains on the order n = q^2+2q-2 (r = 2q-2): there
-    a triple is exceptional exactly when its residual forest
-    (g-2q+1, a1-q+1, a2-q+1) is an exceptional three-path forest, which
-    covers the parametric members, the chain conditions and the images of
-    the sporadic catalog ``formulas.J5`` alike.
-    """
-    triple = (g, a1, a2)
-    return (
-        triple in set_c1(q, r)
-        or triple in set_c2(q)
-        or triple in set_c3(q)
-        or (r == 2 * q - 2 and residual_exceptional(q, g, a1, a2))
+    ):
+        return True
+    return (a2 == r - q + 1 and residual_exceptional(q, g, a1)) or (
+        r >= 2 * q - 3 and residual_exceptional(q, g, a1, a2)
     )
 
 
@@ -177,10 +130,10 @@ def b_unicyclic_t2(g: int, a1: int, a2: int, budget: Optional[int] = None) -> Bu
     Orders 5 and 6 are settled by the degree criterion (b = 2). Otherwise,
     with n = q^2 + r, the value is q+1 when r >= 2q-1, or 3 <= g <= r, or
     g >= q^2+1, or a1 >= q^2 - floor(g/2), or 2q <= g <= q^2 with
-    a2 <= r-q, or the triple lies in one of the exception families; it is
-    q on the two complementary rows (short cycle r+1 <= g <= 2q-1 with a1
-    below the threshold and outside the short-cycle exceptions; long cycle
-    2q <= g <= q^2 with a2 >= r-q+1 and outside the six families).
+    a2 <= r-q, or the triple is ``exceptional``; it is q on the two
+    complementary rows (short cycle r+1 <= g <= 2q-1 with a1 below the
+    threshold; long cycle 2q <= g <= q^2 with a2 >= r-q+1) when the triple
+    is not exceptional.
     """
     a1, a2 = max(a1, a2), min(a1, a2)
     if g < 3 or a2 < 1:
@@ -190,8 +143,7 @@ def b_unicyclic_t2(g: int, a1: int, a2: int, budget: Optional[int] = None) -> Bu
         return _result(2, DEGREE_B2, n, 2)
     qr = qr_decompose(n)
     q, r = qr.q, qr.r
-    in_b = (g, a1, a2) in set_b(q)
-    in_c = in_c_union(g, a1, a2, q, r)
+    special = exceptional(q, r, g, a1, a2)
     arm_cap = q * q - g // 2
 
     plus = (
@@ -200,12 +152,15 @@ def b_unicyclic_t2(g: int, a1: int, a2: int, budget: Optional[int] = None) -> Bu
         or g >= q * q + 1
         or a1 >= arm_cap
         or (2 * q <= g <= q * q and a2 <= r - q)
-        or in_b
-        or in_c
+        or special
     )
-    flat = (1 <= r <= 2 * q - 2) and (
-        (r + 1 <= g <= 2 * q - 1 and a1 <= arm_cap - 1 and not in_b)
-        or (2 * q <= g <= q * q and a2 >= r - q + 1 and not in_c)
+    flat = (
+        (1 <= r <= 2 * q - 2)
+        and not special
+        and (
+            (r + 1 <= g <= 2 * q - 1 and a1 <= arm_cap - 1)
+            or (2 * q <= g <= q * q and a2 >= r - q + 1)
+        )
     )
     if plus and not flat:
         return _result(q + 1, TABLE_T2, n, 2)

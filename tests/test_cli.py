@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -114,6 +115,18 @@ class TestCmdCompute:
         path = tmp_path / "g.txt"
         path.write_text(header + "\n")
         assert main(["compute", "--file", str(path)] + args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_out_of_memory_is_input_error(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(sys.modules[compute.__module__], "burning_number_exact", exhausted)
+        path = tmp_path / "g.txt"
+        # a tree with two branch vertices, outside every closed-form family
+        path.write_text("7 6\n0 1\n1 2\n2 3\n3 4\n1 5\n3 6\n")
+        assert main(["compute", "--file", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 

@@ -30,7 +30,7 @@ from burnkit.graphs import (
     write_graph,
 )
 from burnkit.families import build, enumerate_sweep
-from burnkit.intmath import ceil_div, ceil_sqrt, is_square
+from burnkit.intmath import ceil_div, ceil_sqrt, counting_lower, is_square
 
 
 @st.composite
@@ -294,6 +294,15 @@ class TestIntMath:
     def test_ceil_div(self):
         assert ceil_div(7, 2) == 4
         assert ceil_div(8, 2) == 4
+
+    def test_counting_lower_is_least_k(self):
+        # the loop the closed form replaces
+        for t in range(12):
+            for n in range(1, 3000):
+                k = 1
+                while k * k + t * (k - 1) < n:
+                    k += 1
+                assert counting_lower(n, t) == k, (n, t)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

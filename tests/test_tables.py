@@ -8,26 +8,38 @@ from burnkit.graphs import qr_decompose
 from burnkit.intmath import ceil_sqrt
 from burnkit.solver import burning_number_exact, unicyclic_spanning_upper
 from burnkit.tables import (
-    C3_LITERALS,
     DEGREE_B2,
     FALLBACK,
     b_unicyclic_t1,
     b_unicyclic_t2,
     errata_covers,
-    in_c_union,
+    exceptional,
     load_errata,
     parse_errata,
     residual_exceptional,
-    set_b,
-    set_c1,
-    set_c2,
-    set_c3,
 )
 from perfbench.catalogs import T2_LITERALS, t1_members, t2_members
 
 
 def _digest(members):
     return hashlib.sha256(repr(sorted(members)).encode()).hexdigest()[:16]
+
+
+def _two_arm_decisions(orders):
+    """Classify every two-arm triple of the given orders; return the count
+    and the triples at q+1, failing on any fallback."""
+    checked, plus = 0, []
+    for n in orders:
+        q = qr_decompose(n).q
+        for g in range(3, n - 1):
+            for a2 in range(1, (n - g) // 2 + 1):
+                a1 = n - g - a2
+                res = b_unicyclic_t2(g, a1, a2)
+                assert res.method != FALLBACK, (g, a1, a2)
+                checked += 1
+                if res.value == q + 1:
+                    plus.append((g, a1, a2))
+    return checked, plus
 
 
 class TestFrozenEquivalence:
@@ -52,6 +64,22 @@ class TestFrozenEquivalence:
         assert checked == 40_984
         assert len(plus) == 19_446
         assert _digest(plus) == "eb588de11b3e4acc"
+
+    def test_two_arm_orders_7_to_90(self):
+        # every two-arm order the short-cycle rows and the r-dependent
+        # exceptions reach up to q = 9
+        checked, plus = _two_arm_decisions(range(7, 91))
+        assert checked == 55_811
+        assert len(plus) == 19_379
+        assert _digest(plus) == "8252d3ca52b1c384"
+
+    def test_two_arm_orders_q2_plus_2q_minus_3(self):
+        # the order n = q^2+2q-3 where the residual forest of the hub fire
+        # totals (q-1)^2-1
+        checked, plus = _two_arm_decisions(q * q + 2 * q - 3 for q in range(3, 15))
+        assert checked == 40_408
+        assert len(plus) == 16_615
+        assert _digest(plus) == "3df59d416e67a0e5"
 
     def test_one_arm_orders_6_to_400(self):
         checked, plus = 0, []
@@ -80,36 +108,30 @@ class TestFrozenEquivalence:
 
 
 class TestCatalogs:
-    def test_counts(self):
-        # parametric templates are counted at q = 10, where nothing degenerates
-        assert len(C3_LITERALS) == 2
-        assert len(set_b(10)) == 2 and len(set_c2(10)) == 3
-        assert len(set_c3(10)) == 14 + len(C3_LITERALS)
-
-    def test_set_b_small_q(self):
-        assert set_b(3) == {(4, 4, 4), (5, 4, 4)}
-
-    def test_set_c1_r_dependence(self):
-        assert set_c1(4, 5) == {(9, 10, 2), (14, 5, 2)}
-        assert set_c1(4, 3) == set()  # arm r-q+1 = 0 degenerates
-
-    def test_degenerate_q_drops_invalid_tuples(self):
-        for q in (1, 2, 3):
-            for triple in set_b(q) | set_c2(q) | set_c3(q):
-                g, a1, a2 = triple
-                assert g >= 3 and a1 >= a2 >= 1
-
     def test_all_catalog_members_classify_plus_one(self):
-        # every materialized member must land in the union when evaluated
-        # with the q, r of its own order, exactly as a table lookup would
-        members = set()
-        for q in (3, 4, 5, 6):
-            for r in range(1, 2 * q - 1):
-                members |= set_c1(q, r)
-            members |= set_c2(q) | set_c3(q)
-        for g, a1, a2 in members:
-            qr = qr_decompose(g + a1 + a2)
-            assert in_c_union(g, a1, a2, qr.q, qr.r), (g, a1, a2)
+        # a one-arm exceptional pair plus a second arm of length r-q+1 is an
+        # exception at order q^2+r for every r = q..2q-2
+        for q in range(3, 31):
+            for r in range(q, 2 * q - 1):
+                for g, a1 in t1_members(q):
+                    a2 = r - q + 1
+                    n = g + a1 + a2
+                    assert n == q * q + r
+                    assert b_unicyclic_t2(g, a1, a2).value == ceil_sqrt(n), (g, a1, a2)
+
+    @pytest.mark.parametrize(
+        "q,r,triple,expected",
+        [
+            (3, 3, (4, 4, 4), True),     # short-cycle literal
+            (5, 6, (18, 7, 6), True),    # long-cycle literal (q^2-7, q+2, q+1)
+            (4, 5, (9, 10, 2), True),    # residual (8, 2) with a2 = r-q+1
+            (5, 7, (22, 5, 5), True),    # r = 2q-3: residual (13, 1, 1)
+            (5, 6, (19, 6, 6), False),   # r = 2q-4: residual (10, 2, 2) burns in q
+            (5, 1, (7, 14, 5), False),   # cycle part 7 - 10 + 1 <= 0
+        ],
+    )
+    def test_exceptional(self, q, r, triple, expected):
+        assert exceptional(q, r, *triple) is expected
 
     @pytest.mark.parametrize(
         "q,parts,expected",
@@ -173,6 +195,8 @@ class TestTableT2:
         "g,a1,a2,value",
         [
             (4, 4, 4, 4),    # short-cycle exceptional triple
+            (5, 4, 4, 4),    # short-cycle exceptional triple, g = 2q-1
+            (14, 5, 2, 5),   # r-dependent exceptional triple (q^2-2, q+1, r-q+1)
             (9, 10, 2, 5),   # r-dependent exceptional triple
             (8, 5, 4, 4),    # generic long-cycle row
             (3, 1, 1, 2),    # n=5: degree criterion
