@@ -283,7 +283,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             file=sys.stderr,
         )
         return 3
-    except (GraphFormatError, SpecError, NoClosedForm, FileNotFoundError, ValueError) as exc:
+    except (GraphFormatError, SpecError, NoClosedForm, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

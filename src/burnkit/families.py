@@ -42,6 +42,13 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     return values
 
 
+def _parse_int(text: str, what: str) -> int:
+    values = _parse_ints(text, what)
+    if len(values) != 1:
+        raise SpecError(f"expected one {what}, got {text!r}")
+    return values[0]
+
+
 def parse_spec(text: str) -> FamilyDescriptor:
     """Parse a family spec string into a canonical descriptor."""
     head, sep, rest = text.strip().partition(":")
@@ -49,10 +56,10 @@ def parse_spec(text: str) -> FamilyDescriptor:
         raise SpecError(f"malformed family spec {text!r}")
     kind = head.strip().lower()
     if kind == "path":
-        n = _parse_ints(rest, "order")[0]
+        n = _parse_int(rest, "order")
         return _checked(Path(n))
     if kind == "cycle":
-        g = _parse_ints(rest, "order")[0]
+        g = _parse_int(rest, "order")
         return _checked(Cycle(g))
     if kind == "forest":
         parts = _parse_ints(rest, "part")
@@ -64,7 +71,7 @@ def parse_spec(text: str) -> FamilyDescriptor:
         g_text, sep, arms_text = rest.partition(";")
         if not sep:
             raise SpecError(f"uni spec needs 'g;a1,...', got {text!r}")
-        g = _parse_ints(g_text, "cycle length")[0]
+        g = _parse_int(g_text, "cycle length")
         arms = _parse_ints(arms_text, "arm")
         return _checked(TUnicyclic(g=g, arms=tuple(sorted(arms, reverse=True))))
     raise SpecError(f"unknown family {head!r}")

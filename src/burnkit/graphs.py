@@ -10,6 +10,10 @@ fills with the ``UNREACHABLE`` sentinel (-1). :func:`distance_rows` and
 :func:`distance_matrix` fill with 2n, which exceeds every finite distance,
 so callers can compare against it as infinity; a caller that reads only
 some sources' rows asks :func:`distance_rows` for just those.
+
+Recognition finds the components once and, for a graph with one branch
+vertex, those of the graph minus that vertex once; the cycle of a
+unicyclic graph is read off the latter, not searched for separately.
 """
 
 from __future__ import annotations
@@ -254,64 +258,49 @@ class Other:
 FamilyDescriptor = Union[Path, Cycle, LinearForest, GeneralizedStar, TUnicyclic, Other]
 
 
-def _component_is_path(g: Graph, comp: list[int]) -> bool:
-    if len(comp) == 1:
-        return g.degree(comp[0]) == 0
-    degs = [g.degree(v) for v in comp]
-    return degs.count(1) == 2 and all(d <= 2 for d in degs)
-
-
 def recognize_family(g: Graph) -> FamilyDescriptor:
     """Most specific structural family of ``g``, with canonical parameters.
 
     Arms and forest parts come out sorted descending. A plain cycle is
     reported as Cycle, never as a unicyclic graph with no arms. Among
     disconnected graphs only linear forests are recognized; everything
-    else falls through to Other.
+    else falls through to Other. A connected graph with one branch vertex
+    (the hub) and at most n edges is decided by one components pass over
+    g - hub: a generalized star, or a t-unicyclic graph whose cycle is
+    the component that meets the hub twice.
     """
     n = g.vertex_count
     if n == 0:
         return Other()
     comps = connected_components(g)
-
-    if len(comps) > 1:
-        if all(_component_is_path(g, c) for c in comps):
-            return LinearForest(tuple(sorted((len(c) for c in comps), reverse=True)))
-        return Other()
-
     m = g.edge_count
     hubs = [v for v in range(n) if g.degree(v) >= 3]
 
-    if not hubs:
-        if m == n - 1:
-            return Path(n)
-        if m == n and n >= 3:  # connected, all degree 2
-            return Cycle(n)
-        return Other()
-
-    if len(hubs) > 1:
-        return Other()
-
-    hub = hubs[0]
-    if m == n - 1:
-        # tree with a single branch vertex: a generalized star
-        arm_comps = connected_components(g, (hub,))
-        arms = tuple(sorted((len(c) for c in arm_comps), reverse=True))
-        if len(arms) >= 3 and sum(arms) + 1 == n:
-            return GeneralizedStar(arms)
-        return Other()
-
-    if m == n:
-        core = cycle_vertices(g)
-        if hub not in core:
+    if len(comps) > 1:
+        # degrees at most 2 and no cycle: every component is a path
+        if hubs or m != n - len(comps):
             return Other()
-        arm_comps = connected_components(g, core)
-        arms = tuple(sorted((len(c) for c in arm_comps), reverse=True))
-        if arms and sum(arms) + len(core) == n:
-            return TUnicyclic(g=len(core), arms=arms)
+        return LinearForest(tuple(sorted((len(c) for c in comps), reverse=True)))
+
+    if not hubs:  # connected with degrees at most 2
+        return Path(n) if m == n - 1 else Cycle(n)
+
+    if len(hubs) > 1 or m > n:
         return Other()
 
-    return Other()
+    # With one hub every component of g - hub is a path that meets the hub
+    # only at its ends. A component meeting it at both ends closes the
+    # cycle (m == n allows one); every other component is an arm.
+    hub = hubs[0]
+    neighbours = set(g.adjacency[hub])
+    cycle, arms = 0, []
+    for comp in connected_components(g, (hub,)):
+        if len(neighbours.intersection(comp)) == 2:
+            cycle = len(comp) + 1
+        else:
+            arms.append(len(comp))
+    arms.sort(reverse=True)
+    return TUnicyclic(cycle, tuple(arms)) if cycle else GeneralizedStar(tuple(arms))
 
 
 # --------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .graphs import (
+    Cycle,
     GeneralizedStar,
     Graph,
     Path,
@@ -565,7 +566,7 @@ def extract_partition(g: Graph, sources: tuple[int, ...]) -> list[TreePart]:
 def _tree_value(desc) -> int:
     """Exact burning number of a canonical tree shape (memoized).
 
-    Edge-deleted spanning trees of unicyclic graphs are paths and
+    The spanning trees of one-hub unicyclic graphs are paths and
     generalized stars, and the same shapes recur across a sweep; caching
     by canonical descriptor turns thousands of repeat searches into
     lookups. The value still comes from the exact solver.
@@ -575,6 +576,17 @@ def _tree_value(desc) -> int:
     return burning_number_exact(families.build(desc)).value
 
 
+def _spanning_shapes(desc) -> set:
+    """Shapes of the trees a Cycle or TUnicyclic leaves without a cycle edge."""
+    arms = getattr(desc, "arms", ())
+    n = desc.g + sum(arms)
+    shapes = set()
+    for j in range((desc.g + 1) // 2):
+        legs = tuple(sorted((a for a in (*arms, j, desc.g - 1 - j) if a), reverse=True))
+        shapes.add(GeneralizedStar(legs) if len(legs) >= 3 else Path(n))
+    return shapes
+
+
 def unicyclic_spanning_upper(g: Graph) -> int:
     """b(G) of a unicyclic graph via its spanning trees.
 
@@ -582,8 +594,15 @@ def unicyclic_spanning_upper(g: Graph) -> int:
     of a graph is the minimum over its spanning trees; a unicyclic graph
     has exactly its g edge-deleted trees as spanning trees, so the minimum
     over them equals b(G) — an independent second oracle, not merely an
-    upper bound.
+    upper bound. For a cycle or a t-unicyclic graph, deleting the edge j
+    steps from the hub leaves the spider (a star with paths as legs) with
+    legs (a_1, ..., a_t, j, g-1-j), a path when fewer than three legs are
+    nonempty. The edges j and g-1-j leave the same spider, so only
+    ceil(g/2) shapes are solved. Other unicyclic graphs solve each tree.
     """
+    desc = recognize_family(g)
+    if isinstance(desc, (Cycle, TUnicyclic)):
+        return min(map(_tree_value, _spanning_shapes(desc)))
     if (
         g.vertex_count == 0
         or g.edge_count != g.vertex_count
@@ -591,17 +610,8 @@ def unicyclic_spanning_upper(g: Graph) -> int:
     ):
         raise ValueError("graph is not unicyclic")
     core = set(cycle_vertices(g))
-    best = None
-    for u, v in g.edges():
-        if u in core and v in core:
-            tree = g.without_edge(u, v)
-            desc = recognize_family(tree)
-            if isinstance(desc, (Path, GeneralizedStar)):
-                value = _tree_value(desc)
-            else:
-                value = burning_number_exact(tree).value
-            best = value if best is None else min(best, value)
-    return best
+    cycle_edges = [(u, v) for u, v in g.edges() if u in core and v in core]
+    return min(burning_number_exact(g.without_edge(u, v)).value for u, v in cycle_edges)
 
 
 def isometric_path_lower(desc: TUnicyclic) -> int:

@@ -133,6 +133,11 @@ class TestCmdCompute:
     def test_unparsable_spec(self, capsys):
         assert main(["compute", "--family", "cycle:2"]) == 2
 
+    def test_extra_spec_value_is_input_error(self, capsys):
+        assert main(["compute", "--family", "cycle:5,100"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
     def test_requires_exactly_one_source(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["compute"])
@@ -223,3 +228,19 @@ class TestCmdSweep:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--class", "blob", "--max-n", "10"])
         assert exc.value.code == 2
+
+
+class TestUnreadablePath:
+    # a directory is an OSError other than FileNotFoundError when opened
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["compute", "--file", "{dir}"],
+            ["verify", "--file", "{dir}", "--sequence", "0"],
+            ["sweep", "--class", "cycle", "--max-n", "5", "--errata", "{dir}"],
+        ],
+    )
+    def test_directory_path_is_input_error(self, tmp_path, capsys, args):
+        assert main([a.format(dir=tmp_path) for a in args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -36,6 +36,9 @@ class TestParse:
             "blob:3",
             "path:x",
             "path",
+            "path:3,4",
+            "cycle:5,9",
+            "uni:5,6;3",
         ],
     )
     def test_invalid_specs(self, text):

@@ -1,9 +1,10 @@
 import io
+import itertools
 import random
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from burnkit.graphs import (
@@ -29,7 +30,8 @@ from burnkit.graphs import (
     recognize_family,
     write_graph,
 )
-from burnkit.families import build, enumerate_sweep
+from burnkit import graphs as graphs_module
+from burnkit.families import SWEEP_CLASSES, build, enumerate_sweep, parse_spec
 from burnkit.intmath import ceil_div, ceil_sqrt, counting_lower, is_square
 
 
@@ -64,6 +66,67 @@ def reference_matrix(g, infinity=None):
         [inf if d == UNREACHABLE else d for d in reference_bfs(g, s)]
         for s in range(g.vertex_count)
     ]
+
+
+@st.composite
+def sparse_graphs(draw, max_n=14):
+    """A random tree plus up to two extra edges, under random vertex ids."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    perm = draw(st.permutations(range(n)))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    if n >= 2:
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2)))
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def relabelled(g, perm):
+    """``g`` with vertex v renamed perm[v]."""
+    return Graph(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def reference_recognize(g):
+    """recognize_family as it was before the one-pass hub decomposition."""
+
+    def component_is_path(comp):
+        if len(comp) == 1:
+            return g.degree(comp[0]) == 0
+        degs = [g.degree(v) for v in comp]
+        return degs.count(1) == 2 and all(d <= 2 for d in degs)
+
+    n = g.vertex_count
+    if n == 0:
+        return Other()
+    comps = connected_components(g)
+    if len(comps) > 1:
+        if all(component_is_path(c) for c in comps):
+            return LinearForest(tuple(sorted((len(c) for c in comps), reverse=True)))
+        return Other()
+    m = g.edge_count
+    hubs = [v for v in range(n) if g.degree(v) >= 3]
+    if not hubs:
+        if m == n - 1:
+            return Path(n)
+        if m == n and n >= 3:
+            return Cycle(n)
+        return Other()
+    if len(hubs) > 1:
+        return Other()
+    hub = hubs[0]
+    if m == n - 1:
+        arms = tuple(sorted((len(c) for c in connected_components(g, (hub,))), reverse=True))
+        if len(arms) >= 3 and sum(arms) + 1 == n:
+            return GeneralizedStar(arms)
+        return Other()
+    if m == n:
+        core = cycle_vertices(g)
+        if hub not in core:
+            return Other()
+        arms = tuple(sorted((len(c) for c in connected_components(g, core)), reverse=True))
+        if arms and sum(arms) + len(core) == n:
+            return TUnicyclic(g=len(core), arms=arms)
+        return Other()
+    return Other()
 
 
 def grid(rows, cols):
@@ -250,6 +313,66 @@ class TestRecognize:
         h = Graph(5, [(0, 1), (1, 2), (2, 0)])
         assert recognize_family(h) == Other()
         assert recognize_family(Graph(0)) == Other()
+
+    @given(graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_random_graphs_match_reference(self, g):
+        assert recognize_family(g) == reference_recognize(g)
+
+    @given(sparse_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_sparse_graphs_match_reference(self, g):
+        assert recognize_family(g) == reference_recognize(g)
+
+    @given(
+        st.sampled_from([None, 3, 4, 5, 9]),
+        st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=5),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_relabelled_one_hub_graphs_match_reference(self, cycle, arms, rng):
+        assume(cycle is not None or len(arms) >= 3)
+        arms = tuple(sorted(arms, reverse=True))
+        desc = GeneralizedStar(arms) if cycle is None else TUnicyclic(cycle, arms)
+        perm = list(range(sum(arms) + (cycle or 1)))
+        rng.shuffle(perm)
+        g = relabelled(build(desc), perm)
+        assert recognize_family(g) == reference_recognize(g) == desc
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            # two cycles through one hub: m > n
+            Graph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]),
+            Graph(8, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0), (0, 5), (5, 6), (2, 7)]),
+            Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
+            # a second branch vertex off the cycle
+            Graph(7, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (3, 5), (3, 6)]),
+        ],
+        ids=repr,
+    )
+    def test_other_one_hub_cases_match_reference(self, g):
+        assert recognize_family(g) == reference_recognize(g) == Other()
+
+    @pytest.mark.parametrize("family_class", SWEEP_CLASSES)
+    def test_sweep_classes_match_reference(self, family_class):
+        for desc in enumerate_sweep(family_class, 16):
+            g = build(desc)
+            assert recognize_family(g) == reference_recognize(g), desc
+
+    def test_stars_match_reference(self):
+        for t in range(3, 6):
+            for arms in itertools.combinations_with_replacement(range(5, 0, -1), t):
+                g = build(GeneralizedStar(arms))
+                assert recognize_family(g) == reference_recognize(g) == GeneralizedStar(arms)
+
+    def test_cycle_not_searched_separately(self, monkeypatch):
+        def fail(g):
+            raise AssertionError("cycle_vertices called")
+
+        monkeypatch.setattr(graphs_module, "cycle_vertices", fail)
+        for spec in ("uni:5;3,2", "uni:3;1,1,1,1", "star:2,1,1", "cycle:6"):
+            assert recognize_family(build(spec)) == parse_spec(spec)
 
     def test_cycle_vertices_strips_arms(self):
         g = build("uni:5;3,2")

@@ -5,8 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from burnkit.families import build, enumerate_sweep
-from burnkit.graphs import Graph, TUnicyclic, distance_matrix
+from burnkit.families import build, enumerate_sweep, parse_spec
+from burnkit.graphs import (
+    Graph,
+    Other,
+    TUnicyclic,
+    cycle_vertices,
+    distance_matrix,
+    recognize_family,
+)
 from burnkit import solver
 from burnkit.solver import (
     MAX_ROUNDS,
@@ -353,6 +360,27 @@ class TestPartition:
                 assert dist[part.root][parts[j].root] >= j - i
 
 
+def reference_tree_shapes(g):
+    """The oracle's trees as it once found them: delete each cycle edge, recognise."""
+    core = set(cycle_vertices(g))
+    return {
+        recognize_family(g.without_edge(u, v))
+        for u, v in g.edges()
+        if u in core and v in core
+    }
+
+
+# Unicyclic graphs outside every one-hub family, solved tree by tree
+GENERAL_UNICYCLIC = [
+    # cycle 0..5 with an arm of 2 at vertex 0 and an arm of 3 at vertex 2
+    Graph(11, [(i, (i + 1) % 6) for i in range(6)]
+          + [(0, 6), (6, 7), (2, 8), (8, 9), (9, 10)]),
+    # cycle 0..4 carrying at vertex 0 a pendant tree that branches at 5
+    Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+          + [(0, 5), (5, 6), (6, 7), (5, 8), (8, 9)]),
+]
+
+
 class TestUnicyclicOracles:
     @pytest.mark.parametrize(
         "spec,value", [("cycle:5", 3), ("uni:7;3", 3), ("uni:4;4,4", 4)]
@@ -364,6 +392,39 @@ class TestUnicyclicOracles:
         for desc in enumerate_sweep("uni1", 16):
             g = build(desc)
             assert unicyclic_spanning_upper(g) == burning_number_exact(g).value
+
+    def test_derived_shapes_match_recognised_trees(self):
+        descs = itertools.chain(
+            enumerate_sweep("cycle", 20),
+            enumerate_sweep("uni1", 40),
+            enumerate_sweep("uni2", 30),
+            map(parse_spec, ("uni:7;3,2,1", "uni:3;1,1,1,1", "uni:10;4,4,4")),
+        )
+        for desc in descs:
+            assert solver._spanning_shapes(desc) == reference_tree_shapes(build(desc)), desc
+
+    @pytest.mark.parametrize("spec", ["cycle:9", "uni:7;3", "uni:9;10,2", "uni:7;3,2,1"])
+    def test_one_hub_graph_recognised_once(self, spec, monkeypatch):
+        g = build(spec)
+        value = burning_number_exact(g).value
+        seen = []
+
+        def counted(graph):
+            seen.append(graph)
+            return recognize_family(graph)
+
+        def fail(*args):
+            raise AssertionError("edge-deleted tree built")
+
+        monkeypatch.setattr(solver, "recognize_family", counted)
+        monkeypatch.setattr(Graph, "without_edge", fail)
+        assert unicyclic_spanning_upper(g) == value
+        assert seen == [g]
+
+    @pytest.mark.parametrize("g", GENERAL_UNICYCLIC, ids=repr)
+    def test_general_unicyclic_matches_exact(self, g):
+        assert recognize_family(g) == Other()
+        assert unicyclic_spanning_upper(g) == burning_number_exact(g).value
 
     def test_not_unicyclic_rejected(self):
         with pytest.raises(ValueError):
