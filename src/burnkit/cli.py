@@ -176,14 +176,19 @@ def _format_row(row: dict) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise SpecError(f"--jobs must be at least 1, got {args.jobs}")
     budget = _node_budget()
     errata = load_errata(args.errata)
     specs = [format_spec(d) for d in enumerate_sweep(args.family_class, args.max_n)]
 
     start = time.monotonic()
     worker = partial(_sweep_row, budget=budget)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the fork start method launches every worker up front, so never ask
+    # for more than there are instances or CPUs
+    workers = min(args.jobs, len(specs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(worker, specs, chunksize=16))
     else:
         rows = [worker(s) for s in specs]

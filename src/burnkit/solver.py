@@ -35,15 +35,21 @@ Branch vertices, candidate centers and swaps are chosen by fixed rules
 (set sizes, ties by vertex id), which makes certificates deterministic:
 the first cover found under those rules, not the globally lexicographic
 minimum among all optima.
+
+The unicyclic oracle (``unicyclic_spanning_upper``) is the minimum over
+spanning trees. For cycles and t-unicyclic graphs those trees are paths
+and spiders, decided by ``structural``'s one-hub rule without building a
+tree, so the oracle shares no code with the search above; other unicyclic
+graphs solve each spanning tree by the search.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
+from . import structural
 from .graphs import (
     Cycle,
     GeneralizedStar,
@@ -562,20 +568,6 @@ def extract_partition(g: Graph, sources: tuple[int, ...]) -> list[TreePart]:
 # Independent oracle and bound for unicyclic graphs
 # --------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _tree_value(desc) -> int:
-    """Exact burning number of a canonical tree shape (memoized).
-
-    The spanning trees of one-hub unicyclic graphs are paths and
-    generalized stars, and the same shapes recur across a sweep; caching
-    by canonical descriptor turns thousands of repeat searches into
-    lookups. The value still comes from the exact solver.
-    """
-    from . import families  # deferred: keeps this module importable first
-
-    return burning_number_exact(families.build(desc)).value
-
-
 def _spanning_shapes(desc) -> set:
     """Shapes of the trees a Cycle or TUnicyclic leaves without a cycle edge."""
     arms = getattr(desc, "arms", ())
@@ -585,6 +577,11 @@ def _spanning_shapes(desc) -> set:
         legs = tuple(sorted((a for a in (*arms, j, desc.g - 1 - j) if a), reverse=True))
         shapes.add(GeneralizedStar(legs) if len(legs) >= 3 else Path(n))
     return shapes
+
+
+def _legs(shape) -> tuple[int, ...]:
+    """Legs of a spanning-tree shape; a path of n vertices is one leg of n-1."""
+    return shape.arms if isinstance(shape, GeneralizedStar) else (shape.n - 1,)
 
 
 def unicyclic_spanning_upper(g: Graph) -> int:
@@ -597,12 +594,20 @@ def unicyclic_spanning_upper(g: Graph) -> int:
     upper bound. For a cycle or a t-unicyclic graph, deleting the edge j
     steps from the hub leaves the spider (a star with paths as legs) with
     legs (a_1, ..., a_t, j, g-1-j), a path when fewer than three legs are
-    nonempty. The edges j and g-1-j leave the same spider, so only
-    ceil(g/2) shapes are solved. Other unicyclic graphs solve each tree.
+    nonempty; the edges j and g-1-j leave the same spider. No tree is
+    built: k deepens from the least lower bound of the ceil(g/2) shapes,
+    and the first k at which ``structural.burns`` accepts some shape is the
+    minimum. Other unicyclic graphs solve each tree by exact search.
     """
     desc = recognize_family(g)
     if isinstance(desc, (Cycle, TUnicyclic)):
-        return min(map(_tree_value, _spanning_shapes(desc)))
+        bounds = {legs: structural.lower_bound(legs)
+                  for legs in map(_legs, _spanning_shapes(desc))}
+        k = min(bounds.values())
+        while not any(structural.burns(legs, k)
+                      for legs, lower in bounds.items() if lower <= k):
+            k += 1
+        return k
     if (
         g.vertex_count == 0
         or g.edge_count != g.vertex_count

@@ -190,7 +190,11 @@ class ErrataEntry:
 
 
 def parse_errata(text: str) -> dict[tuple, ErrataEntry]:
-    """Parse an errata file; blank lines and '#' comments are ignored."""
+    """Parse an errata file; blank lines and '#' comments are ignored.
+
+    Arms may be listed in any order and are stored descending. A second
+    line for the same instance is a ValueError naming its line number.
+    """
     entries: dict[tuple, ErrataEntry] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -205,13 +209,16 @@ def parse_errata(text: str) -> dict[tuple, ErrataEntry]:
             if len(fields) < width:
                 raise ValueError
             g = int(fields[1])
-            arms = tuple(int(f) for f in fields[2 : 2 + t])
+            # descending, the order the sweep looks entries up by
+            arms = tuple(sorted((int(f) for f in fields[2 : 2 + t]), reverse=True))
             table_value = int(fields[2 + t])
             exact_value = int(fields[3 + t])
         except (ValueError, IndexError):
             raise ValueError(f"malformed errata line {lineno}: {line!r}") from None
         note = " ".join(fields[width:])
         entry = ErrataEntry(t, g, arms, table_value, exact_value, note)
+        if entry.key in entries:
+            raise ValueError(f"errata line {lineno} repeats instance {entry.key}")
         entries[entry.key] = entry
     return entries
 

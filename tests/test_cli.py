@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from burnkit import cli
 from burnkit.cli import main
 from burnkit.compute import NoClosedForm, compute
 from burnkit.families import build
@@ -228,6 +229,39 @@ class TestCmdSweep:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--class", "blob", "--max-n", "10"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_input_error(self, jobs, capsys):
+        assert main(["sweep", "--class", "cycle", "--max-n", "5", "--jobs", jobs]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--jobs" in err
+
+    @pytest.mark.parametrize(
+        "jobs,cpus,workers",
+        [("100000", 4, [4]), ("3", 64, [3]), ("100000", 64, [7]), ("2", 1, [])],
+    )
+    def test_pool_sized_by_instances_and_cpus(self, jobs, cpus, workers, monkeypatch, capsys):
+        # cycle:3..cycle:9 is 7 instances; a pool of one runs serially
+        started = []
+
+        class FakeExecutor:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakeExecutor)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        assert main(["sweep", "--class", "cycle", "--max-n", "9", "--jobs", jobs]) == 0
+        assert started == workers
+        assert "instances=7 " in capsys.readouterr().out
 
 
 class TestUnreadablePath:

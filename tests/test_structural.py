@@ -1,0 +1,124 @@
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from burnkit import families, solver, structural
+from burnkit.families import build, enumerate_sweep
+from burnkit.formulas import b_three_paths, b_two_paths
+from burnkit.graphs import GeneralizedStar, Path
+from burnkit.solver import burning_number_exact, unicyclic_spanning_upper
+
+
+def structural_value(legs):
+    """Least k at which ``structural.burns`` accepts the spider."""
+    k = structural.lower_bound(legs)
+    while not structural.burns(legs, k):
+        k += 1
+    return k
+
+
+def forest_value(parts):
+    """Least k whose interval sizes 2k-1, ..., 1 cover the linear forest."""
+    k = 1
+    while not structural.intervals_cover(parts, tuple(range(2 * k - 1, 0, -2))):
+        k += 1
+    return k
+
+
+def reference_tree_value(shape):
+    """The oracle's former per-shape value: exact search on the built tree."""
+    return burning_number_exact(families.build(shape)).value
+
+
+def spiders(legs_count, max_order):
+    for legs in itertools.combinations_with_replacement(range(max_order - 1, 0, -1), legs_count):
+        if 1 + sum(legs) <= max_order:
+            yield legs
+
+
+class TestSpiders:
+    def test_paths_match_exact(self):
+        for n in range(1, 41):
+            legs = (n - 1,) if n > 1 else ()
+            assert structural_value(legs) == reference_tree_value(Path(n)), n
+
+    @pytest.mark.parametrize("legs_count", [3, 4, 5])
+    def test_small_spiders_match_exact(self, legs_count):
+        checked = 0
+        for legs in spiders(legs_count, 18):
+            assert structural_value(legs) == reference_tree_value(GeneralizedStar(legs)), legs
+            checked += 1
+        assert checked > 50
+
+    @given(st.lists(st.integers(min_value=1, max_value=9), min_size=3, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_hypothesis_spiders_match_exact(self, legs):
+        legs = tuple(sorted(legs, reverse=True))
+        assert structural_value(legs) == reference_tree_value(GeneralizedStar(legs))
+
+    def test_burns_iff_k_reaches_value(self):
+        for legs in spiders(3, 20):
+            value = structural_value(legs)
+            assert all(structural.burns(legs, k) for k in range(value, value + 3)), legs
+            assert not any(structural.burns(legs, k) for k in range(1, value)), legs
+
+
+class TestIntervals:
+    def test_two_paths_match_formula(self):
+        for total in range(2, 61):
+            for a2 in range(1, total // 2 + 1):
+                a1 = total - a2
+                assert forest_value((a1, a2)) == b_two_paths(a1, a2), (a1, a2)
+
+    def test_three_paths_match_formula(self):
+        for total in range(3, 61):
+            for a3 in range(1, total // 3 + 1):
+                for a2 in range(a3, (total - a3) // 2 + 1):
+                    a1 = total - a2 - a3
+                    assert forest_value((a1, a2, a3)) == b_three_paths(a1, a2, a3), (a1, a2, a3)
+
+    @pytest.mark.parametrize(
+        "parts,sizes,expected",
+        [
+            ((), (), True),
+            ((0, 0), (), True),
+            ((3,), (3,), True),
+            ((4,), (3,), False),
+            ((4,), (3, 1), True),
+            ((2, 2), (3,), False),  # one interval cannot span two paths
+            ((7, 2), (5, 3, 1), False),  # (t*t - 2, 2) needs a round more
+            ((5, 4), (5, 3, 1), True),
+            ((6, 3), (5, 3, 1), True),
+            ((7, 2), (7, 3, 1), True),
+            ((2, 2, 2), (7, 5), False),
+        ],
+    )
+    def test_examples(self, parts, sizes, expected):
+        assert structural.intervals_cover(parts, sizes) is expected
+
+
+class TestSpanningOracle:
+    def test_matches_reference_tree_values(self):
+        descs = itertools.chain(enumerate_sweep("uni1", 40), enumerate_sweep("uni2", 26))
+        shapes = set()
+        for desc in descs:
+            shapes |= solver._spanning_shapes(desc)
+        reference = {shape: reference_tree_value(shape) for shape in shapes}
+        for shape, value in reference.items():
+            assert structural_value(solver._legs(shape)) == value, shape
+
+    @pytest.mark.parametrize(
+        "spec,value",
+        [("cycle:57", 8), ("uni:13;41", 7), ("uni:9;30,14", 7), ("uni:6;20,17,9", 7)],
+    )
+    def test_one_hub_graph_builds_and_searches_nothing(self, spec, value, monkeypatch):
+        g = build(spec)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("spanning tree built or searched")
+
+        monkeypatch.setattr(solver, "burning_number_exact", fail)
+        monkeypatch.setattr(families, "build", fail)
+        assert unicyclic_spanning_upper(g) == value

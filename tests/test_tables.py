@@ -265,3 +265,14 @@ class TestErrata:
     def test_malformed_lines_rejected(self, line):
         with pytest.raises(ValueError):
             parse_errata(line)
+
+    def test_arms_stored_descending(self):
+        entries = parse_errata("2 9 2 10 5 4 ascending arms\n")
+        assert list(entries) == [(2, 9, (10, 2))]
+        assert errata_covers(entries, 2, 9, (10, 2), 5, 4)
+
+    @pytest.mark.parametrize("second", ["2 9 10 2 5 4", "2 9 2 10 5 5 other values"])
+    def test_duplicate_instance_rejected(self, second):
+        text = "# header\n2 9 10 2 5 4 first\n\n" + second + "\n"
+        with pytest.raises(ValueError, match="line 4"):
+            parse_errata(text)
