@@ -34,7 +34,7 @@ from .solver import (
     check_sequence,
     extract_partition,
 )
-from .tables import FALLBACK, errata_covers, load_errata
+from .tables import errata_covers, load_errata
 
 BUDGET_ENV = "BURNKIT_NODE_BUDGET"
 
@@ -104,7 +104,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     print(f"lower={result.lower_bound} upper={result.upper_bound}")
     if args.certificate and certificate is not None:
         print("certificate=" + ",".join(map(str, certificate)))
-        if result.method in (EXACT, FALLBACK):
+        if result.method == EXACT:
             for i, part in enumerate(extract_partition(g, certificate), start=1):
                 vertices = ",".join(map(str, sorted(part.vertices)))
                 print(

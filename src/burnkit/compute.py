@@ -1,11 +1,14 @@
 """Method routing: pick a closed form or table when one applies.
 
-``method="auto"`` recognizes the graph's family and uses the matching
-constant-time evaluator, falling back to the exact solver for families
-without one (linear forests with four or more components, unicyclic
-graphs with three or more arms, generalized stars beyond the degree
-criterion, and everything unrecognized). ``method="formula"`` raises
-instead of falling back, and ``method="exact"`` always searches.
+``method="auto"`` recognizes the graph's family and answers by its
+constant-time evaluator: the path, cycle and linear-forest formulas, the
+one- and two-arm unicyclic tables (total, so they never search), or the
+degree criterion. Families without one (linear forests with four or more
+components, unicyclic graphs with three or more arms, generalized stars
+beyond the degree criterion, and everything unrecognized) go to the exact
+solver, the only route the node budget limits. ``method="formula"``
+raises NoClosedForm for those instead, and ``method="exact"`` always
+searches.
 """
 
 from __future__ import annotations
@@ -35,9 +38,7 @@ def _exact_value(value: int, method: str) -> BurnResult:
     return BurnResult(value=value, method=method, lower_bound=value, upper_bound=value)
 
 
-def _formula_route(
-    g: Graph, family: FamilyDescriptor, budget: Optional[int]
-) -> Optional[BurnResult]:
+def _formula_route(g: Graph, family: FamilyDescriptor) -> Optional[BurnResult]:
     if isinstance(family, Path):
         return _exact_value(formulas.b_path(family.n), "formula-path")
     if isinstance(family, Cycle):
@@ -53,9 +54,9 @@ def _formula_route(
         return None
     if isinstance(family, TUnicyclic):
         if family.t == 1:
-            return tables.b_unicyclic_t1(family.g, family.arms[0], budget=budget)
+            return tables.b_unicyclic_t1(family.g, family.arms[0])
         if family.t == 2:
-            return tables.b_unicyclic_t2(family.g, *family.arms, budget=budget)
+            return tables.b_unicyclic_t2(family.g, *family.arms)
         return None
     by_degree = formulas.b2_by_degree(g)
     if by_degree is not None:
@@ -81,7 +82,7 @@ def compute(
         return burning_number_exact(g, budget=budget)
     if family is None:
         family = recognize_family(g)
-    routed = _formula_route(g, family, budget)
+    routed = _formula_route(g, family)
     if routed is not None:
         return routed
     if method == "formula":

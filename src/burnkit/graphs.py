@@ -149,19 +149,13 @@ def closed_ball(g: Graph, center: int, radius: int) -> frozenset[int]:
     )
 
 
-def distance_matrix(g: Graph, infinity: int | None = None) -> list[list[int]]:
-    """All-pairs hop distances with unreachable pairs set to ``infinity``.
+def distance_matrix(g: Graph) -> list[list[int]]:
+    """All-pairs hop distances with unreachable pairs set to 2*n.
 
-    Defaults to 2*n, which exceeds every finite distance and every position
-    gap a burning sequence can demand. An ``infinity`` in 0..n-1 could not
-    be told apart from a distance and raises ValueError.
+    2*n exceeds every finite distance and every position gap a burning
+    sequence can demand.
     """
-    n = g.vertex_count
-    if infinity is None:
-        return distance_rows(g, range(n))
-    if 0 <= infinity < n:
-        raise ValueError(f"infinity {infinity} is a possible distance for n={n}")
-    return [_bfs(g, s, infinity) for s in range(n)]
+    return distance_rows(g, range(g.vertex_count))
 
 
 def distance_rows(g: Graph, sources: Iterable[int]) -> list[list[int]]:

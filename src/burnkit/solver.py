@@ -52,9 +52,7 @@ from typing import Optional, Sequence
 from . import structural
 from .graphs import (
     Cycle,
-    GeneralizedStar,
     Graph,
-    Path,
     TUnicyclic,
     connected_components,
     cycle_vertices,
@@ -568,20 +566,19 @@ def extract_partition(g: Graph, sources: tuple[int, ...]) -> list[TreePart]:
 # Independent oracle and bound for unicyclic graphs
 # --------------------------------------------------------------------------
 
-def _spanning_shapes(desc) -> set:
-    """Shapes of the trees a Cycle or TUnicyclic leaves without a cycle edge."""
+def _spanning_shapes(desc) -> set[tuple[int, ...]]:
+    """Legs of the trees a Cycle or TUnicyclic leaves without a cycle edge.
+
+    Legs are sorted descending without zeros; a path of n vertices is the
+    one leg (n-1,).
+    """
     arms = getattr(desc, "arms", ())
     n = desc.g + sum(arms)
     shapes = set()
     for j in range((desc.g + 1) // 2):
         legs = tuple(sorted((a for a in (*arms, j, desc.g - 1 - j) if a), reverse=True))
-        shapes.add(GeneralizedStar(legs) if len(legs) >= 3 else Path(n))
+        shapes.add(legs if len(legs) >= 3 else (n - 1,))
     return shapes
-
-
-def _legs(shape) -> tuple[int, ...]:
-    """Legs of a spanning-tree shape; a path of n vertices is one leg of n-1."""
-    return shape.arms if isinstance(shape, GeneralizedStar) else (shape.n - 1,)
 
 
 def unicyclic_spanning_upper(g: Graph) -> int:
@@ -601,8 +598,7 @@ def unicyclic_spanning_upper(g: Graph) -> int:
     """
     desc = recognize_family(g)
     if isinstance(desc, (Cycle, TUnicyclic)):
-        bounds = {legs: structural.lower_bound(legs)
-                  for legs in map(_legs, _spanning_shapes(desc))}
+        bounds = {legs: structural.lower_bound(legs) for legs in _spanning_shapes(desc)}
         k = min(bounds.values())
         while not any(structural.burns(legs, k)
                       for legs, lower in bounds.items() if lower <= k):

@@ -18,27 +18,37 @@ an exceptional three-path forest, and five literal triples (two on short
 cycles, g <= 2q-1) that no such rule gives without also flagging triples
 that burn in q rounds.
 
-Every lookup returns a BurnResult carrying the bound sandwich. Parameter
-combinations matching no row fall back to the exact solver with the
-``fallback-exact`` method tag; reaching that path means the table rows
-are incomplete and the sweep suite treats it as a bug.
+Every lookup returns a BurnResult carrying the bound sandwich. The value
+is q+1 exactly when a q+1 row or an exception holds, and q otherwise: the
+q rows are the complement of the q+1 rows, so the classification is total
+and never searches. For n >= 6 (one arm) or n >= 7 (two arms), so q >= 2:
+
+* One arm: the q row asks 1 <= r <= q-1 and 2r+1 <= g <= q^2 and no
+  exception; since r <= 2q+1, its negation is r >= q or g <= 2r or
+  g > q^2 or an exception, which is the q+1 row.
+* Two arms: the q rows ask r <= 2q-2 and no exception, and either
+  r+1 <= g <= 2q-1 with a1 <= q^2 - floor(g/2) - 1 or 2q <= g <= q^2
+  with a2 >= r-q+1. With r >= 2q-1 or an exception both sides say q+1;
+  otherwise split on g and compare the negated q rows with the q+1 row:
+  - g <= r: no q row applies and the q+1 row 3 <= g <= r holds.
+  - r+1 <= g <= 2q-1: both rows reduce to a1 >= q^2 - floor(g/2).
+  - 2q <= g <= q^2: a1 >= q^2 - floor(g/2) forces
+    a2 <= r - ceil(g/2) <= r - q, so both rows reduce to a2 <= r-q.
+  - g > q^2: no q row applies and the q+1 row g >= q^2+1 holds.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, TextIO, Union
 
-from . import families
 from .formulas import t_unicyclic_bounds, three_paths_exceptional, two_paths_exceptional
-from .graphs import TUnicyclic, qr_decompose
-from .solver import BurnResult, burning_number_exact
+from .graphs import qr_decompose
+from .solver import BurnResult
 
 TABLE_T1 = "table-t1"
 TABLE_T2 = "table-t2"
 DEGREE_B2 = "degree-b2"
-FALLBACK = "fallback-exact"
 
 
 def residual_exceptional(q: int, g: int, *arms: int) -> bool:
@@ -87,25 +97,15 @@ def _result(value: int, method: str, n: int, t: int) -> BurnResult:
     return BurnResult(value=value, method=method, lower_bound=lower, upper_bound=upper)
 
 
-def _fallback(desc: TUnicyclic, budget: Optional[int]) -> BurnResult:
-    res = burning_number_exact(families.build(desc), budget=budget)
-    return BurnResult(
-        value=res.value,
-        method=FALLBACK,
-        lower_bound=res.lower_bound,
-        upper_bound=res.upper_bound,
-        certificate=res.certificate,
-    )
-
-
 def b_unicyclic_t1(g: int, a: int, budget: Optional[int] = None) -> BurnResult:
     """Table lookup for a cycle of length g with one arm of length a.
 
     Orders 4 and 5 are settled by the degree criterion (b = 2). Otherwise,
-    with n = q^2 + r: the value is q+1 when q <= r <= 2q+1, or g >= q^2+1,
+    with n = q^2 + r, the value is q+1 when q <= r <= 2q+1, or g >= q^2+1,
     or g <= 2r, or the pair is exceptional (its residual forest
-    (g-2q+1, a-q+1) is an exceptional two-path forest); it is q when
-    1 <= r <= q-1, 2r+1 <= g <= q^2, and the pair is not exceptional.
+    (g-2q+1, a-q+1) is an exceptional two-path forest), and q otherwise.
+    ``budget`` is accepted for callers that pass a search budget and is
+    unused: the lookup never searches.
     """
     if g < 3 or a < 1:
         raise ValueError(f"need g >= 3 and a >= 1, got (g={g}, a={a})")
@@ -116,12 +116,7 @@ def b_unicyclic_t1(g: int, a: int, budget: Optional[int] = None) -> BurnResult:
     q, r = qr.q, qr.r
     exceptional = residual_exceptional(q, g, a)
     plus = (q <= r <= 2 * q + 1) or g >= q * q + 1 or g <= 2 * r or exceptional
-    flat = (1 <= r <= q - 1) and (2 * r + 1 <= g <= q * q) and not exceptional
-    if plus and not flat:
-        return _result(q + 1, TABLE_T1, n, 1)
-    if flat and not plus:
-        return _result(q, TABLE_T1, n, 1)
-    return _fallback(TUnicyclic(g=g, arms=(a,)), budget)
+    return _result(q + 1 if plus else q, TABLE_T1, n, 1)
 
 
 def b_unicyclic_t2(g: int, a1: int, a2: int, budget: Optional[int] = None) -> BurnResult:
@@ -130,10 +125,9 @@ def b_unicyclic_t2(g: int, a1: int, a2: int, budget: Optional[int] = None) -> Bu
     Orders 5 and 6 are settled by the degree criterion (b = 2). Otherwise,
     with n = q^2 + r, the value is q+1 when r >= 2q-1, or 3 <= g <= r, or
     g >= q^2+1, or a1 >= q^2 - floor(g/2), or 2q <= g <= q^2 with
-    a2 <= r-q, or the triple is ``exceptional``; it is q on the two
-    complementary rows (short cycle r+1 <= g <= 2q-1 with a1 below the
-    threshold; long cycle 2q <= g <= q^2 with a2 >= r-q+1) when the triple
-    is not exceptional.
+    a2 <= r-q, or the triple is ``exceptional``, and q otherwise.
+    ``budget`` is accepted for callers that pass a search budget and is
+    unused: the lookup never searches.
     """
     a1, a2 = max(a1, a2), min(a1, a2)
     if g < 3 or a2 < 1:
@@ -143,30 +137,15 @@ def b_unicyclic_t2(g: int, a1: int, a2: int, budget: Optional[int] = None) -> Bu
         return _result(2, DEGREE_B2, n, 2)
     qr = qr_decompose(n)
     q, r = qr.q, qr.r
-    special = exceptional(q, r, g, a1, a2)
-    arm_cap = q * q - g // 2
-
     plus = (
         r >= 2 * q - 1
         or 3 <= g <= r
         or g >= q * q + 1
-        or a1 >= arm_cap
+        or a1 >= q * q - g // 2
         or (2 * q <= g <= q * q and a2 <= r - q)
-        or special
+        or exceptional(q, r, g, a1, a2)
     )
-    flat = (
-        (1 <= r <= 2 * q - 2)
-        and not special
-        and (
-            (r + 1 <= g <= 2 * q - 1 and a1 <= arm_cap - 1)
-            or (2 * q <= g <= q * q and a2 >= r - q + 1)
-        )
-    )
-    if plus and not flat:
-        return _result(q + 1, TABLE_T2, n, 2)
-    if flat and not plus:
-        return _result(q, TABLE_T2, n, 2)
-    return _fallback(TUnicyclic(g=g, arms=(a1, a2)), budget)
+    return _result(q + 1 if plus else q, TABLE_T2, n, 2)
 
 
 # --------------------------------------------------------------------------
@@ -228,8 +207,6 @@ def load_errata(source: Union[str, TextIO, None]) -> dict[tuple, ErrataEntry]:
     if source is None:
         return {}
     if isinstance(source, str):
-        if not os.path.exists(source):
-            raise FileNotFoundError(source)
         with open(source, encoding="utf-8") as fh:
             return parse_errata(fh.read())
     return parse_errata(source.read())

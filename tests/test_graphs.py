@@ -59,9 +59,9 @@ def reference_bfs(g, source):
     return dist
 
 
-def reference_matrix(g, infinity=None):
-    """The all-pairs matrix built in two passes: UNREACHABLE, then infinity."""
-    inf = 2 * g.vertex_count if infinity is None else infinity
+def reference_matrix(g):
+    """The all-pairs matrix built in two passes: UNREACHABLE, then 2*n."""
+    inf = 2 * g.vertex_count
     return [
         [inf if d == UNREACHABLE else d for d in reference_bfs(g, s)]
         for s in range(g.vertex_count)
@@ -237,7 +237,6 @@ class TestDistanceRows:
     @pytest.mark.parametrize("g", DISTANCE_CASES, ids=repr)
     def test_matrix_matches_reference(self, g):
         assert distance_matrix(g) == reference_matrix(g)
-        assert distance_matrix(g, infinity=-5) == reference_matrix(g, infinity=-5)
         for s in range(g.vertex_count):
             assert list(bfs_distances(g, s).dist) == reference_bfs(g, s)
 
@@ -261,10 +260,6 @@ class TestDistanceRows:
     def test_invalid_source(self, source):
         with pytest.raises(ValueError):
             distance_rows(build("path:5"), [0, source])
-
-    def test_infinity_that_is_a_distance_rejected(self):
-        with pytest.raises(ValueError):
-            distance_matrix(build("path:5"), infinity=4)
 
 
 class TestClosedBall:

@@ -10,6 +10,8 @@ from burnkit.formulas import b_three_paths, b_two_paths
 from burnkit.graphs import GeneralizedStar, Path
 from burnkit.solver import burning_number_exact, unicyclic_spanning_upper
 
+from .test_solver import reference_tree_shapes, tree_legs
+
 
 def structural_value(legs):
     """Least k at which ``structural.burns`` accepts the spider."""
@@ -104,10 +106,9 @@ class TestSpanningOracle:
         descs = itertools.chain(enumerate_sweep("uni1", 40), enumerate_sweep("uni2", 26))
         shapes = set()
         for desc in descs:
-            shapes |= solver._spanning_shapes(desc)
-        reference = {shape: reference_tree_value(shape) for shape in shapes}
-        for shape, value in reference.items():
-            assert structural_value(solver._legs(shape)) == value, shape
+            shapes |= reference_tree_shapes(build(desc))
+        for shape in shapes:
+            assert structural_value(tree_legs(shape)) == reference_tree_value(shape), shape
 
     @pytest.mark.parametrize(
         "spec,value",

@@ -2,14 +2,19 @@ import hashlib
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from burnkit import families, solver
 from burnkit.families import build, enumerate_sweep
+from burnkit.formulas import t_unicyclic_bounds
 from burnkit.graphs import qr_decompose
 from burnkit.intmath import ceil_sqrt
 from burnkit.solver import burning_number_exact, unicyclic_spanning_upper
 from burnkit.tables import (
     DEGREE_B2,
-    FALLBACK,
+    TABLE_T1,
+    TABLE_T2,
     b_unicyclic_t1,
     b_unicyclic_t2,
     errata_covers,
@@ -27,7 +32,7 @@ def _digest(members):
 
 def _two_arm_decisions(orders):
     """Classify every two-arm triple of the given orders; return the count
-    and the triples at q+1, failing on any fallback."""
+    and the triples at q+1, failing on any answer not from the table."""
     checked, plus = 0, []
     for n in orders:
         q = qr_decompose(n).q
@@ -35,11 +40,95 @@ def _two_arm_decisions(orders):
             for a2 in range(1, (n - g) // 2 + 1):
                 a1 = n - g - a2
                 res = b_unicyclic_t2(g, a1, a2)
-                assert res.method != FALLBACK, (g, a1, a2)
+                assert res.method in (TABLE_T2, DEGREE_B2), (g, a1, a2)
                 checked += 1
                 if res.value == q + 1:
                     plus.append((g, a1, a2))
     return checked, plus
+
+
+def reference_flat_t1(g, a):
+    """The one-arm q row as the table once tested it beside the q+1 row."""
+    qr = qr_decompose(g + a)
+    q, r = qr.q, qr.r
+    exceptional_pair = residual_exceptional(q, g, a)
+    return (1 <= r <= q - 1) and (2 * r + 1 <= g <= q * q) and not exceptional_pair
+
+
+def reference_flat_t2(g, a1, a2):
+    """The two-arm q rows as the table once tested them beside the q+1 rows."""
+    qr = qr_decompose(g + a1 + a2)
+    q, r = qr.q, qr.r
+    arm_cap = q * q - g // 2
+    return (
+        (1 <= r <= 2 * q - 2)
+        and not exceptional(q, r, g, a1, a2)
+        and (
+            (r + 1 <= g <= 2 * q - 1 and a1 <= arm_cap - 1)
+            or (2 * q <= g <= q * q and a2 >= r - q + 1)
+        )
+    )
+
+
+def _near(anchor, low, high):
+    """A value within 3 of ``anchor``, clamped to [low, high]."""
+    return st.integers(-3, 3).map(lambda d: min(max(anchor + d, low), high))
+
+
+@st.composite
+def unicyclic_instances(draw):
+    """A one- or two-arm instance of order q^2 + r < 10**12, q >= 3, with
+    the cycle and arm lengths drawn near the row boundaries or uniformly."""
+    t = draw(st.sampled_from((1, 2)))
+    q = draw(st.integers(min_value=3, max_value=999_999))
+    r = draw(st.integers(min_value=1, max_value=2 * q + 1))
+    n = q * q + r
+    high = n - t
+    g = draw(st.one_of(
+        st.integers(min_value=3, max_value=high),
+        *(_near(anchor, 3, high) for anchor in (r, 2 * r, 2 * q, q * q)),
+    ))
+    if t == 1:
+        return (g, n - g)
+    rest = n - g
+    a1 = draw(st.one_of(
+        st.integers(min_value=(rest + 1) // 2, max_value=rest - 1),
+        _near(q * q - g // 2, (rest + 1) // 2, rest - 1),
+        _near(rest - (r - q), (rest + 1) // 2, rest - 1),
+    ))
+    return (g, a1, rest - a1)
+
+
+# per arm count: the lookup, its former q rows, and its method tag
+TABLES = {
+    1: (b_unicyclic_t1, reference_flat_t1, TABLE_T1),
+    2: (b_unicyclic_t2, reference_flat_t2, TABLE_T2),
+}
+
+
+class TestTotality:
+    @given(unicyclic_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_single_predicate_never_searches(self, instance):
+        # the q value holds exactly where the former q rows held, at orders
+        # far beyond the frozen tests, without building a graph or searching
+        def fail(*args, **kwargs):
+            raise AssertionError("table lookup built a graph or searched")
+
+        t = len(instance) - 1
+        lookup, reference_flat, method = TABLES[t]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "burning_number_exact", fail)
+            mp.setattr(families, "build", fail)
+            res = lookup(*instance)
+        n = sum(instance)
+        q = qr_decompose(n).q
+        assert res.method == method
+        assert res.value in (q, q + 1)
+        assert (res.value == q) == reference_flat(*instance), instance
+        lower, upper = t_unicyclic_bounds(n, t)
+        assert lower <= res.value <= upper
+        assert (res.lower_bound, res.upper_bound) == (lower, upper)
 
 
 class TestFrozenEquivalence:
@@ -57,7 +146,7 @@ class TestFrozenEquivalence:
                 for a2 in range(1, (n - g) // 2 + 1):
                     a1 = n - g - a2
                     res = b_unicyclic_t2(g, a1, a2)
-                    assert res.method != FALLBACK, (g, a1, a2)
+                    assert res.method in (TABLE_T2, DEGREE_B2), (g, a1, a2)
                     checked += 1
                     if res.value == q + 1:
                         plus.append((g, a1, a2))
@@ -87,7 +176,7 @@ class TestFrozenEquivalence:
             q = qr_decompose(n).q
             for g in range(3, n):
                 res = b_unicyclic_t1(g, n - g)
-                assert res.method != FALLBACK, (g, n - g)
+                assert res.method in (TABLE_T1, DEGREE_B2), (g, n - g)
                 checked += 1
                 if res.value == q + 1:
                     plus.append((g, n - g))
@@ -183,7 +272,7 @@ class TestTableT1:
     def test_against_exact_mid_range(self):
         for desc in enumerate_sweep("uni1", 30):
             res = b_unicyclic_t1(desc.g, desc.arms[0])
-            assert res.method != FALLBACK, desc
+            assert res.method in (TABLE_T1, DEGREE_B2), desc
             exact = burning_number_exact(build(desc)).value
             assert res.value == exact, desc
             q = qr_decompose(desc.g + desc.arms[0]).q
@@ -228,7 +317,7 @@ class TestTableT2:
     def test_against_exact_mid_range(self):
         for desc in enumerate_sweep("uni2", 24):
             res = b_unicyclic_t2(desc.g, *desc.arms)
-            assert res.method != FALLBACK, desc
+            assert res.method in (TABLE_T2, DEGREE_B2), desc
             exact = burning_number_exact(build(desc)).value
             assert res.value == exact, desc
             q = qr_decompose(desc.g + sum(desc.arms)).q
