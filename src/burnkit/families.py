@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Iterator, Union
 
 from .graphs import (
+    MAX_VERTICES,
     Cycle,
     FamilyDescriptor,
     GeneralizedStar,
@@ -25,7 +26,9 @@ from .graphs import (
     TUnicyclic,
 )
 
-SWEEP_CLASSES = ("path", "cycle", "forest2", "forest3", "uni1", "uni2")
+# smallest order of each sweep class's members
+SWEEP_MIN_ORDER = {"path": 1, "cycle": 3, "forest2": 2, "forest3": 3, "uni1": 4, "uni2": 5}
+SWEEP_CLASSES = tuple(SWEEP_MIN_ORDER)
 
 
 class SpecError(ValueError):
@@ -78,28 +81,39 @@ def parse_spec(text: str) -> FamilyDescriptor:
 
 
 def _checked(desc: FamilyDescriptor) -> FamilyDescriptor:
-    """Validate descriptor parameters, raising SpecError on violations."""
+    """Validate descriptor parameters, raising SpecError on violations.
+
+    An order above ``MAX_VERTICES``, the limit on graph file headers, is
+    rejected here, before anything is built.
+    """
     if isinstance(desc, Path):
         if desc.n < 1:
             raise SpecError(f"path order must be >= 1, got {desc.n}")
+        n = desc.n
     elif isinstance(desc, Cycle):
         if desc.g < 3:
             raise SpecError(f"cycle length must be >= 3, got {desc.g}")
+        n = desc.g
     elif isinstance(desc, LinearForest):
         if any(p < 1 for p in desc.parts):
             raise SpecError(f"forest parts must be >= 1, got {desc.parts}")
+        n = sum(desc.parts)
     elif isinstance(desc, GeneralizedStar):
         if len(desc.arms) < 3:
             raise SpecError(f"star needs >= 3 arms, got {len(desc.arms)}")
         if any(a < 1 for a in desc.arms):
             raise SpecError(f"star arms must be >= 1, got {desc.arms}")
+        n = 1 + sum(desc.arms)
     elif isinstance(desc, TUnicyclic):
         if desc.g < 3:
             raise SpecError(f"cycle length must be >= 3, got {desc.g}")
         if not desc.arms or any(a < 1 for a in desc.arms):
             raise SpecError(f"arms must be >= 1, got {desc.arms}")
+        n = desc.g + sum(desc.arms)
     else:
         raise SpecError(f"cannot build {desc!r}")
+    if n > MAX_VERTICES:
+        raise SpecError(f"family has {n} vertices, more than {MAX_VERTICES}")
     return desc
 
 
@@ -164,43 +178,29 @@ def enumerate_sweep(family_class: str, max_n: int) -> Iterator[FamilyDescriptor]
     Enumeration order is lexicographic on (n, g, a1, ...), so sweep logs are
     deterministic. Parts and arms are emitted in descending order only.
     """
-    if family_class == "path":
-        if max_n < 1:
-            raise SpecError("path sweep needs max_n >= 1")
-        for n in range(1, max_n + 1):
+    if family_class not in SWEEP_MIN_ORDER:
+        raise SpecError(f"unknown sweep class {family_class!r}")
+    least = SWEEP_MIN_ORDER[family_class]
+    if max_n < least:
+        raise SpecError(f"{family_class} sweep needs max_n >= {least}")
+    for n in range(least, max_n + 1):
+        if family_class == "path":
             yield Path(n)
-    elif family_class == "cycle":
-        if max_n < 3:
-            raise SpecError("cycle sweep needs max_n >= 3")
-        for g in range(3, max_n + 1):
-            yield Cycle(g)
-    elif family_class == "forest2":
-        if max_n < 2:
-            raise SpecError("forest2 sweep needs max_n >= 2")
-        for n in range(2, max_n + 1):
+        elif family_class == "cycle":
+            yield Cycle(n)
+        elif family_class == "forest2":
             for a1 in range(-(-n // 2), n):
                 yield LinearForest((a1, n - a1))
-    elif family_class == "forest3":
-        if max_n < 3:
-            raise SpecError("forest3 sweep needs max_n >= 3")
-        for n in range(3, max_n + 1):
+        elif family_class == "forest3":
             for a1 in range(-(-n // 3), n - 1):
                 rest = n - a1
                 for a2 in range(-(-rest // 2), min(a1, rest - 1) + 1):
                     yield LinearForest((a1, a2, rest - a2))
-    elif family_class == "uni1":
-        if max_n < 4:
-            raise SpecError("uni1 sweep needs max_n >= 4")
-        for n in range(4, max_n + 1):
+        elif family_class == "uni1":
             for g in range(3, n):
                 yield TUnicyclic(g=g, arms=(n - g,))
-    elif family_class == "uni2":
-        if max_n < 5:
-            raise SpecError("uni2 sweep needs max_n >= 5")
-        for n in range(5, max_n + 1):
+        else:
             for g in range(3, n - 1):
                 total = n - g
                 for a1 in range(-(-total // 2), total):
                     yield TUnicyclic(g=g, arms=(a1, total - a1))
-    else:
-        raise SpecError(f"unknown sweep class {family_class!r}")

@@ -74,20 +74,6 @@ class Graph:
     def max_degree(self) -> int:
         return max((len(nbrs) for nbrs in self.adjacency), default=0)
 
-    def without_edge(self, u: int, v: int) -> "Graph":
-        """Copy of the graph with edge (u, v) removed."""
-        if not (0 <= u < self.vertex_count and v in self.adjacency[u]):
-            raise ValueError(f"no edge ({u},{v})")
-        adjacency = list(self.adjacency)
-        adjacency[u] = tuple(w for w in adjacency[u] if w != v)
-        adjacency[v] = tuple(w for w in adjacency[v] if w != u)
-        # removing an edge keeps the lists sorted and the graph simple, so
-        # the copy skips the constructor's validation
-        g = Graph.__new__(Graph)
-        g.vertex_count = self.vertex_count
-        g.adjacency = tuple(adjacency)
-        return g
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph)
@@ -192,22 +178,6 @@ def connected_components(g: Graph, excluded: Iterable[int] = ()) -> list[list[in
                     queue.append(v)
         comps.append(sorted(comp))
     return comps
-
-
-def cycle_vertices(g: Graph) -> list[int]:
-    """Vertices on cycles (the 2-core), found by stripping leaves repeatedly."""
-    degree = [len(nbrs) for nbrs in g.adjacency]
-    queue = deque(v for v in range(g.vertex_count) if degree[v] == 1)
-    removed = [False] * g.vertex_count
-    while queue:
-        u = queue.popleft()
-        removed[u] = True
-        for v in g.adjacency[u]:
-            if not removed[v]:
-                degree[v] -= 1
-                if degree[v] == 1:
-                    queue.append(v)
-    return [v for v in range(g.vertex_count) if not removed[v] and degree[v] >= 2]
 
 
 # --------------------------------------------------------------------------

@@ -36,11 +36,10 @@ Branch vertices, candidate centers and swaps are chosen by fixed rules
 the first cover found under those rules, not the globally lexicographic
 minimum among all optima.
 
-The unicyclic oracle (``unicyclic_spanning_upper``) is the minimum over
-spanning trees. For cycles and t-unicyclic graphs those trees are paths
-and spiders, decided by ``structural``'s one-hub rule without building a
-tree, so the oracle shares no code with the search above; other unicyclic
-graphs solve each spanning tree by the search.
+The unicyclic oracle (``unicyclic_spanning_upper``) takes only cycles and
+t-unicyclic graphs. It is the minimum over their spanning trees, which are
+paths and spiders, decided by ``structural``'s one-hub rule without
+building a tree, so the oracle shares no code with the search above.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ from .graphs import (
     Graph,
     TUnicyclic,
     connected_components,
-    cycle_vertices,
     distance_matrix,
     distance_rows,
     recognize_family,
@@ -582,37 +580,31 @@ def _spanning_shapes(desc) -> set[tuple[int, ...]]:
 
 
 def unicyclic_spanning_upper(g: Graph) -> int:
-    """b(G) of a unicyclic graph via its spanning trees.
+    """b(G) of a cycle or a t-unicyclic graph via its spanning trees.
 
     Deleting one cycle edge leaves a spanning tree, and the burning number
     of a graph is the minimum over its spanning trees; a unicyclic graph
     has exactly its g edge-deleted trees as spanning trees, so the minimum
     over them equals b(G) — an independent second oracle, not merely an
-    upper bound. For a cycle or a t-unicyclic graph, deleting the edge j
-    steps from the hub leaves the spider (a star with paths as legs) with
-    legs (a_1, ..., a_t, j, g-1-j), a path when fewer than three legs are
-    nonempty; the edges j and g-1-j leave the same spider. No tree is
-    built: k deepens from the least lower bound of the ceil(g/2) shapes,
-    and the first k at which ``structural.burns`` accepts some shape is the
-    minimum. Other unicyclic graphs solve each tree by exact search.
+    upper bound. Deleting the edge j steps from the hub leaves the spider
+    (a star with paths as legs) with legs (a_1, ..., a_t, j, g-1-j), a path
+    when fewer than three legs are nonempty; the edges j and g-1-j leave
+    the same spider. No tree is built: k deepens from the least lower
+    bound of the ceil(g/2) shapes, and the first k at which
+    ``structural.burns`` accepts some shape is the minimum. Raises
+    ValueError for a graph that is neither a cycle nor t-unicyclic.
     """
     desc = recognize_family(g)
-    if isinstance(desc, (Cycle, TUnicyclic)):
-        bounds = {legs: structural.lower_bound(legs) for legs in _spanning_shapes(desc)}
-        k = min(bounds.values())
-        while not any(structural.burns(legs, k)
-                      for legs, lower in bounds.items() if lower <= k):
-            k += 1
-        return k
-    if (
-        g.vertex_count == 0
-        or g.edge_count != g.vertex_count
-        or len(connected_components(g)) != 1
-    ):
-        raise ValueError("graph is not unicyclic")
-    core = set(cycle_vertices(g))
-    cycle_edges = [(u, v) for u, v in g.edges() if u in core and v in core]
-    return min(burning_number_exact(g.without_edge(u, v)).value for u, v in cycle_edges)
+    if not isinstance(desc, (Cycle, TUnicyclic)):
+        raise ValueError(
+            f"spanning-tree oracle needs a cycle or a t-unicyclic graph, got {desc}"
+        )
+    bounds = {legs: structural.lower_bound(legs) for legs in _spanning_shapes(desc)}
+    k = min(bounds.values())
+    while not any(structural.burns(legs, k)
+                  for legs, lower in bounds.items() if lower <= k):
+        k += 1
+    return k
 
 
 def isometric_path_lower(desc: TUnicyclic) -> int:

@@ -139,6 +139,12 @@ class TestCmdCompute:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
 
+    def test_spec_above_vertex_limit_is_input_error(self, capsys):
+        assert main(["compute", "--family", "path:1000001"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_requires_exactly_one_source(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["compute"])

@@ -9,7 +9,7 @@ from burnkit.families import (
     format_spec,
     parse_spec,
 )
-from burnkit.graphs import Cycle, LinearForest, Path, TUnicyclic, recognize_family
+from burnkit.graphs import MAX_VERTICES, Cycle, LinearForest, Path, TUnicyclic, recognize_family
 
 
 class TestParse:
@@ -39,11 +39,17 @@ class TestParse:
             "path:3,4",
             "cycle:5,9",
             "uni:5,6;3",
+            "path:1000001",  # one vertex above the graph-file limit
+            "uni:3;999997,1",
         ],
     )
     def test_invalid_specs(self, text):
         with pytest.raises(SpecError):
             parse_spec(text)
+
+    def test_order_limit_is_inclusive(self):
+        assert parse_spec("path:1000000") == Path(MAX_VERTICES)
+        assert parse_spec("uni:3;999996,1") == TUnicyclic(g=3, arms=(999996, 1))
 
 
 class TestBuild:

@@ -21,7 +21,6 @@ from burnkit.graphs import (
     bfs_distances,
     closed_ball,
     connected_components,
-    cycle_vertices,
     distance_matrix,
     distance_rows,
     parse_graph,
@@ -30,8 +29,7 @@ from burnkit.graphs import (
     recognize_family,
     write_graph,
 )
-from burnkit import graphs as graphs_module
-from burnkit.families import SWEEP_CLASSES, build, enumerate_sweep, parse_spec
+from burnkit.families import SWEEP_CLASSES, build, enumerate_sweep
 from burnkit.intmath import ceil_div, ceil_sqrt, counting_lower, is_square
 
 
@@ -85,6 +83,22 @@ def relabelled(g, perm):
     return Graph(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
+def reference_cycle_vertices(g):
+    """Vertices on cycles (the 2-core), found by stripping leaves repeatedly."""
+    degree = [len(nbrs) for nbrs in g.adjacency]
+    queue = deque(v for v in range(g.vertex_count) if degree[v] == 1)
+    removed = [False] * g.vertex_count
+    while queue:
+        u = queue.popleft()
+        removed[u] = True
+        for v in g.adjacency[u]:
+            if not removed[v]:
+                degree[v] -= 1
+                if degree[v] == 1:
+                    queue.append(v)
+    return [v for v in range(g.vertex_count) if not removed[v] and degree[v] >= 2]
+
+
 def reference_recognize(g):
     """recognize_family as it was before the one-pass hub decomposition."""
 
@@ -119,7 +133,7 @@ def reference_recognize(g):
             return GeneralizedStar(arms)
         return Other()
     if m == n:
-        core = cycle_vertices(g)
+        core = reference_cycle_vertices(g)
         if hub not in core:
             return Other()
         arms = tuple(sorted((len(c) for c in connected_components(g, core)), reverse=True))
@@ -170,25 +184,6 @@ class TestGraph:
         assert g.adjacency[0] == (1, 2, 3)
         for u, v in g.edges():
             assert u in g.adjacency[v] and v in g.adjacency[u]
-
-    def test_without_edge(self):
-        g = build("cycle:4")
-        h = g.without_edge(0, 1)
-        assert h.edge_count == 3
-        with pytest.raises(ValueError):
-            g.without_edge(0, 2)
-        with pytest.raises(ValueError):
-            g.without_edge(-1, 2)  # adjacency[-1] would be vertex 3's
-
-    def test_without_edge_matches_rebuilt_graph(self):
-        for family_class in ("uni1", "uni2"):
-            for desc in enumerate_sweep(family_class, 20):
-                g = build(desc)
-                edges = list(g.edges())
-                for u, v in edges:
-                    rebuilt = Graph(g.vertex_count, [e for e in edges if e != (u, v)])
-                    assert g.without_edge(u, v) == rebuilt
-                    assert g.without_edge(v, u) == rebuilt
 
 
 class TestBfs:
@@ -360,18 +355,6 @@ class TestRecognize:
             for arms in itertools.combinations_with_replacement(range(5, 0, -1), t):
                 g = build(GeneralizedStar(arms))
                 assert recognize_family(g) == reference_recognize(g) == GeneralizedStar(arms)
-
-    def test_cycle_not_searched_separately(self, monkeypatch):
-        def fail(g):
-            raise AssertionError("cycle_vertices called")
-
-        monkeypatch.setattr(graphs_module, "cycle_vertices", fail)
-        for spec in ("uni:5;3,2", "uni:3;1,1,1,1", "star:2,1,1", "cycle:6"):
-            assert recognize_family(build(spec)) == parse_spec(spec)
-
-    def test_cycle_vertices_strips_arms(self):
-        g = build("uni:5;3,2")
-        assert cycle_vertices(g) == [0, 1, 2, 3, 4]
 
     def test_components(self):
         comps = connected_components(build("forest:3,1"))

@@ -12,7 +12,6 @@ from burnkit.graphs import (
     Other,
     Path,
     TUnicyclic,
-    cycle_vertices,
     distance_matrix,
     recognize_family,
 )
@@ -33,7 +32,7 @@ from burnkit.solver import (
 )
 
 from .oracle import brute_burnable, brute_burning_number
-from .test_graphs import reference_matrix
+from .test_graphs import reference_cycle_vertices, reference_matrix
 
 
 @st.composite
@@ -364,10 +363,11 @@ class TestPartition:
 
 def reference_tree_shapes(g):
     """The oracle's trees as it once found them: delete each cycle edge, recognise."""
-    core = set(cycle_vertices(g))
+    core = set(reference_cycle_vertices(g))
+    edges = set(g.edges())
     return {
-        recognize_family(g.without_edge(u, v))
-        for u, v in g.edges()
+        recognize_family(Graph(g.vertex_count, edges - {(u, v)}))
+        for u, v in edges
         if u in core and v in core
     }
 
@@ -380,7 +380,7 @@ def tree_legs(shape):
     return (shape.n - 1,)
 
 
-# Unicyclic graphs outside every one-hub family, solved tree by tree
+# Unicyclic graphs outside every one-hub family, which the oracle refuses
 GENERAL_UNICYCLIC = [
     # cycle 0..5 with an arm of 2 at vertex 0 and an arm of 3 at vertex 2
     Graph(11, [(i, (i + 1) % 6) for i in range(6)]
@@ -403,6 +403,15 @@ class TestUnicyclicOracles:
             g = build(desc)
             assert unicyclic_spanning_upper(g) == burning_number_exact(g).value
 
+    @pytest.mark.parametrize("t,max_n", [(3, 24), (4, 22), (5, 20)])
+    def test_spanning_equals_exact_beyond_two_arms(self, t, max_n):
+        for g in range(3, max_n - t + 1):
+            for arms in itertools.combinations_with_replacement(range(max_n - g, 0, -1), t):
+                if g + sum(arms) <= max_n:
+                    graph = build(TUnicyclic(g=g, arms=arms))
+                    expected = burning_number_exact(graph).value
+                    assert unicyclic_spanning_upper(graph) == expected, (g, arms)
+
     def test_derived_shapes_match_recognised_trees(self):
         descs = itertools.chain(
             enumerate_sweep("cycle", 20),
@@ -424,24 +433,16 @@ class TestUnicyclicOracles:
             seen.append(graph)
             return recognize_family(graph)
 
-        def fail(*args):
-            raise AssertionError("edge-deleted tree built")
-
         monkeypatch.setattr(solver, "recognize_family", counted)
-        monkeypatch.setattr(Graph, "without_edge", fail)
         assert unicyclic_spanning_upper(g) == value
         assert seen == [g]
 
-    @pytest.mark.parametrize("g", GENERAL_UNICYCLIC, ids=repr)
-    def test_general_unicyclic_matches_exact(self, g):
-        assert recognize_family(g) == Other()
-        assert unicyclic_spanning_upper(g) == burning_number_exact(g).value
-
     def test_not_unicyclic_rejected(self):
-        with pytest.raises(ValueError):
-            unicyclic_spanning_upper(build("path:5"))
-        with pytest.raises(ValueError):
-            unicyclic_spanning_upper(build("forest:3,3"))
+        for g in GENERAL_UNICYCLIC:
+            assert recognize_family(g) == Other()
+        for g in [*GENERAL_UNICYCLIC, build("path:5"), build("forest:3,3")]:
+            with pytest.raises(ValueError, match="cycle or a t-unicyclic"):
+                unicyclic_spanning_upper(g)
 
     @pytest.mark.parametrize(
         "g,arms,value",
