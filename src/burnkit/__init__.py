@@ -25,9 +25,7 @@ from .formulas import (
     t_unicyclic_bounds,
 )
 from .graphs import (
-    UNREACHABLE,
     Cycle,
-    DistanceTable,
     FamilyDescriptor,
     GeneralizedStar,
     Graph,
@@ -37,8 +35,6 @@ from .graphs import (
     Path,
     QRDecomposition,
     TUnicyclic,
-    bfs_distances,
-    closed_ball,
     connected_components,
     distance_matrix,
     distance_rows,
@@ -67,7 +63,6 @@ from .tables import b_unicyclic_t1, b_unicyclic_t2, load_errata, parse_errata
 __all__ = [
     "BurnResult",
     "Cycle",
-    "DistanceTable",
     "FamilyDescriptor",
     "GeneralizedStar",
     "Graph",
@@ -83,7 +78,6 @@ __all__ = [
     "SWEEP_CLASSES",
     "TreePart",
     "TUnicyclic",
-    "UNREACHABLE",
     "b2_by_degree",
     "b_cycle",
     "b_generalized_star_upper",
@@ -92,12 +86,10 @@ __all__ = [
     "b_two_paths",
     "b_unicyclic_t1",
     "b_unicyclic_t2",
-    "bfs_distances",
     "build",
     "burning_number_exact",
     "ceil_sqrt",
     "check_sequence",
-    "closed_ball",
     "compute",
     "connected_components",
     "distance_matrix",

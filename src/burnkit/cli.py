@@ -14,10 +14,11 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from functools import partial
 from typing import Optional
 
-from .compute import NoClosedForm, compute
+from .compute import METHODS, NoClosedForm, compute
 from .families import SWEEP_CLASSES, SpecError, build, enumerate_sweep, format_spec, parse_spec
 from .graphs import (
     GraphFormatError,
@@ -182,44 +183,42 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     errata = load_errata(args.errata)
     specs = [format_spec(d) for d in enumerate_sweep(args.family_class, args.max_n)]
 
-    start = time.monotonic()
-    worker = partial(_sweep_row, budget=budget)
-    # the fork start method launches every worker up front, so never ask
-    # for more than there are instances or CPUs
-    workers = min(args.jobs, len(specs), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(worker, specs, chunksize=16))
-    else:
-        rows = [worker(s) for s in specs]
-    elapsed = time.monotonic() - start
+    # opened first, so an unwritable report path fails before any solve
+    report = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+    with report as out:
+        start = time.monotonic()
+        worker = partial(_sweep_row, budget=budget)
+        # the fork start method launches every worker up front, so never ask
+        # for more than there are instances or CPUs
+        workers = min(args.jobs, len(specs), os.cpu_count() or 1)
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                rows = list(pool.map(worker, specs, chunksize=16))
+        else:
+            rows = [worker(s) for s in specs]
+        elapsed = time.monotonic() - start
 
-    mismatches = [row for row in rows if row["agree"] is False]
-    inconclusive = [row for row in rows if row["agree"] is None]
-    unexplained = []
-    for row in mismatches:
-        desc = parse_spec(row["spec"])
-        covered = isinstance(desc, TUnicyclic) and errata_covers(
-            errata, desc.t, desc.g, desc.arms, row["formula"], row["exact"]
+        mismatches = [row for row in rows if row["agree"] is False]
+        inconclusive = [row for row in rows if row["agree"] is None]
+        unexplained = []
+        for row in mismatches:
+            desc = parse_spec(row["spec"])
+            covered = isinstance(desc, TUnicyclic) and errata_covers(
+                errata, desc.t, desc.g, desc.arms, row["formula"], row["exact"]
+            )
+            if not covered:
+                unexplained.append(row)
+
+        lines = [
+            f"# sweep class={args.family_class} max_n={args.max_n}",
+            "# spec n q r formula method exact agree",
+        ]
+        lines.extend(_format_row(row) for row in rows)
+        lines.append(
+            f"# instances={len(rows)} mismatches={len(mismatches)} "
+            f"unexplained={len(unexplained)} inconclusive={len(inconclusive)}"
         )
-        if not covered:
-            unexplained.append(row)
-
-    lines = [
-        f"# sweep class={args.family_class} max_n={args.max_n}",
-        "# spec n q r formula method exact agree",
-    ]
-    lines.extend(_format_row(row) for row in rows)
-    lines.append(
-        f"# instances={len(rows)} mismatches={len(mismatches)} "
-        f"unexplained={len(unexplained)} inconclusive={len(inconclusive)}"
-    )
-    report = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report)
-    else:
-        sys.stdout.write(report)
+        out.write("\n".join(lines) + "\n")
     print(
         f"swept {len(rows)} instances in {elapsed:.1f}s: "
         f"{len(mismatches)} mismatches ({len(unexplained)} unexplained), "
@@ -242,9 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source = p_compute.add_mutually_exclusive_group(required=True)
     source.add_argument("--file", help="graph file ('n m' header, 'u v' edge lines)")
     source.add_argument("--family", help="family spec, e.g. uni:7;4 or path:10")
-    p_compute.add_argument(
-        "--method", choices=("auto", "exact", "formula"), default="auto"
-    )
+    p_compute.add_argument("--method", choices=METHODS, default="auto")
     p_compute.add_argument(
         "--certificate", action="store_true", help="print an optimal burning sequence"
     )

@@ -4,12 +4,14 @@ Graphs are immutable after construction (adjacency stored as tuples), so
 every operation in this module is pure and safe to share across threads.
 Vertex ids are exactly 0..n-1.
 
-Every distance comes from one breadth-first kernel that writes a given
-fill value for unreachable vertices in the same pass. :func:`bfs_distances`
-fills with the ``UNREACHABLE`` sentinel (-1). :func:`distance_rows` and
-:func:`distance_matrix` fill with 2n, which exceeds every finite distance,
-so callers can compare against it as infinity; a caller that reads only
+One breadth-first kernel serves both distances and components. It writes
+hop distances into a list its caller owns, in which 2n marks every vertex
+not yet reached; 2n exceeds every finite distance, so callers of
+:func:`distance_rows` and :func:`distance_matrix` compare against it as
+infinity, and it is the only unreachable marker. A caller that reads only
 some sources' rows asks :func:`distance_rows` for just those.
+:func:`connected_components` runs the kernel over one shared list and
+reads each component off the vertices it returns.
 
 Recognition finds the components once and, for a graph with one branch
 vertex, those of the graph minus that vertex once; the cycle of a
@@ -18,13 +20,10 @@ unicyclic graph is read off the latter, not searched for separately.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO, Union
 
 from .intmath import ceil_sqrt
-
-UNREACHABLE = -1
 
 
 class GraphFormatError(ValueError):
@@ -88,51 +87,26 @@ class Graph:
         return f"Graph(n={self.vertex_count}, m={self.edge_count})"
 
 
-@dataclass(frozen=True)
-class DistanceTable:
-    """Hop distances from one source; UNREACHABLE marks other components."""
+def _bfs(g: Graph, source: int, dist: list[int]) -> list[int]:
+    """Write hop distances from ``source`` into ``dist``; return the reached vertices.
 
-    source: int
-    dist: tuple[int, ...]
-
-
-def _bfs(g: Graph, source: int, fill: int) -> list[int]:
-    """Hop distances from ``source``, ``fill`` for other components.
-
-    ``fill`` marks unvisited vertices during the search, so it must not be
-    a distance, i.e. not in 0..n-1.
+    The vertices come in BFS order, ``source`` first. An entry of ``dist``
+    equal to 2n is unvisited; any other value blocks the search, so a
+    caller pre-marks vertices to leave out, and the distances of an
+    earlier search keep the next one out of its component.
     """
     adjacency = g.adjacency
-    if not 0 <= source < len(adjacency):
-        raise ValueError(f"invalid source vertex {source}")
-    dist = [fill] * len(adjacency)
+    unvisited = 2 * len(adjacency)
     dist[source] = 0
     # the loop reads the list as it grows, so the list is the FIFO queue
     frontier = [source]
     for u in frontier:
         du = dist[u] + 1
         for v in adjacency[u]:
-            if dist[v] == fill:
+            if dist[v] == unvisited:
                 dist[v] = du
                 frontier.append(v)
-    return dist
-
-
-def bfs_distances(g: Graph, source: int) -> DistanceTable:
-    """Exact hop distances from ``source`` to every vertex."""
-    return DistanceTable(source=source, dist=tuple(_bfs(g, source, UNREACHABLE)))
-
-
-def closed_ball(g: Graph, center: int, radius: int) -> frozenset[int]:
-    """All vertices within ``radius`` hops of ``center`` (center included)."""
-    if not 0 <= center < g.vertex_count:
-        raise ValueError(f"invalid center vertex {center}")
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    table = bfs_distances(g, center)
-    return frozenset(
-        v for v, d in enumerate(table.dist) if d != UNREACHABLE and d <= radius
-    )
+    return frontier
 
 
 def distance_matrix(g: Graph) -> list[list[int]]:
@@ -150,33 +124,34 @@ def distance_rows(g: Graph, sources: Iterable[int]) -> list[list[int]]:
     Costs one breadth-first search per source instead of one per vertex.
     Raises ValueError on a source that is not a vertex.
     """
-    inf = 2 * g.vertex_count
-    return [_bfs(g, s, inf) for s in sources]
+    n = g.vertex_count
+    rows = []
+    for s in sources:
+        if not 0 <= s < n:
+            raise ValueError(f"invalid source vertex {s}")
+        row = [2 * n] * n
+        _bfs(g, s, row)
+        rows.append(row)
+    return rows
 
 
 def connected_components(g: Graph, excluded: Iterable[int] = ()) -> list[list[int]]:
     """Vertex lists of the connected components, each sorted, in id order.
 
-    Vertices in ``excluded`` are removed from the graph first.
+    Vertices in ``excluded`` are removed from the graph first. One list
+    serves every search, so a component costs only its own vertices and
+    edges, however many components there are.
     """
-    seen = [False] * g.vertex_count
+    unvisited = 2 * g.vertex_count
+    dist = [unvisited] * g.vertex_count
     for v in excluded:
-        seen[v] = True
+        dist[v] = -1
     comps = []
     for s in range(g.vertex_count):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in g.adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    queue.append(v)
-        comps.append(sorted(comp))
+        if dist[s] == unvisited:
+            comp = _bfs(g, s, dist)
+            comp.sort()
+            comps.append(comp)
     return comps
 
 

@@ -66,6 +66,13 @@ EXACT = "exact"
 # into the interpreter's recursion limit (1000 frames by default)
 MAX_ROUNDS = 500
 
+# The search's preparation holds the n x n distance matrix and a bitmask
+# ball per vertex and radius. For three-arm unicyclic graphs it took 41 MB
+# and 0.3 s at n = 1,000, 155 MB and 0.9 s at 2,000, and 650 MB and 5.4 s
+# at 4,000 (2-core x86-64, CPython 3.11), so a larger graph is refused
+# before any of it is built.
+MAX_EXACT_VERTICES = 2_000
+
 
 @dataclass(frozen=True)
 class BurnResult:
@@ -183,6 +190,11 @@ class _Prepared:
 
     def __init__(self, g: Graph, max_radius: int):
         n = g.vertex_count
+        if n > MAX_EXACT_VERTICES:
+            raise ValueError(
+                f"exact search supports at most {MAX_EXACT_VERTICES} vertices; "
+                f"this graph has {n}"
+            )
         self.n = n
         self.full = (1 << n) - 1
         self.adjacency = g.adjacency

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from burnkit import cli
+from burnkit import cli, solver
 from burnkit.cli import main
 from burnkit.compute import NoClosedForm, compute
 from burnkit.families import build
@@ -145,6 +145,17 @@ class TestCmdCompute:
         assert captured.out == "" and captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    def test_exact_search_above_vertex_limit_is_input_error(self, capsys, monkeypatch):
+        # three arms route to the exact search, which refuses 60,003 vertices
+        def fail(*args, **kwargs):
+            raise AssertionError("distance matrix built beyond the vertex limit")
+
+        monkeypatch.setattr(solver, "distance_matrix", fail)
+        assert main(["compute", "--family", "uni:3;20000,20000,20000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1 and "at most" in captured.err
+
     def test_requires_exactly_one_source(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["compute"])
@@ -269,6 +280,17 @@ class TestCmdSweep:
         assert started == workers
         assert "instances=7 " in capsys.readouterr().out
 
+    def test_unwritable_out_fails_before_any_instance(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("instance solved before the report path was opened")
+
+        monkeypatch.setattr(cli, "_sweep_row", fail)
+        out = tmp_path / "missing" / "r.txt"
+        assert main(["sweep", "--class", "uni2", "--max-n", "36", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestUnreadablePath:
     # a directory is an OSError other than FileNotFoundError when opened
@@ -278,6 +300,7 @@ class TestUnreadablePath:
             ["compute", "--file", "{dir}"],
             ["verify", "--file", "{dir}", "--sequence", "0"],
             ["sweep", "--class", "cycle", "--max-n", "5", "--errata", "{dir}"],
+            ["sweep", "--class", "cycle", "--max-n", "5", "--out", "{dir}"],
         ],
     )
     def test_directory_path_is_input_error(self, tmp_path, capsys, args):

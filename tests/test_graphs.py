@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from burnkit.graphs import (
     MAX_VERTICES,
-    UNREACHABLE,
     Cycle,
     GeneralizedStar,
     Graph,
@@ -18,8 +17,7 @@ from burnkit.graphs import (
     Other,
     Path,
     TUnicyclic,
-    bfs_distances,
-    closed_ball,
+    _bfs,
     connected_components,
     distance_matrix,
     distance_rows,
@@ -42,28 +40,54 @@ def graphs(draw, max_n=10):
 
 
 def reference_bfs(g, source):
-    """Distances from ``source`` by the deque BFS the kernel replaced."""
+    """Distances from ``source`` by the deque BFS the kernel replaced.
+
+    Unreachable vertices read -1, a marker these tests keep for themselves.
+    """
     if not 0 <= source < g.vertex_count:
         raise ValueError(f"invalid source vertex {source}")
-    dist = [UNREACHABLE] * g.vertex_count
+    dist = [-1] * g.vertex_count
     dist[source] = 0
     queue = deque([source])
     while queue:
         u = queue.popleft()
         for v in g.adjacency[u]:
-            if dist[v] == UNREACHABLE:
+            if dist[v] == -1:
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return dist
 
 
 def reference_matrix(g):
-    """The all-pairs matrix built in two passes: UNREACHABLE, then 2*n."""
+    """The all-pairs matrix built in two passes: -1, then 2*n."""
     inf = 2 * g.vertex_count
     return [
-        [inf if d == UNREACHABLE else d for d in reference_bfs(g, s)]
+        [inf if d == -1 else d for d in reference_bfs(g, s)]
         for s in range(g.vertex_count)
     ]
+
+
+def reference_components(g, excluded=()):
+    """connected_components by the deque BFS it ran before the shared kernel."""
+    seen = [False] * g.vertex_count
+    for v in excluded:
+        seen[v] = True
+    comps = []
+    for s in range(g.vertex_count):
+        if seen[s]:
+            continue
+        comp = [s]
+        seen[s] = True
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for v in g.adjacency[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    comp.append(v)
+                    queue.append(v)
+        comps.append(sorted(comp))
+    return comps
 
 
 @st.composite
@@ -187,53 +211,62 @@ class TestGraph:
 
 
 class TestBfs:
+    """The kernel's distances as ``distance_rows`` returns them: 2n if unreachable."""
+
     def test_cycle4(self):
-        table = bfs_distances(build("cycle:4"), 0)
-        assert table.dist == (0, 1, 2, 1)
+        assert distance_rows(build("cycle:4"), [0]) == [[0, 1, 2, 1]]
 
     def test_single_vertex(self):
-        assert bfs_distances(build("path:1"), 0).dist == (0,)
+        assert distance_rows(build("path:1"), [0]) == [[0]]
 
     def test_disconnected_marks_unreachable(self):
-        table = bfs_distances(build("forest:2,2"), 0)
-        assert table.dist[1] == 1
-        assert table.dist[2] == UNREACHABLE and table.dist[3] == UNREACHABLE
+        (row,) = distance_rows(build("forest:2,2"), [0])
+        assert row == [0, 1, 8, 8]
 
     def test_invalid_source(self):
-        with pytest.raises(ValueError):
-            bfs_distances(build("path:3"), 3)
+        with pytest.raises(ValueError, match="invalid source vertex 3"):
+            distance_rows(build("path:3"), [3])
 
     @given(graphs())
     @settings(max_examples=60, deadline=None)
     def test_symmetry_and_triangle(self, g):
-        tables = [bfs_distances(g, s).dist for s in range(g.vertex_count)]
         n = g.vertex_count
+        d = distance_matrix(g)
         for u in range(n):
             for v in range(n):
-                assert tables[u][v] == tables[v][u]
-        inf = n + 1
-        d = [[inf if x == UNREACHABLE else x for x in row] for row in tables]
+                assert d[u][v] == d[v][u]
+        # 2n exceeds any sum of two finite distances, so it caps the sum as infinity
+        inf = 2 * n
         for u in range(n):
             for v in range(n):
                 for w in range(n):
-                    assert min(d[u][v], inf) <= min(d[u][w] + d[w][v], inf)
+                    assert d[u][v] <= min(d[u][w] + d[w][v], inf)
 
     @given(graphs())
     @settings(max_examples=40, deadline=None)
     def test_edge_distance_gap(self, g):
-        for s in range(g.vertex_count):
-            dist = bfs_distances(g, s).dist
+        inf = 2 * g.vertex_count
+        for dist in distance_matrix(g):
             for u, v in g.edges():
-                if dist[u] != UNREACHABLE and dist[v] != UNREACHABLE:
+                assert (dist[u] == inf) == (dist[v] == inf)
+                if dist[u] != inf:
                     assert abs(dist[u] - dist[v]) <= 1
+
+    @pytest.mark.parametrize("g", DISTANCE_CASES, ids=repr)
+    def test_kernel_returns_reached_vertices_in_bfs_order(self, g):
+        n = g.vertex_count
+        for s in range(n):
+            dist = [2 * n] * n
+            reached = _bfs(g, s, dist)
+            assert reached[0] == s
+            assert sorted(reached) == [v for v in range(n) if dist[v] < 2 * n]
+            assert [dist[v] for v in reached] == sorted(dist[v] for v in reached)
 
 
 class TestDistanceRows:
     @pytest.mark.parametrize("g", DISTANCE_CASES, ids=repr)
     def test_matrix_matches_reference(self, g):
         assert distance_matrix(g) == reference_matrix(g)
-        for s in range(g.vertex_count):
-            assert list(bfs_distances(g, s).dist) == reference_bfs(g, s)
 
     @pytest.mark.parametrize("g", DISTANCE_CASES, ids=repr)
     def test_rows_are_matrix_rows(self, g):
@@ -257,24 +290,17 @@ class TestDistanceRows:
             distance_rows(build("path:5"), [0, source])
 
 
-class TestClosedBall:
-    def test_cycle5_radius1(self):
-        assert closed_ball(build("cycle:5"), 0, 1) == {4, 0, 1}
+class TestComponents:
+    @given(graphs(max_n=12), st.integers(min_value=0, max_value=4), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference(self, g, isolated, data):
+        g = Graph(g.vertex_count + isolated, g.edges())
+        excluded = data.draw(st.sets(st.integers(0, g.vertex_count - 1)))
+        assert connected_components(g, excluded) == reference_components(g, excluded)
 
-    def test_cycle4_radius2_is_everything(self):
-        assert closed_ball(build("cycle:4"), 0, 2) == {0, 1, 2, 3}
-
-    def test_radius0(self):
-        assert closed_ball(build("path:3"), 1, 0) == {1}
-
-    @given(graphs(), st.integers(min_value=0, max_value=4))
-    @settings(max_examples=40, deadline=None)
-    def test_matches_distance_definition(self, g, radius):
-        for c in range(g.vertex_count):
-            dist = bfs_distances(g, c).dist
-            want = {v for v in range(g.vertex_count)
-                    if dist[v] != UNREACHABLE and dist[v] <= radius}
-            assert closed_ball(g, c, radius) == want
+    def test_isolated_vertices(self):
+        assert connected_components(Graph(4)) == [[0], [1], [2], [3]]
+        assert connected_components(Graph(4), [1, 2]) == [[0], [3]]
 
 
 class TestRecognize:

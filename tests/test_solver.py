@@ -17,6 +17,7 @@ from burnkit.graphs import (
 )
 from burnkit import solver
 from burnkit.solver import (
+    MAX_EXACT_VERTICES,
     MAX_ROUNDS,
     Inconclusive,
     SequenceCheck,
@@ -150,6 +151,29 @@ class TestExact:
         g = Graph(2 * MAX_ROUNDS, [(2 * i, 2 * i + 1) for i in range(MAX_ROUNDS)])
         with pytest.raises(ValueError, match=f"at least {MAX_ROUNDS + 1}"):
             burning_number_exact(g)
+
+    def test_vertex_limit(self, monkeypatch):
+        # one vertex above the limit is refused before the distance matrix
+        def fail(*args, **kwargs):
+            raise AssertionError("distance matrix built beyond the vertex limit")
+
+        monkeypatch.setattr(solver, "distance_matrix", fail)
+        g = build(f"path:{MAX_EXACT_VERTICES + 1}")
+        with pytest.raises(ValueError, match=f"at most {MAX_EXACT_VERTICES} vertices"):
+            burning_number_exact(g)
+        with pytest.raises(ValueError, match=f"at most {MAX_EXACT_VERTICES} vertices"):
+            find_sequence(g, 3)
+
+    def test_vertex_limit_is_inclusive(self, monkeypatch):
+        class Admitted(Exception):
+            pass
+
+        def admitted(*args, **kwargs):
+            raise Admitted
+
+        monkeypatch.setattr(solver, "distance_matrix", admitted)
+        with pytest.raises(Admitted):
+            burning_number_exact(build(f"path:{MAX_EXACT_VERTICES}"))
 
     def test_find_sequence_inconclusive_carries_real_bounds(self):
         g = build("uni:9;10,2")
