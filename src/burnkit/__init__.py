@@ -18,7 +18,6 @@ from .families import (
 from .formulas import (
     b2_by_degree,
     b_cycle,
-    b_generalized_star_upper,
     b_path,
     b_three_paths,
     b_two_paths,
@@ -80,7 +79,6 @@ __all__ = [
     "TUnicyclic",
     "b2_by_degree",
     "b_cycle",
-    "b_generalized_star_upper",
     "b_path",
     "b_three_paths",
     "b_two_paths",

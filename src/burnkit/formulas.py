@@ -152,11 +152,3 @@ def t_unicyclic_bounds(n: int, t: int) -> tuple[int, int]:
         raise ValueError(f"need t >= 0 and n >= 3 + t, got (n={n}, t={t})")
     return counting_lower(n, t), ceil_sqrt(n)
 
-
-def b_generalized_star_upper(arms: tuple[int, ...]) -> int:
-    """Upper bound ceil(sqrt(n)) for a generalized star (not an equality)."""
-    if len(arms) < 3:
-        raise ValueError(f"a generalized star has >= 3 arms, got {len(arms)}")
-    if any(a < 1 for a in arms):
-        raise ValueError(f"arm lengths must be >= 1, got {arms}")
-    return ceil_sqrt(1 + sum(arms))

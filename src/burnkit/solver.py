@@ -59,12 +59,9 @@ from .graphs import (
     recognize_family,
 )
 from .intmath import ceil_sqrt, counting_lower
+from .structural import MAX_ROUNDS
 
 EXACT = "exact"
-
-# _cover and _search recurse once per round, so a deeper search would run
-# into the interpreter's recursion limit (1000 frames by default)
-MAX_ROUNDS = 500
 
 # The search's preparation holds the n x n distance matrix and a bitmask
 # ball per vertex and radius. For three-arm unicyclic graphs it took 41 MB
@@ -604,7 +601,8 @@ def unicyclic_spanning_upper(g: Graph) -> int:
     the same spider. No tree is built: k deepens from the least lower
     bound of the ceil(g/2) shapes, and the first k at which
     ``structural.burns`` accepts some shape is the minimum. Raises
-    ValueError for a graph that is neither a cycle nor t-unicyclic.
+    ValueError for a graph that is neither a cycle nor t-unicyclic, or
+    whose spider shapes need more than ``MAX_ROUNDS`` rounds.
     """
     desc = recognize_family(g)
     if not isinstance(desc, (Cycle, TUnicyclic)):

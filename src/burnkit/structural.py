@@ -6,55 +6,55 @@ a path. By the rooted-tree-partition theorem (Bonato, Janssen, Roshanbin
 radius used at most once. Exactly one of those balls, of radius r and
 center x, is charged with the hub, and it meets every leg in a prefix:
 
-  * x = h cuts r vertices from every leg;
+  * x = h (depth 0) cuts r vertices from every leg;
   * x on leg j at depth 1 <= d <= r cuts d+r from leg j and r-d from every
     other leg.
 
 The other balls only matter inside one leg's remainder, where each is an
 interval of at most 2s+1 vertices. So b(G) <= k iff some (r, x) leaves a
 residual linear forest that intervals of sizes {2s+1 : s < k, s != r},
-each used at most once, can cover (``intervals_cover``). Burning linear
-forests is NP-complete (Bessy et al. 2017); the interval step is a
-memoised search with a sum cut, fast at the orders the sweeps reach.
+each used at most once, can cover. Burning linear forests is NP-complete
+(Bessy et al. 2017); ``burns`` builds one ``intervals_cover`` test per r,
+which keeps only failed states (a success ends the call) and recurses one
+frame per size, so ``burns`` takes at most ``MAX_ROUNDS`` rounds.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
+from typing import Callable, Iterable
 
 from .intmath import ceil_sqrt, counting_lower
 
+MAX_ROUNDS = 500  # each cover search recurses once per round; the default frame limit is 1000
 
-def intervals_cover(parts: tuple[int, ...], sizes: tuple[int, ...]) -> bool:
-    """True iff paths of orders ``parts`` are covered by intervals of ``sizes``.
+
+def intervals_cover(sizes: tuple[int, ...]) -> Callable[[Iterable[int]], bool]:
+    """A test of whether intervals of ``sizes`` cover paths of given orders.
 
     ``sizes`` must be descending; each size is used at most once, on one
     path. Sizes are assigned largest first to the demands still open, and
     a state (index, sorted demands) fails at once when the sizes left sum
-    to less than the demand.
+    to less than the demand or when it failed in an earlier call.
     """
-    memo: dict[tuple[int, tuple[int, ...]], bool] = {}
     # left[i]: total of sizes[i:]
     left = list(accumulate(reversed(sizes), initial=0))[::-1]
+    failed: set[tuple[int, tuple[int, ...]]] = set()
 
     def rec(i: int, demands: tuple[int, ...]) -> bool:
         if not demands:
             return True
-        if left[i] < sum(demands):
+        if left[i] < sum(demands) or (i, demands) in failed:
             return False
-        key = (i, demands)
-        if key not in memo:
-            size = sizes[i]
-            # using a size never hurts, so skipping it is never needed;
-            # equal demands are interchangeable, so each value is tried once
-            memo[key] = any(
-                rec(i + 1, _assign(demands, j, size))
-                for j, d in enumerate(demands)
-                if j == 0 or d != demands[j - 1]
-            )
-        return memo[key]
+        # using a size never hurts, so skipping it is never needed;
+        # equal demands are interchangeable, so each value is tried once
+        for j, d in enumerate(demands):
+            if (j == 0 or d != demands[j - 1]) and rec(i + 1, _assign(demands, j, sizes[i])):
+                return True
+        failed.add((i, demands))
+        return False
 
-    return rec(0, tuple(sorted((p for p in parts if p > 0), reverse=True)))
+    return lambda parts: rec(0, tuple(sorted((p for p in parts if p > 0), reverse=True)))
 
 
 def _assign(demands: tuple[int, ...], j: int, size: int) -> tuple[int, ...]:
@@ -82,22 +82,22 @@ def lower_bound(legs: tuple[int, ...]) -> int:
 def burns(legs: tuple[int, ...], k: int) -> bool:
     """True iff the spider with positive ``legs`` burns in at most k rounds.
 
-    With at most two legs the spider is a path of n vertices, which burns
-    in ceil(sqrt(n)) rounds.
+    A spider with at most two legs is a path, which burns in ceil(sqrt(n))
+    rounds; any other raises ValueError for k above ``MAX_ROUNDS``.
     """
     if len(legs) <= 2:
         return ceil_sqrt(1 + sum(legs)) <= k
+    if k > MAX_ROUNDS:
+        raise ValueError(f"spider decision supports at most {MAX_ROUNDS} rounds, got {k}")
     distinct = sorted(set(legs), reverse=True)
     for r in range(k - 1, -1, -1):
-        sizes = tuple(2 * s + 1 for s in range(k - 1, -1, -1) if s != r)
-        if intervals_cover(tuple(a - r for a in legs), sizes):
-            return True
-        for d in range(1, r + 1):
-            for a in distinct:
+        covers = intervals_cover(tuple(2 * s + 1 for s in range(k - 1, -1, -1) if s != r))
+        for d in range(r + 1):
+            for a in distinct if d else distinct[:1]:
                 if a < d:
                     break
                 residual = [b - (r - d) for b in legs]
                 residual[legs.index(a)] = a - d - r
-                if intervals_cover(tuple(residual), sizes):
+                if covers(residual):
                     return True
     return False

@@ -11,7 +11,6 @@ from burnkit.formulas import (
     J5,
     b2_by_degree,
     b_cycle,
-    b_generalized_star_upper,
     b_path,
     b_three_paths,
     b_two_paths,
@@ -155,19 +154,3 @@ class TestBounds:
         assert (2 * lower + t) ** 2 >= s
         assert (2 * (lower - 1) + t) ** 2 < s
         assert lower <= upper
-
-    def test_star_upper_examples(self):
-        assert b_generalized_star_upper((1, 1, 1)) == 2
-        assert b_generalized_star_upper((5, 5, 5)) == 4
-        assert b_generalized_star_upper((8, 1, 1)) == 4
-
-    def test_star_upper_is_valid_and_sometimes_tight(self):
-        g = build("star:8,1,1")
-        assert burning_number_exact(g).value == 4 == b_generalized_star_upper((8, 1, 1))
-        for arms in [(2, 1, 1), (3, 2, 1), (4, 4, 4), (5, 2, 2, 1)]:
-            exact = burning_number_exact(build("star:" + ",".join(map(str, arms)))).value
-            assert exact <= b_generalized_star_upper(arms)
-
-    def test_star_upper_rejects_two_arms(self):
-        with pytest.raises(ValueError):
-            b_generalized_star_upper((4, 2))

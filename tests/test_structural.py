@@ -8,7 +8,9 @@ from burnkit import families, solver, structural
 from burnkit.families import build, enumerate_sweep
 from burnkit.formulas import b_three_paths, b_two_paths
 from burnkit.graphs import GeneralizedStar, Path
+from burnkit.intmath import ceil_sqrt
 from burnkit.solver import burning_number_exact, unicyclic_spanning_upper
+from burnkit.structural import MAX_ROUNDS
 
 from .test_solver import reference_tree_shapes, tree_legs
 
@@ -24,7 +26,7 @@ def structural_value(legs):
 def forest_value(parts):
     """Least k whose interval sizes 2k-1, ..., 1 cover the linear forest."""
     k = 1
-    while not structural.intervals_cover(parts, tuple(range(2 * k - 1, 0, -2))):
+    while not structural.intervals_cover(tuple(range(2 * k - 1, 0, -2)))(parts):
         k += 1
     return k
 
@@ -32,6 +34,55 @@ def forest_value(parts):
 def reference_tree_value(shape):
     """The oracle's former per-shape value: exact search on the built tree."""
     return burning_number_exact(families.build(shape)).value
+
+
+def reference_intervals_cover(parts, sizes):
+    """The former one-shot interval cover: a fresh memo of successes and failures."""
+    memo = {}
+    left = list(itertools.accumulate(reversed(sizes), initial=0))[::-1]
+
+    def assign(demands, j, size):
+        rest = demands[:j] + demands[j + 1:]
+        remainder = demands[j] - size
+        if remainder <= 0:
+            return rest
+        return tuple(sorted((*rest, remainder), reverse=True))
+
+    def rec(i, demands):
+        if not demands:
+            return True
+        if left[i] < sum(demands):
+            return False
+        key = (i, demands)
+        if key not in memo:
+            memo[key] = any(
+                rec(i + 1, assign(demands, j, sizes[i]))
+                for j, d in enumerate(demands)
+                if j == 0 or d != demands[j - 1]
+            )
+        return memo[key]
+
+    return rec(0, tuple(sorted((p for p in parts if p > 0), reverse=True)))
+
+
+def reference_burns(legs, k):
+    """The former spider decision: the hub center, then each depth and leg."""
+    if len(legs) <= 2:
+        return ceil_sqrt(1 + sum(legs)) <= k
+    distinct = sorted(set(legs), reverse=True)
+    for r in range(k - 1, -1, -1):
+        sizes = tuple(2 * s + 1 for s in range(k - 1, -1, -1) if s != r)
+        if reference_intervals_cover(tuple(a - r for a in legs), sizes):
+            return True
+        for d in range(1, r + 1):
+            for a in distinct:
+                if a < d:
+                    break
+                residual = [b - (r - d) for b in legs]
+                residual[legs.index(a)] = a - d - r
+                if reference_intervals_cover(tuple(residual), sizes):
+                    return True
+    return False
 
 
 def spiders(legs_count, max_order):
@@ -59,6 +110,18 @@ class TestSpiders:
     def test_hypothesis_spiders_match_exact(self, legs):
         legs = tuple(sorted(legs, reverse=True))
         assert structural_value(legs) == reference_tree_value(GeneralizedStar(legs))
+
+    @pytest.mark.parametrize("legs_count", [3, 4, 5])
+    def test_burns_matches_reference(self, legs_count):
+        # every k from the lower bound to one past the value
+        for legs in spiders(legs_count, 40):
+            k, value = structural.lower_bound(legs), None
+            while value is None or k <= value + 1:
+                expected = reference_burns(legs, k)
+                assert structural.burns(legs, k) is expected, (legs, k)
+                if expected and value is None:
+                    value = k
+                k += 1
 
     def test_burns_iff_k_reaches_value(self):
         for legs in spiders(3, 20):
@@ -98,7 +161,53 @@ class TestIntervals:
         ],
     )
     def test_examples(self, parts, sizes, expected):
-        assert structural.intervals_cover(parts, sizes) is expected
+        assert structural.intervals_cover(sizes)(parts) is expected
+
+    @given(
+        st.integers(min_value=1, max_value=9),
+        st.integers(min_value=0, max_value=9),
+        st.lists(st.lists(st.integers(min_value=-1, max_value=12), max_size=6), max_size=16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_test_matches_reference_on_every_forest(self, k, r, forests):
+        # failures kept from earlier forests must never change a later answer
+        sizes = tuple(2 * s + 1 for s in range(k - 1, -1, -1) if s != r)
+        covers = structural.intervals_cover(sizes)
+        for parts in forests:
+            assert covers(parts) is reference_intervals_cover(parts, sizes), (sizes, parts)
+
+    def test_one_test_matches_reference_largest_forest_first(self):
+        # a smaller forest starts at index 0 in states that a larger one
+        # reached, and failed, at a later index
+        forests = sorted(itertools.combinations_with_replacement(range(1, 14), 3), key=sum)
+        for k in range(1, 8):
+            for r in range(k + 1):
+                sizes = tuple(2 * s + 1 for s in range(k - 1, -1, -1) if s != r)
+                covers = structural.intervals_cover(sizes)
+                for parts in reversed(forests):
+                    assert covers(parts) is reference_intervals_cover(parts, sizes), (sizes, parts)
+
+
+class TestRoundLimit:
+    def test_spider_decided_at_the_limit(self):
+        # the cover search goes about MAX_ROUNDS frames deep
+        assert structural.burns((100000, 80000, 70000), MAX_ROUNDS)
+
+    def test_spider_above_the_limit_refused(self):
+        with pytest.raises(ValueError, match=f"at most {MAX_ROUNDS} rounds"):
+            structural.burns((100000, 80000, 70000), MAX_ROUNDS + 1)
+
+    def test_path_needs_no_search(self):
+        assert structural.burns((10**6 - 1,), 1000)
+        assert not structural.burns((10**6,), 1000)
+
+    @pytest.mark.parametrize("spec,value", [("uni:3;100000,100000", 448), ("cycle:300000", 548)])
+    def test_oracle_at_large_orders(self, spec, value):
+        assert unicyclic_spanning_upper(build(spec)) == value
+
+    def test_oracle_above_the_limit_raises_value_error(self):
+        with pytest.raises(ValueError, match=f"at most {MAX_ROUNDS} rounds"):
+            unicyclic_spanning_upper(build("uni:3;150000,150000"))
 
 
 class TestSpanningOracle:
