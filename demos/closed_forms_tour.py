@@ -16,15 +16,15 @@ from burnkit import (
     enumerate_sweep,
     format_spec,
 )
-from burnkit.formulas import three_paths_exceptional, two_paths_exceptional
+from burnkit.formulas import forest_exceptional
 
 print("Paths and cycles burn in ceil(sqrt(n)) rounds:")
 print("  n      :", " ".join(f"{n:2d}" for n in range(1, 18)))
 print("  b(P_n) :", " ".join(f"{b_path(n):2d}" for n in range(1, 18)))
 
 print("\nTwo-path forests: one extra round exactly on the (t*t-2, 2) pairs.")
-for a1 in range(1, 36):
-    if two_paths_exceptional(a1, 2):
+for a1 in range(2, 36):
+    if forest_exceptional((a1, 2)):
         total = a1 + 2
         print(f"  P_{a1} + P_2: total {total}, "
               f"root bound {ceil_sqrt(total)}, actual {b_two_paths(a1, 2)}")
@@ -32,7 +32,7 @@ for a1 in range(1, 36):
 print("\nThree-path forests with total at most 20 that need the extra round:")
 for desc in enumerate_sweep("forest3", 20):
     a1, a2, a3 = desc.parts
-    if three_paths_exceptional(a1, a2, a3):
+    if forest_exceptional(desc.parts):
         print(f"  {format_spec(desc):18s} -> {b_three_paths(a1, a2, a3)} "
               f"(root bound {ceil_sqrt(a1 + a2 + a3)})")
 

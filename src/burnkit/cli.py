@@ -30,6 +30,7 @@ from .graphs import (
 )
 from .solver import (
     EXACT,
+    MAX_EXACT_VERTICES,
     Inconclusive,
     burning_number_exact,
     check_sequence,
@@ -179,6 +180,12 @@ def _format_row(row: dict) -> str:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise SpecError(f"--jobs must be at least 1, got {args.jobs}")
+    # every class has an instance of order max-n, which the exact search refuses
+    if args.max_n > MAX_EXACT_VERTICES:
+        raise SpecError(
+            f"--max-n must be at most {MAX_EXACT_VERTICES}, the exact search limit, "
+            f"got {args.max_n}"
+        )
     budget = _node_budget()
     errata = load_errata(args.errata)
     specs = [format_spec(d) for d in enumerate_sweep(args.family_class, args.max_n)]

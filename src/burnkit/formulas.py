@@ -1,11 +1,11 @@
 """Constant-time burning-number formulas and generic bounds.
 
 Paths and cycles burn in ceil(sqrt(n)) rounds. Linear forests with two or
-three components burn in ceil(sqrt(total)) rounds except on finitely
-described exception families, where one extra round is needed; those
-families are cataloged below. Everything is integer arithmetic: exception
-membership reduces to perfect-square tests on the total order plus lookups
-in small literal sets.
+three components burn in t = ceil(sqrt(total)) rounds except on finitely
+described exception families, where one extra round is needed. Everything
+is integer arithmetic: the exception test computes the deficit t*t - total
+once and compares it with the level of the two smaller parts in one small
+literal table, ``SLACK``, plus a sporadic catalog.
 """
 
 from __future__ import annotations
@@ -13,28 +13,18 @@ from __future__ import annotations
 from typing import Optional
 
 from .graphs import Graph
-from .intmath import ceil_sqrt, counting_lower, is_square
+from .intmath import ceil_sqrt, counting_lower
 
-# Pair sets used by the two- and three-component exception families.
-D1 = frozenset({(2, 2)})
-D2 = frozenset({(3, 2)})
-D3 = frozenset({(1, 1), (3, 3), (4, 2), (5, 5)})
-D4 = frozenset(
-    {
-        (2, 1),
-        (4, 1),
-        (4, 3),
-        (4, 4),
-        (6, 1),
-        (6, 4),
-        (6, 5),
-        (6, 6),
-        (7, 7),
-        (8, 4),
-        (8, 6),
-        (10, 4),
-    }
-)
+# The paper's nested pair sets D1, D1|D2, D1|D2|D3 and D1|D2|D3|D4 make a
+# three-path forest (a1, a2, a3) exceptional at deficits 3, 2, 1 and 0.
+# Each tail pair (a2, a3) is listed once, with the largest deficit it allows.
+SLACK = {
+    (2, 2): 3,  # D1
+    (3, 2): 2,  # D2
+    (1, 1): 1, (3, 3): 1, (4, 2): 1, (5, 5): 1,  # D3
+    (2, 1): 0, (4, 1): 0, (4, 3): 0, (4, 4): 0, (6, 1): 0, (6, 4): 0,  # D4
+    (6, 5): 0, (6, 6): 0, (7, 7): 0, (8, 4): 0, (8, 6): 0, (10, 4): 0,
+}
 
 # Sporadic three-component exceptions with no parametric description.
 J5 = frozenset(
@@ -80,9 +70,24 @@ def b_cycle(n: int) -> int:
     return ceil_sqrt(n)
 
 
-def two_paths_exceptional(a1: int, a2: int) -> bool:
-    """True iff (a1, a2), descending, is (t*t - 2, 2) for an integer t >= 2."""
-    return a2 == 2 and a1 + 2 >= 4 and is_square(a1 + 2)
+def forest_exceptional(parts: tuple[int, ...]) -> bool:
+    """True iff the linear forest with descending positive ``parts`` (two or
+    three of them) needs ceil(sqrt(total)) + 1 rounds.
+
+    With t = ceil(sqrt(total)) and deficit t*t - total, the forest is
+    exceptional when the deficit is 0 and the smallest part is 2 (for two
+    parts, exactly the pairs (t*t - 2, 2)), or, with three parts, when the
+    deficit is at most ``SLACK`` of (a2, a3) or the triple is in ``J5`` or
+    is (11, 11, 2).
+    """
+    total = sum(parts)
+    t = ceil_sqrt(total)
+    deficit = t * t - total
+    if deficit == 0 and parts[-1] == 2:
+        return True
+    if len(parts) == 2:
+        return False
+    return deficit <= SLACK.get(parts[1:], -1) or parts in J5 or parts == (11, 11, 2)
 
 
 def b_two_paths(a1: int, a2: int) -> int:
@@ -93,38 +98,16 @@ def b_two_paths(a1: int, a2: int) -> int:
     """
     if a1 < 1 or a2 < 1:
         raise ValueError(f"path orders must be >= 1, got ({a1}, {a2})")
-    a1, a2 = max(a1, a2), min(a1, a2)
-    total = a1 + a2
-    return ceil_sqrt(total) + (1 if two_paths_exceptional(a1, a2) else 0)
-
-
-def three_paths_exceptional(a1: int, a2: int, a3: int) -> bool:
-    """Exception test for three path components (inputs descending).
-
-    The parametric families key on how far the total falls below a perfect
-    square t*t (by 3, 2, 1, or 0) combined with membership of the two
-    smaller parts in the D-sets; two sporadic catalogs fill in the rest.
-    """
-    total = a1 + a2 + a3
-    pair = (a2, a3)
-    if is_square(total + 3) and pair in D1:
-        return True
-    if is_square(total + 2) and pair in D1 | D2:
-        return True
-    if is_square(total + 1) and (pair in D1 | D2 | D3 or (a1, a2, a3) == (11, 11, 2)):
-        return True
-    if is_square(total) and (a3 == 2 or pair in D1 | D2 | D3 | D4):
-        return True
-    return (a1, a2, a3) in J5
+    parts = (max(a1, a2), min(a1, a2))
+    return ceil_sqrt(a1 + a2) + (1 if forest_exceptional(parts) else 0)
 
 
 def b_three_paths(a1: int, a2: int, a3: int) -> int:
     """Burning number of the union of three paths."""
     if min(a1, a2, a3) < 1:
         raise ValueError(f"path orders must be >= 1, got ({a1}, {a2}, {a3})")
-    a1, a2, a3 = sorted((a1, a2, a3), reverse=True)
-    total = a1 + a2 + a3
-    return ceil_sqrt(total) + (1 if three_paths_exceptional(a1, a2, a3) else 0)
+    parts = tuple(sorted((a1, a2, a3), reverse=True))
+    return ceil_sqrt(a1 + a2 + a3) + (1 if forest_exceptional(parts) else 0)
 
 
 def b2_by_degree(g: Graph) -> Optional[int]:

@@ -17,14 +17,6 @@ def ceil_sqrt(n: int) -> int:
     return math.isqrt(n - 1) + 1
 
 
-def is_square(n: int) -> bool:
-    """True iff n is a perfect square."""
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
-
-
 def ceil_div(a: int, b: int) -> int:
     """Ceiling of a/b for positive b."""
     return -(-a // b)

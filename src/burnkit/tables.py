@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, TextIO, Union
 
-from .formulas import t_unicyclic_bounds, three_paths_exceptional, two_paths_exceptional
+from .formulas import forest_exceptional, t_unicyclic_bounds
 from .graphs import qr_decompose
 from .solver import BurnResult
 
@@ -56,15 +56,11 @@ def residual_exceptional(q: int, g: int, *arms: int) -> bool:
 
     A fire of radius q-1 at the hub burns 2q-1 cycle vertices and q-1
     vertices of each arm, leaving the linear forest (g-2q+1, a-q+1 per
-    arm). Its parts, sorted descending, go to the two- or three-path
-    exception test; a forest with an empty part is never exceptional.
+    arm). Its parts, sorted descending, go to the forest exception test;
+    a forest with an empty part is never exceptional.
     """
-    parts = sorted((g - 2 * q + 1, *(a - q + 1 for a in arms)), reverse=True)
-    if parts[-1] < 1:
-        return False
-    if len(parts) == 2:
-        return two_paths_exceptional(*parts)
-    return three_paths_exceptional(*parts)
+    parts = tuple(sorted((g - 2 * q + 1, *(a - q + 1 for a in arms)), reverse=True))
+    return parts[-1] >= 1 and forest_exceptional(parts)
 
 
 def exceptional(q: int, r: int, g: int, a1: int, a2: int) -> bool:
@@ -171,8 +167,9 @@ class ErrataEntry:
 def parse_errata(text: str) -> dict[tuple, ErrataEntry]:
     """Parse an errata file; blank lines and '#' comments are ignored.
 
-    Arms may be listed in any order and are stored descending. A second
-    line for the same instance is a ValueError naming its line number.
+    Arms may be listed in any order and are stored descending. A line with
+    a cycle shorter than 3, an arm or a value below 1, or a second line for
+    the same instance is a ValueError naming its line number.
     """
     entries: dict[tuple, ErrataEntry] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -192,6 +189,9 @@ def parse_errata(text: str) -> dict[tuple, ErrataEntry]:
             arms = tuple(sorted((int(f) for f in fields[2 : 2 + t]), reverse=True))
             table_value = int(fields[2 + t])
             exact_value = int(fields[3 + t])
+            # an instance that cannot exist would never match a sweep row
+            if g < 3 or min(arms) < 1 or min(table_value, exact_value) < 1:
+                raise ValueError
         except (ValueError, IndexError):
             raise ValueError(f"malformed errata line {lineno}: {line!r}") from None
         note = " ".join(fields[width:])

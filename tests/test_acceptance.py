@@ -17,8 +17,8 @@ from burnkit.formulas import (
     b_path,
     b_three_paths,
     b_two_paths,
+    forest_exceptional,
     t_unicyclic_bounds,
-    three_paths_exceptional,
 )
 from burnkit.graphs import distance_matrix, qr_decompose
 from burnkit.intmath import ceil_sqrt
@@ -114,7 +114,7 @@ def test_criterion_3_three_path_forests():
         exact = burning_number_exact(build(desc)).value
         if formula != exact:
             failures.append(((a1, a2, a3), formula, exact))
-        if three_paths_exceptional(a1, a2, a3):
+        if forest_exceptional((a1, a2, a3)):
             exceptional += 1
             if exact != ceil_sqrt(a1 + a2 + a3) + 1:
                 failures.append(("exceptional but not +1", (a1, a2, a3), exact))

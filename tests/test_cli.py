@@ -280,6 +280,18 @@ class TestCmdSweep:
         assert started == workers
         assert "instances=7 " in capsys.readouterr().out
 
+    def test_max_n_above_exact_limit_fails_before_any_instance(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("instances enumerated or solved above the exact search limit")
+
+        monkeypatch.setattr(cli, "enumerate_sweep", fail)
+        monkeypatch.setattr(cli, "_sweep_row", fail)
+        max_n = str(solver.MAX_EXACT_VERTICES + 1)
+        assert main(["sweep", "--class", "cycle", "--max-n", max_n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert "--max-n" in captured.err and captured.err.count("\n") == 1
+
     def test_unwritable_out_fails_before_any_instance(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("instance solved before the report path was opened")

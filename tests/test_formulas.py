@@ -1,33 +1,90 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burnkit.families import build, enumerate_sweep
 from burnkit.formulas import (
-    D1,
-    D2,
-    D3,
-    D4,
     J5,
+    SLACK,
     b2_by_degree,
     b_cycle,
     b_path,
     b_three_paths,
     b_two_paths,
+    forest_exceptional,
     t_unicyclic_bounds,
-    three_paths_exceptional,
-    two_paths_exceptional,
 )
 from burnkit.solver import burning_number_exact
+
+# The former exception tests, kept literally as the reference that
+# forest_exceptional must agree with: the paper's four pair sets, probed by
+# perfect-square tests on the total plus 3, 2, 1 and 0.
+reference_D1 = frozenset({(2, 2)})
+reference_D2 = frozenset({(3, 2)})
+reference_D3 = frozenset({(1, 1), (3, 3), (4, 2), (5, 5)})
+reference_D4 = frozenset(
+    {
+        (2, 1),
+        (4, 1),
+        (4, 3),
+        (4, 4),
+        (6, 1),
+        (6, 4),
+        (6, 5),
+        (6, 6),
+        (7, 7),
+        (8, 4),
+        (8, 6),
+        (10, 4),
+    }
+)
+
+
+def reference_is_square(n):
+    """True iff n is a perfect square."""
+    if n < 0:
+        return False
+    r = math.isqrt(n)
+    return r * r == n
+
+
+def reference_two_paths_exceptional(a1, a2):
+    """True iff (a1, a2), descending, is (t*t - 2, 2) for an integer t >= 2."""
+    return a2 == 2 and a1 + 2 >= 4 and reference_is_square(a1 + 2)
+
+
+def reference_three_paths_exceptional(a1, a2, a3):
+    """Exception test for three path components (inputs descending)."""
+    D1, D2, D3, D4 = reference_D1, reference_D2, reference_D3, reference_D4
+    total = a1 + a2 + a3
+    pair = (a2, a3)
+    if reference_is_square(total + 3) and pair in D1:
+        return True
+    if reference_is_square(total + 2) and pair in D1 | D2:
+        return True
+    if reference_is_square(total + 1) and (pair in D1 | D2 | D3 or (a1, a2, a3) == (11, 11, 2)):
+        return True
+    if reference_is_square(total) and (a3 == 2 or pair in D1 | D2 | D3 | D4):
+        return True
+    return (a1, a2, a3) in J5
+
+
+def reference_exceptional(parts):
+    if len(parts) == 2:
+        return reference_two_paths_exceptional(*parts)
+    return reference_three_paths_exceptional(*parts)
 
 
 class TestCatalogCounts:
     def test_pair_sets(self):
-        assert len(D1) == 1 and len(D2) == 1 and len(D3) == 4 and len(D4) == 12
-        assert D1 == {(2, 2)}
-        assert D2 == {(3, 2)}
-        assert D3 == {(1, 1), (3, 3), (4, 2), (5, 5)}
-        assert len(D4) == 12
+        # the paper's sets are disjoint; SLACK gives each pair its set's level
+        sets = (reference_D1, reference_D2, reference_D3, reference_D4)
+        assert [len(pairs) for pairs in sets] == [1, 1, 4, 12]
+        levels = {pair: level for level, pairs in zip((3, 2, 1, 0), sets) for pair in pairs}
+        assert len(levels) == 18
+        assert SLACK == levels
 
     def test_sporadic_triples(self):
         assert len(J5) == 23
@@ -65,7 +122,7 @@ class TestTwoPaths:
 
     def test_exception_family_is_exactly_t_squared_minus_2_paired_with_2(self):
         hits = {(a1, a2) for a1 in range(1, 60) for a2 in range(1, a1 + 1)
-                if two_paths_exceptional(a1, a2)}
+                if forest_exceptional((a1, a2))}
         assert hits == {(t * t - 2, 2) for t in range(2, 8)}
 
     def test_rejects_nonpositive(self):
@@ -102,10 +159,55 @@ class TestThreePaths:
             a1, a2, a3 = desc.parts
             want = burning_number_exact(build(desc)).value
             assert b_three_paths(a1, a2, a3) == want
-            if three_paths_exceptional(a1, a2, a3):
+            if forest_exceptional((a1, a2, a3)):
                 from burnkit.intmath import ceil_sqrt
 
                 assert want == ceil_sqrt(a1 + a2 + a3) + 1
+
+
+def two_path_forests(max_total):
+    for total in range(2, max_total + 1):
+        for a2 in range(1, total // 2 + 1):
+            yield (total - a2, a2)
+
+
+def three_path_forests(max_total):
+    for total in range(3, max_total + 1):
+        for a3 in range(1, total // 3 + 1):
+            for a2 in range(a3, (total - a3) // 2 + 1):
+                yield (total - a2 - a3, a2, a3)
+
+
+# drawn tails: (a2, a3) with parts up to 11, a3 = 2 (the square-total
+# family), and the smaller part of a two-path forest
+TAILS = st.one_of(
+    st.tuples(st.integers(1, 11), st.integers(1, 11)).map(lambda p: (max(p), min(p))),
+    st.integers(2, 60).map(lambda a2: (a2, 2)),
+    st.integers(1, 11).map(lambda a2: (a2,)),
+)
+PAPER_TAILS = sorted(reference_D1 | reference_D2 | reference_D3 | reference_D4)
+
+
+class TestForestExceptional:
+    def test_two_paths_match_reference(self):
+        for parts in two_path_forests(400):
+            assert forest_exceptional(parts) is reference_exceptional(parts), parts
+
+    def test_three_paths_match_reference(self):
+        for parts in three_path_forests(400):
+            assert forest_exceptional(parts) is reference_exceptional(parts), parts
+
+    @given(st.integers(min_value=2, max_value=10**6), TAILS)
+    @settings(max_examples=300, deadline=None)
+    def test_near_squares_match_reference(self, t, drawn):
+        # totals t*t - d with d <= 4: every deficit level and one past it,
+        # for every tail of the paper's sets and one drawn tail
+        for d in range(5):
+            for tail in (*PAPER_TAILS, (2,), drawn):
+                a1 = t * t - d - sum(tail)
+                parts = (a1, *tail)
+                if a1 >= tail[0]:
+                    assert forest_exceptional(parts) is reference_exceptional(parts), parts
 
 
 class TestDegreeCriterion:

@@ -28,7 +28,7 @@ from burnkit.graphs import (
     write_graph,
 )
 from burnkit.families import SWEEP_CLASSES, build, enumerate_sweep
-from burnkit.intmath import ceil_div, ceil_sqrt, counting_lower, is_square
+from burnkit.intmath import ceil_div, ceil_sqrt, counting_lower
 
 
 @st.composite
@@ -411,12 +411,6 @@ class TestIntMath:
         for n in range(0, 5000):
             s = ceil_sqrt(n)
             assert s * s >= n and (s == 0 or (s - 1) * (s - 1) < n)
-
-    def test_is_square(self):
-        squares = {i * i for i in range(100)}
-        for n in range(0, 10000):
-            assert is_square(n) == (n in squares)
-        assert not is_square(-4)
 
     def test_ceil_div(self):
         assert ceil_div(7, 2) == 4

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -23,12 +24,21 @@ def structural_value(legs):
     return k
 
 
-def forest_value(parts):
-    """Least k whose interval sizes 2k-1, ..., 1 cover the linear forest."""
-    k = 1
-    while not structural.intervals_cover(tuple(range(2 * k - 1, 0, -2)))(parts):
+def forest_value(parts, covers):
+    """Least k whose interval sizes 2k-1, ..., 1 cover the linear forest.
+
+    Every k below ceil(sqrt(total)) fails by counting, since the sizes sum
+    to k*k. ``covers(k)`` is the cover test for k, shared across forests.
+    """
+    k = ceil_sqrt(sum(parts))
+    while not covers(k)(parts):
         k += 1
     return k
+
+
+def cover_tests():
+    """One ``intervals_cover`` test per k, built on first use."""
+    return functools.cache(lambda k: structural.intervals_cover(tuple(range(2 * k - 1, 0, -2))))
 
 
 def reference_tree_value(shape):
@@ -132,17 +142,20 @@ class TestSpiders:
 
 class TestIntervals:
     def test_two_paths_match_formula(self):
-        for total in range(2, 61):
+        covers = cover_tests()
+        for total in range(2, 301):
             for a2 in range(1, total // 2 + 1):
                 a1 = total - a2
-                assert forest_value((a1, a2)) == b_two_paths(a1, a2), (a1, a2)
+                assert forest_value((a1, a2), covers) == b_two_paths(a1, a2), (a1, a2)
 
     def test_three_paths_match_formula(self):
-        for total in range(3, 61):
+        covers = cover_tests()
+        for total in range(3, 161):
             for a3 in range(1, total // 3 + 1):
                 for a2 in range(a3, (total - a3) // 2 + 1):
                     a1 = total - a2 - a3
-                    assert forest_value((a1, a2, a3)) == b_three_paths(a1, a2, a3), (a1, a2, a3)
+                    value = forest_value((a1, a2, a3), covers)
+                    assert value == b_three_paths(a1, a2, a3), (a1, a2, a3)
 
     @pytest.mark.parametrize(
         "parts,sizes,expected",

@@ -350,9 +350,20 @@ class TestErrata:
         with pytest.raises(FileNotFoundError):
             load_errata("/nonexistent/errata.txt")
 
-    @pytest.mark.parametrize("line", ["x 3 1 2 3", "1 3", "3 3 1 1 2 2", "2 4 4 4 x 4"])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "x 3 1 2 3",
+            "1 3",
+            "3 3 1 1 2 2",
+            "2 4 4 4 x 4",
+            "1 2 5 3 3",  # g = 2
+            "2 7 0 4 4 4",  # an arm of length 0
+            "1 7 4 0 -1",  # values 0 and -1
+        ],
+    )
     def test_malformed_lines_rejected(self, line):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="malformed errata line 1"):
             parse_errata(line)
 
     def test_arms_stored_descending(self):
