@@ -37,9 +37,9 @@ the first cover found under those rules, not the globally lexicographic
 minimum among all optima.
 
 The unicyclic oracle (``unicyclic_spanning_upper``) takes only cycles and
-t-unicyclic graphs. It is the minimum over their spanning trees, which are
-paths and spiders, decided by ``structural``'s one-hub rule without
-building a tree, so the oracle shares no code with the search above.
+t-unicyclic graphs and decides them by ``structural``'s one-hub rule with
+the cycle length, one decision per k, so it builds no tree and shares no
+code with the search above.
 """
 
 from __future__ import annotations
@@ -573,46 +573,25 @@ def extract_partition(g: Graph, sources: tuple[int, ...]) -> list[TreePart]:
 # Independent oracle and bound for unicyclic graphs
 # --------------------------------------------------------------------------
 
-def _spanning_shapes(desc) -> set[tuple[int, ...]]:
-    """Legs of the trees a Cycle or TUnicyclic leaves without a cycle edge.
-
-    Legs are sorted descending without zeros; a path of n vertices is the
-    one leg (n-1,).
-    """
-    arms = getattr(desc, "arms", ())
-    n = desc.g + sum(arms)
-    shapes = set()
-    for j in range((desc.g + 1) // 2):
-        legs = tuple(sorted((a for a in (*arms, j, desc.g - 1 - j) if a), reverse=True))
-        shapes.add(legs if len(legs) >= 3 else (n - 1,))
-    return shapes
-
-
 def unicyclic_spanning_upper(g: Graph) -> int:
-    """b(G) of a cycle or a t-unicyclic graph via its spanning trees.
+    """b(G) of a cycle or a t-unicyclic graph by the one-hub rule.
 
-    Deleting one cycle edge leaves a spanning tree, and the burning number
-    of a graph is the minimum over its spanning trees; a unicyclic graph
-    has exactly its g edge-deleted trees as spanning trees, so the minimum
-    over them equals b(G) — an independent second oracle, not merely an
-    upper bound. Deleting the edge j steps from the hub leaves the spider
-    (a star with paths as legs) with legs (a_1, ..., a_t, j, g-1-j), a path
-    when fewer than three legs are nonempty; the edges j and g-1-j leave
-    the same spider. No tree is built: k deepens from the least lower
-    bound of the ceil(g/2) shapes, and the first k at which
-    ``structural.burns`` accepts some shape is the minimum. Raises
-    ValueError for a graph that is neither a cycle nor t-unicyclic, or
-    whose spider shapes need more than ``MAX_ROUNDS`` rounds.
+    k deepens from ``structural.lower_bound(arms, g)`` to the first k that
+    ``structural.burns(arms, k, g)`` accepts. That is the minimum of b(T)
+    over G's spanning trees T, its g edge-deleted spiders (proof in the
+    ``structural`` docstring), which is b(G): an independent second oracle,
+    not merely an upper bound. Raises ValueError for a graph that is
+    neither a cycle nor t-unicyclic, or that needs a search above
+    ``MAX_ROUNDS`` rounds.
     """
     desc = recognize_family(g)
     if not isinstance(desc, (Cycle, TUnicyclic)):
         raise ValueError(
             f"spanning-tree oracle needs a cycle or a t-unicyclic graph, got {desc}"
         )
-    bounds = {legs: structural.lower_bound(legs) for legs in _spanning_shapes(desc)}
-    k = min(bounds.values())
-    while not any(structural.burns(legs, k)
-                  for legs, lower in bounds.items() if lower <= k):
+    arms = getattr(desc, "arms", ())
+    k = structural.lower_bound(arms, desc.g)
+    while not structural.burns(arms, k, desc.g):
         k += 1
     return k
 
@@ -622,13 +601,9 @@ def isometric_path_lower(desc: TUnicyclic) -> int:
 
     The path through the longest arm and halfway around the cycle has
     a1 + floor(g/2) + 1 vertices; with a second arm there is also the path
-    through both arms with a1 + a2 + 1 vertices. Both are isometric
-    subtrees, and an isometric subtree never burns slower than its host.
+    through both arms with a1 + a2 + 1 vertices. This is the path term of
+    ``structural.lower_bound(desc.arms, desc.g)``.
     """
     if not isinstance(desc, TUnicyclic) or desc.t < 1:
         raise ValueError("isometric path bound needs a t-unicyclic graph, t >= 1")
-    a1 = desc.arms[0]
-    longest = a1 + desc.g // 2 + 1
-    if desc.t >= 2:
-        longest = max(longest, a1 + desc.arms[1] + 1)
-    return ceil_sqrt(longest)
+    return structural._path_lower(desc.arms, desc.g)

@@ -1,22 +1,32 @@
-"""Burning paths and spiders by the one-hub residual-forest rule.
+"""Burning one-hub graphs by the residual-forest rule.
 
-A spider is a hub with paths (legs) attached; with at most two legs it is
-a path. By the rooted-tree-partition theorem (Bonato, Janssen, Roshanbin
-2016), b(G) <= k iff V(G) is covered by balls of radii k-1, ..., 0, each
-radius used at most once. Exactly one of those balls, of radius r and
-center x, is charged with the hub, and it meets every leg in a prefix:
+A one-hub graph is a hub h with paths (legs) attached and, for ``cycle``
+g > 0, a cycle of g vertices through h: paths, spiders, cycles and
+t-unicyclic graphs. By the rooted-tree-partition theorem (Bonato, Janssen,
+Roshanbin 2016), b(G) <= k iff V(G) is covered by balls of radii k-1, ...,
+0, each radius used at most once. Exactly one of those balls, of radius r
+and center x, is charged with the hub, and it meets every leg in a prefix:
 
   * x = h (depth 0) cuts r vertices from every leg;
   * x on leg j at depth 1 <= d <= r cuts d+r from leg j and r-d from every
-    other leg.
+    other leg; either way x reaches c = r-d past h around the cycle, which
+    leaves one cycle path of g-2c-1 vertices;
+  * x on the cycle at distance d covers as many (2r+1) cycle vertices as
+    the hub but only r-d of each leg, so the hub dominates it.
 
-The other balls only matter inside one leg's remainder, where each is an
-interval of at most 2s+1 vertices. So b(G) <= k iff some (r, x) leaves a
-residual linear forest that intervals of sizes {2s+1 : s < k, s != r},
-each used at most once, can cover. Burning linear forests is NP-complete
-(Bessy et al. 2017); ``burns`` builds one ``intervals_cover`` test per r,
-which keeps only failed states (a success ends the call) and recurses one
-frame per size, so ``burns`` takes at most ``MAX_ROUNDS`` rounds.
+The other balls only matter inside one leg remainder or the cycle path,
+where each is an interval of at most 2s+1 vertices. So b(G) <= k iff some
+(r, x) leaves a residual linear forest that intervals of sizes
+{2s+1 : s < k, s != r}, each used at most once, can cover. This is also
+the minimum of b(T) over the spanning trees T of G (same theorem), the
+spiders G less one cycle edge. Each edge-deleted spider's hub part leaves
+two cycle suffixes, at least g-2c-1 vertices in all, that the deleted edge
+joins in G, and intervals covering the suffixes also cover the joined
+path; cutting the cycle path at an interval boundary gives an edge-deleted
+spider. Burning linear forests is NP-complete (Bessy et al. 2017);
+``burns`` builds one ``intervals_cover`` test per r, which keeps only
+failed states (a success ends the call) and recurses one frame per size,
+so ``burns`` takes at most ``MAX_ROUNDS`` rounds.
 """
 
 from __future__ import annotations
@@ -66,29 +76,39 @@ def _assign(demands: tuple[int, ...], j: int, size: int) -> tuple[int, ...]:
     return tuple(sorted((*rest, remainder), reverse=True))
 
 
-def lower_bound(legs: tuple[int, ...]) -> int:
-    """A lower bound on b of the spider with positive ``legs``; exact for a path.
+def lower_bound(legs: tuple[int, ...], cycle: int = 0) -> int:
+    """A lower bound on b of the one-hub graph; exact for a path or a cycle.
 
-    The branch-vertex counting bound counting_lower(n, legs - 2), and the
-    path through the two longest legs, a geodesic of L1 + L2 + 1 vertices.
+    The counting bound counting_lower(n, degree - 2) for the hub's degree,
+    len(legs) plus 2 on a cycle, and ``_path_lower``.
     """
-    n = 1 + sum(legs)
-    if len(legs) <= 2:
-        return ceil_sqrt(n)
-    longest = sorted(legs, reverse=True)
-    return max(counting_lower(n, len(legs) - 2), ceil_sqrt(longest[0] + longest[1] + 1))
+    n = max(cycle, 1) + sum(legs)
+    extra = max(len(legs) + (2 if cycle else 0) - 2, 0)
+    return max(counting_lower(n, extra), _path_lower(legs, cycle))
 
 
-def burns(legs: tuple[int, ...], k: int) -> bool:
-    """True iff the spider with positive ``legs`` burns in at most k rounds.
+def _path_lower(legs: tuple[int, ...], cycle: int) -> int:
+    """ceil(sqrt) of the isometric path through the two longest of (legs..., g // 2)."""
+    a1, a2 = sorted((*legs, cycle // 2, 0), reverse=True)[:2]
+    return ceil_sqrt(a1 + a2 + 1)
 
-    A spider with at most two legs is a path, which burns in ceil(sqrt(n))
-    rounds; any other raises ValueError for k above ``MAX_ROUNDS``.
+
+def burns(legs: tuple[int, ...], k: int, cycle: int = 0) -> bool:
+    """True iff the one-hub graph with positive ``legs`` burns in at most k rounds.
+
+    ``cycle`` is the length g of the cycle through the hub, 0 for none. A
+    graph with a spanning path (a path, or a cycle with at most one leg)
+    burns in ceil(sqrt(n)) rounds, and a path or a bare cycle in no fewer,
+    so neither needs a search; any other search raises ValueError for k
+    above ``MAX_ROUNDS``.
     """
-    if len(legs) <= 2:
-        return ceil_sqrt(1 + sum(legs)) <= k
+    n = max(cycle, 1) + sum(legs)
+    if len(legs) <= (1 if cycle else 2) and ceil_sqrt(n) <= k:
+        return True
+    if len(legs) + (2 if cycle else 0) <= 2:
+        return False
     if k > MAX_ROUNDS:
-        raise ValueError(f"spider decision supports at most {MAX_ROUNDS} rounds, got {k}")
+        raise ValueError(f"one-hub decision supports at most {MAX_ROUNDS} rounds, got {k}")
     distinct = sorted(set(legs), reverse=True)
     for r in range(k - 1, -1, -1):
         covers = intervals_cover(tuple(2 * s + 1 for s in range(k - 1, -1, -1) if s != r))
@@ -98,6 +118,8 @@ def burns(legs: tuple[int, ...], k: int) -> bool:
                     break
                 residual = [b - (r - d) for b in legs]
                 residual[legs.index(a)] = a - d - r
+                # the cycle path; without a cycle it is negative and ignored
+                residual.append(cycle - 2 * (r - d) - 1)
                 if covers(residual):
                     return True
     return False

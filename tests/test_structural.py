@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from burnkit import families, solver, structural
 from burnkit.families import build, enumerate_sweep
 from burnkit.formulas import b_three_paths, b_two_paths
-from burnkit.graphs import GeneralizedStar, Path
+from burnkit.graphs import Cycle, GeneralizedStar, Path, TUnicyclic
 from burnkit.intmath import ceil_sqrt
 from burnkit.solver import burning_number_exact, unicyclic_spanning_upper
 from burnkit.structural import MAX_ROUNDS
 
-from .test_solver import reference_tree_shapes, tree_legs
+from .test_solver import reference_tree_shapes, t_unicyclic, tree_legs
 
 
 def structural_value(legs):
@@ -93,6 +93,31 @@ def reference_burns(legs, k):
                 if reference_intervals_cover(tuple(residual), sizes):
                     return True
     return False
+
+
+def reference_spanning_shapes(desc):
+    """Legs of the trees a Cycle or TUnicyclic leaves without a cycle edge.
+
+    Legs are sorted descending without zeros; a path of n vertices is the
+    one leg (n-1,).
+    """
+    arms = getattr(desc, "arms", ())
+    n = desc.g + sum(arms)
+    shapes = set()
+    for j in range((desc.g + 1) // 2):
+        legs = tuple(sorted((a for a in (*arms, j, desc.g - 1 - j) if a), reverse=True))
+        shapes.add(legs if len(legs) >= 3 else (n - 1,))
+    return shapes
+
+
+def reference_spanning_upper(desc):
+    """The former oracle: one deepening over the ceil(g/2) edge-deleted spiders."""
+    bounds = {legs: structural.lower_bound(legs) for legs in reference_spanning_shapes(desc)}
+    k = min(bounds.values())
+    while not any(structural.burns(legs, k)
+                  for legs, lower in bounds.items() if lower <= k):
+        k += 1
+    return k
 
 
 def spiders(legs_count, max_order):
@@ -214,7 +239,17 @@ class TestRoundLimit:
         assert structural.burns((10**6 - 1,), 1000)
         assert not structural.burns((10**6,), 1000)
 
-    @pytest.mark.parametrize("spec,value", [("uni:3;100000,100000", 448), ("cycle:300000", 548)])
+    @pytest.mark.parametrize(
+        "spec,value",
+        [
+            ("uni:3;100000,100000", 448),
+            ("cycle:300000", 548),
+            # a cycle with one arm has a spanning path, so no search runs
+            ("uni:3;300000", 548),
+            ("uni:300000;1", 548),
+            ("uni:260000;1", 510),
+        ],
+    )
     def test_oracle_at_large_orders(self, spec, value):
         assert unicyclic_spanning_upper(build(spec)) == value
 
@@ -224,6 +259,54 @@ class TestRoundLimit:
 
 
 class TestSpanningOracle:
+    @pytest.mark.parametrize(
+        "family,max_order",
+        [("cycle", 200), ("uni1", 70), ("uni2", 45), (3, 34), (4, 28), (5, 24), (6, 22)],
+    )
+    def test_matches_reference_spanning_upper(self, family, max_order):
+        # family is a sweep class or the arm count t
+        if isinstance(family, str):
+            descs = enumerate_sweep(family, max_order)
+        else:
+            descs = t_unicyclic(family, max_order)
+        for desc in descs:
+            assert unicyclic_spanning_upper(build(desc)) == reference_spanning_upper(desc), desc
+
+    @given(
+        st.integers(min_value=3, max_value=150),
+        st.lists(st.integers(min_value=1, max_value=150), max_size=5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_hypothesis_matches_reference_spanning_upper(self, g, arms):
+        desc = TUnicyclic(g=g, arms=tuple(sorted(arms, reverse=True))) if arms else Cycle(g)
+        assert unicyclic_spanning_upper(build(desc)) == reference_spanning_upper(desc)
+
+    def test_oracle_is_spanning_tree_minimum(self):
+        descs = itertools.chain(
+            enumerate_sweep("cycle", 20),
+            enumerate_sweep("uni1", 40),
+            enumerate_sweep("uni2", 30),
+            map(families.parse_spec, ("uni:7;3,2,1", "uni:3;1,1,1,1", "uni:10;4,4,4")),
+        )
+        for desc in descs:
+            g = build(desc)
+            trees = reference_tree_shapes(g)
+            assert unicyclic_spanning_upper(g) == min(
+                structural_value(tree_legs(shape)) for shape in trees
+            ), desc
+
+    @pytest.mark.parametrize(
+        "spec",
+        # uni:6;4, uni:9;1 and uni:6;4,1 burn in fewer than ceil(sqrt(n)) rounds
+        ["cycle:9", "uni:6;4", "uni:9;1", "uni:6;4,1", "uni:9;10,2", "uni:4;4,4", "uni:7;3,2,1"],
+    )
+    def test_cycle_mode_burns_iff_k_reaches_value(self, spec):
+        desc = families.parse_spec(spec)
+        arms = getattr(desc, "arms", ())
+        value = burning_number_exact(build(desc)).value
+        assert not any(structural.burns(arms, k, desc.g) for k in range(1, value)), spec
+        assert all(structural.burns(arms, k, desc.g) for k in range(value, value + 3)), spec
+
     def test_matches_reference_tree_values(self):
         descs = itertools.chain(enumerate_sweep("uni1", 40), enumerate_sweep("uni2", 26))
         shapes = set()
