@@ -80,9 +80,12 @@ def forest_exceptional(parts: tuple[int, ...]) -> bool:
     deficit is at most ``SLACK`` of (a2, a3) or the triple is in ``J5`` or
     is (11, 11, 2).
     """
-    total = sum(parts)
-    t = ceil_sqrt(total)
-    deficit = t * t - total
+    return _exceptional(parts, ceil_sqrt(sum(parts)))
+
+
+def _exceptional(parts: tuple[int, ...], t: int) -> bool:
+    """:func:`forest_exceptional` given t = ceil(sqrt(sum(parts)))."""
+    deficit = t * t - sum(parts)
     if deficit == 0 and parts[-1] == 2:
         return True
     if len(parts) == 2:
@@ -98,16 +101,16 @@ def b_two_paths(a1: int, a2: int) -> int:
     """
     if a1 < 1 or a2 < 1:
         raise ValueError(f"path orders must be >= 1, got ({a1}, {a2})")
-    parts = (max(a1, a2), min(a1, a2))
-    return ceil_sqrt(a1 + a2) + (1 if forest_exceptional(parts) else 0)
+    t = ceil_sqrt(a1 + a2)
+    return t + (1 if _exceptional((max(a1, a2), min(a1, a2)), t) else 0)
 
 
 def b_three_paths(a1: int, a2: int, a3: int) -> int:
     """Burning number of the union of three paths."""
     if min(a1, a2, a3) < 1:
         raise ValueError(f"path orders must be >= 1, got ({a1}, {a2}, {a3})")
-    parts = tuple(sorted((a1, a2, a3), reverse=True))
-    return ceil_sqrt(a1 + a2 + a3) + (1 if forest_exceptional(parts) else 0)
+    t = ceil_sqrt(a1 + a2 + a3)
+    return t + (1 if _exceptional(tuple(sorted((a1, a2, a3), reverse=True)), t) else 0)
 
 
 def b2_by_degree(g: Graph) -> Optional[int]:

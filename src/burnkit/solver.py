@@ -54,7 +54,6 @@ from .graphs import (
     Graph,
     TUnicyclic,
     connected_components,
-    distance_matrix,
     distance_rows,
     recognize_family,
 )
@@ -63,11 +62,13 @@ from .structural import MAX_ROUNDS
 
 EXACT = "exact"
 
-# The search's preparation holds the n x n distance matrix and a bitmask
-# ball per vertex and radius. For three-arm unicyclic graphs it took 41 MB
-# and 0.3 s at n = 1,000, 155 MB and 0.9 s at 2,000, and 650 MB and 5.4 s
-# at 4,000 (2-core x86-64, CPython 3.11), so a larger graph is refused
-# before any of it is built.
+# The search's preparation holds an n-bit ball per vertex and radius, up to
+# the greedy bound, and grows every ball to its eccentricity. For balanced
+# three-arm unicyclic graphs, preparing the search (balls, greedy bound and
+# the balls up to it) took 3.8 MB and 0.2 s at n = 1,000, 17 MB and 0.9 s
+# at 2,000, and 83 MB and 4.6 s at 4,000 (tracemalloc peak; 2-core x86-64,
+# CPython 3.11). Time grows with n times the eccentricities, so a larger
+# graph is refused before any ball is grown.
 MAX_EXACT_VERTICES = 2_000
 
 
@@ -183,7 +184,12 @@ class _Budget:
 
 
 class _Prepared:
-    """Distance matrix, bitmask balls by radius, and frozen search orders."""
+    """Bitmask balls by radius, the tables built from them, eccentricities
+    and the diameter read off their growth, and frozen search orders.
+
+    No distance matrix is built: the search, the geodesic lower bound and
+    the greedy upper bound read only the balls, ``ecc`` and ``diameter``.
+    """
 
     def __init__(self, g: Graph, max_radius: int):
         n = g.vertex_count
@@ -195,18 +201,13 @@ class _Prepared:
         self.n = n
         self.full = (1 << n) - 1
         self.adjacency = g.adjacency
-        self.dist = distance_matrix(g)
-        inf = 2 * n
-        self.ecc = [max(row) for row in self.dist]
-        for v, e in enumerate(self.ecc):
-            if e >= inf:  # disconnected: farthest vertex in v's component
-                self.ecc[v] = max(d for d in self.dist[v] if d < inf)
-        self.diameter = max(self.ecc, default=0)
+        keep = max(max_radius, 2)
         # balls[r][v]: vertices within distance r of v, as a bitmask
-        self.balls: list[list[int]] = [[1 << v for v in range(n)]]
+        self.balls, self.ecc = _grow_balls(g.adjacency, keep)
+        self.diameter = max(self.ecc, default=0)
         self.maxball: list[int] = []
         self.tiers: list[list[tuple[int, int]]] = []
-        self.extend(max(max_radius, 2))
+        self.extend(keep)
         # frozen candidate order: densest two-hop neighborhood first, ties by
         # id. Branch vertices come early, which finds sequences far faster
         # than eccentricity ordering.
@@ -236,6 +237,46 @@ class _Prepared:
             self.tiers.append([(s, by_size[s]) for s in sorted(by_size)])
         # capacity[r] = most vertices coverable by positions with radii r..0
         self.capacity = list(itertools.accumulate(self.maxball))
+
+
+def _grow_balls(
+    adjacency: Sequence[Sequence[int]], keep: int
+) -> tuple[list[list[int]], list[int]]:
+    """Ball layers of radii 0..``keep`` (fewer once every ball is saturated)
+    and every vertex's eccentricity within its component.
+
+    A ball that does not grow from radius r-1 to r already holds v's whole
+    component, so ecc[v] = r-1 and v's ball never changes again. One rolling
+    layer grows, over only the vertices whose balls still grow, until none
+    does; layers above ``keep`` are not stored.
+    """
+    n = len(adjacency)
+    layer = [1 << v for v in range(n)]
+    balls = [layer]
+    ecc = [0] * n
+    growing = range(n)
+    r = 0
+    while growing:
+        r += 1
+        grown: list[int] = []
+        masks: list[int] = []
+        for v in growing:
+            old = mask = layer[v]
+            for u in adjacency[v]:
+                mask |= layer[u]
+            if mask != old:
+                grown.append(v)
+                masks.append(mask)
+            else:
+                ecc[v] = r - 1
+        if r <= keep + 1:  # layer r - 1 is stored, so radius r needs a copy
+            layer = layer.copy()
+            if r <= keep:
+                balls.append(layer)
+        for v, mask in zip(grown, masks):
+            layer[v] = mask
+        growing = grown
+    return balls, ecc
 
 
 def _cover(prep: _Prepared, k: int, budget: _Budget) -> Optional[list[Optional[int]]]:
@@ -427,24 +468,36 @@ def find_sequence(
 def _greedy_upper(prep: _Prepared) -> tuple[int, ...]:
     """A valid burning sequence found greedily; its length is an upper bound.
 
-    Round t picks the still-unburned vertex farthest from the burning
-    front (first round: a center). A chosen vertex is always unburned, so
-    the pairwise distance condition holds by construction and the process
+    Round t picks the still-unburned vertex that catches fire last (first
+    round: a center; ties by lowest id). A chosen vertex is always unburned,
+    so the pairwise distance condition holds by construction and the process
     terminates in at most n rounds.
     """
-    n, dist = prep.n, prep.dist
-    inf = 2 * n
-    seq = [min(range(n), key=lambda v: (prep.ecc[v], v))]
-    # gap[v]: hops from v to the burned set, inf while v's component has
-    # no fire; the burned vertices are exactly those with gap 0
-    gap = list(dist[seq[0]])
-    while any(gap):
-        pick = max((v for v in range(n) if gap[v]), key=lambda v: (gap[v], -v))
+    n, adjacency = prep.n, prep.adjacency
+    # burn[v]: round in which v catches fire, 2n while v's component has
+    # no source; after t rounds the burned vertices are those with burn <= t
+    burn = [2 * n] * n
+    seq: list[int] = []
+    pick = min(range(n), key=prep.ecc.__getitem__)
+    while True:
         seq.append(pick)
-        # fire spreads one hop from everything burning, then pick ignites
-        row = dist[pick]
-        gap = [min(d - 1 if 0 < d < inf else d, e) for d, e in zip(gap, row)]
-    return tuple(seq)
+        t = len(seq)
+        burn[pick] = t
+        # pick's fire only spreads through vertices it reaches strictly
+        # sooner than the fire already burning
+        frontier = [pick]
+        while frontier:
+            t += 1
+            reached = []
+            for v in frontier:
+                for u in adjacency[v]:
+                    if t < burn[u]:
+                        burn[u] = t
+                        reached.append(u)
+            frontier = reached
+        pick = max(range(n), key=burn.__getitem__)
+        if burn[pick] <= len(seq):
+            return tuple(seq)
 
 
 def _structural_lower(g: Graph) -> int:

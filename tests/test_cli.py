@@ -148,9 +148,9 @@ class TestCmdCompute:
     def test_exact_search_above_vertex_limit_is_input_error(self, capsys, monkeypatch):
         # three arms route to the exact search, which refuses 60,003 vertices
         def fail(*args, **kwargs):
-            raise AssertionError("distance matrix built beyond the vertex limit")
+            raise AssertionError("balls grown beyond the vertex limit")
 
-        monkeypatch.setattr(solver, "distance_matrix", fail)
+        monkeypatch.setattr(solver, "_grow_balls", fail)
         assert main(["compute", "--family", "uni:3;20000,20000,20000"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")

@@ -1,11 +1,13 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from burnkit.families import build, enumerate_sweep
+from burnkit import graphs
+from burnkit.families import SWEEP_CLASSES, build, enumerate_sweep
 from burnkit.graphs import (
     GeneralizedStar,
     Graph,
@@ -22,6 +24,7 @@ from burnkit.solver import (
     Inconclusive,
     SequenceCheck,
     _Prepared,
+    _greedy_upper,
     _to_sequence,
     burning_number_exact,
     check_sequence,
@@ -134,7 +137,7 @@ class TestExact:
 
     def test_round_limit(self, monkeypatch):
         # MAX_ROUNDS isolated vertices still solve; one more is refused
-        # before the distance matrix is built
+        # before the search is prepared
         assert burning_number_exact(Graph(MAX_ROUNDS)).value == MAX_ROUNDS
 
         def fail(*args, **kwargs):
@@ -153,11 +156,11 @@ class TestExact:
             burning_number_exact(g)
 
     def test_vertex_limit(self, monkeypatch):
-        # one vertex above the limit is refused before the distance matrix
+        # one vertex above the limit is refused before any ball is grown
         def fail(*args, **kwargs):
-            raise AssertionError("distance matrix built beyond the vertex limit")
+            raise AssertionError("balls grown beyond the vertex limit")
 
-        monkeypatch.setattr(solver, "distance_matrix", fail)
+        monkeypatch.setattr(solver, "_grow_balls", fail)
         g = build(f"path:{MAX_EXACT_VERTICES + 1}")
         with pytest.raises(ValueError, match=f"at most {MAX_EXACT_VERTICES} vertices"):
             burning_number_exact(g)
@@ -171,7 +174,7 @@ class TestExact:
         def admitted(*args, **kwargs):
             raise Admitted
 
-        monkeypatch.setattr(solver, "distance_matrix", admitted)
+        monkeypatch.setattr(solver, "_grow_balls", admitted)
         with pytest.raises(Admitted):
             burning_number_exact(build(f"path:{MAX_EXACT_VERTICES}"))
 
@@ -494,3 +497,130 @@ class TestGreedyAndBounds:
         g = build("forest:1,1,1,1")
         res = burning_number_exact(g)
         assert res.value == 4  # one source per component, all radii wasted
+
+
+class ReferencePrepared:
+    """``_Prepared``'s distance matrix, eccentricities and diameter as they
+    were computed before the search stopped building the matrix."""
+
+    def __init__(self, g):
+        n = g.vertex_count
+        self.n = n
+        self.dist = distance_matrix(g)
+        inf = 2 * n
+        self.ecc = [max(row) for row in self.dist]
+        for v, e in enumerate(self.ecc):
+            if e >= inf:  # disconnected: farthest vertex in v's component
+                self.ecc[v] = max(d for d in self.dist[v] if d < inf)
+        self.diameter = max(self.ecc, default=0)
+
+
+def reference_greedy_upper(prep):
+    """``_greedy_upper`` as it was, over the gap to the fire and the matrix."""
+    n, dist = prep.n, prep.dist
+    inf = 2 * n
+    seq = [min(range(n), key=lambda v: (prep.ecc[v], v))]
+    # gap[v]: hops from v to the burned set, inf while v's component has
+    # no fire; the burned vertices are exactly those with gap 0
+    gap = list(dist[seq[0]])
+    while any(gap):
+        pick = max((v for v in range(n) if gap[v]), key=lambda v: (gap[v], -v))
+        seq.append(pick)
+        # fire spreads one hop from everything burning, then pick ignites
+        row = dist[pick]
+        gap = [min(d - 1 if 0 < d < inf else d, e) for d, e in zip(gap, row)]
+    return tuple(seq)
+
+
+def random_tree(rng, n):
+    """Each vertex attached to a uniformly chosen earlier one, ids permuted."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[rng.randrange(v)], perm[v]) for v in range(1, n)])
+
+
+def assert_matches_reference(g, max_radius=4):
+    prep = _Prepared(g, max_radius=max_radius)
+    ref = ReferencePrepared(g)
+    assert prep.ecc == ref.ecc
+    assert prep.diameter == ref.diameter
+    assert _greedy_upper(prep) == reference_greedy_upper(ref)
+    n = g.vertex_count
+    for r, layer in enumerate(prep.balls):
+        assert layer == [
+            sum(1 << u for u, d in enumerate(ref.dist[v]) if d <= min(r, n - 1))
+            for v in range(n)
+        ], r
+
+
+class TestBallPreparation:
+    """Eccentricities from ball growth and the burn-round greedy against the
+    matrix they replaced."""
+
+    @given(small_graphs(max_n=14))
+    @settings(max_examples=200, deadline=None)
+    def test_random_graphs(self, g):
+        assert_matches_reference(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Graph(1),
+            Graph(7),
+            Graph(6, [(0, 1), (1, 2), (2, 0)]),
+            Graph(9, [(1, 2), (2, 3), (5, 6), (6, 7), (7, 8), (8, 5)]),
+            build("forest:9,4,1,1"),
+        ],
+        ids=repr,
+    )
+    def test_disconnected_and_isolated(self, g):
+        assert_matches_reference(g, max_radius=0)
+        assert_matches_reference(g, max_radius=12)
+
+    @pytest.mark.parametrize("family_class", SWEEP_CLASSES)
+    def test_sweep_classes(self, family_class):
+        for desc in enumerate_sweep(family_class, 20):
+            assert_matches_reference(build(desc), max_radius=0)
+
+    def test_grids(self):
+        for rows in range(1, 8):
+            for cols in range(rows, 9):
+                assert_matches_reference(grid_graph(rows, cols))
+        perm = [(7 * v + 3) % 36 for v in range(36)]
+        assert_matches_reference(grid_graph(6, 6, perm))
+
+    def test_random_trees(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            assert_matches_reference(random_tree(rng, rng.randint(50, 80)), max_radius=0)
+
+    def test_no_distance_matrix_needed(self, monkeypatch):
+        g = build("uni:9;10,2")
+        value = burning_number_exact(g).value
+
+        def fail(*args, **kwargs):
+            raise AssertionError("distances computed by the exact search")
+
+        monkeypatch.setattr(graphs, "distance_matrix", fail)
+        monkeypatch.setattr(graphs, "distance_rows", fail)
+        monkeypatch.setattr(solver, "distance_rows", fail)
+        res = burning_number_exact(g)
+        found = find_sequence(g, value)
+        with pytest.raises(Inconclusive) as exc:
+            find_sequence(g, value - 1, budget=3)
+        monkeypatch.undo()
+        assert res.value == value and verify_sequence(g, res.certificate)
+        assert found is not None and len(found) == value and verify_sequence(g, found)
+        assert exc.value.lower_bound <= value <= exc.value.upper_bound
+
+    def test_memory_at_vertex_limit(self):
+        # the n x n matrix's row pointers alone took 8 * 2,000^2 bytes = 32 MB
+        g = grid_graph(40, 50)
+        assert g.vertex_count == MAX_EXACT_VERTICES
+        tracemalloc.start()
+        try:
+            _greedy_upper(_Prepared(g, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
