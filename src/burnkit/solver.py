@@ -7,12 +7,18 @@ rigorous lower bound. Each level is decided by a search for the covering
 half alone: b(G) <= k iff V(G) is covered by closed balls of radii
 k-1, ..., 0 whose centers are free (no distance condition, repeats
 allowed). The first level with a cover is therefore b(G), and the
-exhausted levels below it are the optimality proof.
+exhausted levels below it are the optimality proof. When the lower bound
+already meets the greedy upper bound, the greedy sequence is the
+certificate and no level is searched. On two or three components the
+lower bound includes one longest geodesic per component, an isometric
+linear forest decided exactly by ``structural.intervals_cover``.
 
 Cover search (``_cover``); its state is the uncovered-vertex mask and the
 unused-radii mask, and every cut keeps it complete:
   * cover budget: the unused radii cannot cover more vertices than the
-    sum of the largest balls at those radii;
+    sum of the largest balls at those radii, so a center whose ball is
+    too small for the rest to finish is never listed (one bisection over
+    the layer's ball sizes);
   * branching: some ball must cover the uncovered vertex with the fewest
     centers at the largest unused radius, so only the centers of that
     vertex's balls are tried, radii from largest to smallest;
@@ -45,7 +51,11 @@ code with the search above.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from . import structural
@@ -185,10 +195,12 @@ class _Budget:
 
 class _Prepared:
     """Bitmask balls by radius, the tables built from them, eccentricities
-    and the diameter read off their growth, and frozen search orders.
+    and the diameter read off their growth, and a frozen candidate order.
 
-    No distance matrix is built: the search, the geodesic lower bound and
+    No distance matrix is built: the search, the geodesic lower bounds and
     the greedy upper bound read only the balls, ``ecc`` and ``diameter``.
+    Layers above ``max_radius`` are grown by ``extend`` when a level needs
+    them.
     """
 
     def __init__(self, g: Graph, max_radius: int):
@@ -206,13 +218,21 @@ class _Prepared:
         self.balls, self.ecc = _grow_balls(g.adjacency, keep)
         self.diameter = max(self.ecc, default=0)
         self.maxball: list[int] = []
-        self.tiers: list[list[tuple[int, int]]] = []
+        # per radius: the vertices grouped by ball size (tiers), the sizes,
+        # both ascending, and suffix[i], the union of tiers[i:], with a
+        # final 0
+        self.tiers: list[list[int]] = []
+        self.sizes: list[list[int]] = []
+        self.suffix: list[list[int]] = []
         self.extend(keep)
-        # frozen candidate order: densest two-hop neighborhood first, ties by
-        # id. Branch vertices come early, which finds sequences far faster
-        # than eccentricity ordering.
+
+    @cached_property
+    def order(self) -> list[int]:
+        """Frozen candidate order: densest two-hop neighborhood first, ties
+        by id. Branch vertices come early, which finds sequences far faster
+        than eccentricity ordering."""
         two_hop = self.balls[2]
-        self.order = sorted(range(n), key=lambda v: (-two_hop[v].bit_count(), v))
+        return sorted(range(self.n), key=lambda v: (-two_hop[v].bit_count(), v))
 
     def extend(self, max_radius: int) -> None:
         """Grow the balls to ``max_radius`` and the tables built from them."""
@@ -228,13 +248,17 @@ class _Prepared:
                 layer.append(mask)
             balls.append(layer)
         for layer in balls[len(self.maxball):]:
-            sizes = [m.bit_count() for m in layer]
-            self.maxball.append(max(sizes))
-            # tiers: vertices grouped by ball size, smallest balls first
             by_size: dict[int, int] = {}
-            for v, s in enumerate(sizes):
+            for v, mask in enumerate(layer):
+                s = mask.bit_count()
                 by_size[s] = by_size.get(s, 0) | (1 << v)
-            self.tiers.append([(s, by_size[s]) for s in sorted(by_size)])
+            sizes = sorted(by_size)
+            tiers = [by_size[s] for s in sizes]
+            self.maxball.append(sizes[-1])
+            self.sizes.append(sizes)
+            self.tiers.append(tiers)
+            unions = itertools.accumulate(reversed(tiers), operator.or_, initial=0)
+            self.suffix.append(list(unions)[::-1])
         # capacity[r] = most vertices coverable by positions with radii r..0
         self.capacity = list(itertools.accumulate(self.maxball))
 
@@ -284,12 +308,19 @@ def _cover(prep: _Prepared, k: int, budget: _Budget) -> Optional[list[Optional[i
 
     Entry i of the result is the center of radius k-1-i, or None when that
     radius was not needed. The search is complete, so None is a proof.
+    ``prep`` must hold the layers up to k-1. Nodes are counted in a local
+    and written back to ``budget`` on every exit.
     """
     balls, maxball, tiers = prep.balls, prep.maxball, prep.tiers
+    sizes, suffix = prep.sizes, prep.suffix
     centers: list[Optional[int]] = [None] * k
+    remaining = math.inf if budget.remaining is None else budget.remaining
 
     def rec(uncovered: int, radii: int, capacity: int) -> bool:
-        budget.tick()
+        nonlocal remaining
+        remaining -= 1
+        if remaining < 0:
+            raise _BudgetExhausted
         if not uncovered:
             return True
         count = uncovered.bit_count()
@@ -297,7 +328,7 @@ def _cover(prep: _Prepared, k: int, budget: _Budget) -> Optional[list[Optional[i
             return False
         # branch on the uncovered vertex with the fewest centers at the
         # largest unused radius, ties by lowest id
-        for _, tier in tiers[radii.bit_length() - 1]:
+        for tier in tiers[radii.bit_length() - 1]:
             pending = tier & uncovered
             if pending:
                 u = (pending & -pending).bit_length() - 1
@@ -314,13 +345,8 @@ def _cover(prep: _Prepared, k: int, budget: _Budget) -> Optional[list[Optional[i
             # needs `need` of them; centers with smaller balls are not listed
             left = capacity - maxball[r]
             need = count - left
-            big = 0
-            for size, tier in reversed(tiers[r]):
-                if size < need:
-                    break
-                big |= tier
             options = []
-            cand = ball_r[u] & big
+            cand = ball_r[u] & suffix[r][bisect_left(sizes[r], need)]
             while cand:
                 low = cand & -cand
                 c = low.bit_length() - 1
@@ -334,17 +360,22 @@ def _cover(prep: _Prepared, k: int, budget: _Budget) -> Optional[list[Optional[i
             for size, c, share in options:
                 if count + size > left:
                     break  # this and every later share leave too much uncovered
-                if any(not share & ~t for t in tried):
-                    continue  # dominated by an already-tried center
-                tried.append(share)
-                if rec(uncovered & ~share, radii ^ (1 << r), left):
-                    centers[k - 1 - r] = c
-                    return True
+                for t in tried:
+                    if not share & ~t:
+                        break  # dominated by an already-tried center
+                else:
+                    tried.append(share)
+                    if rec(uncovered & ~share, radii ^ (1 << r), left):
+                        centers[k - 1 - r] = c
+                        return True
         return False
 
-    if rec(prep.full, (1 << k) - 1, prep.capacity[k - 1]):
-        return centers
-    return None
+    try:
+        found = rec(prep.full, (1 << k) - 1, prep.capacity[k - 1])
+    finally:
+        if budget.remaining is not None:
+            budget.remaining = remaining
+    return centers if found else None
 
 
 def _search(prep: _Prepared, k: int, budget: _Budget) -> Optional[tuple[int, ...]]:
@@ -515,41 +546,78 @@ def _structural_lower(g: Graph) -> int:
     return counting_lower(g.vertex_count, extra)
 
 
+def _geodesic_forest_lower(prep: _Prepared, components: list[list[int]], lower: int) -> int:
+    """Least k >= ``lower`` at which intervals of sizes {2s+1 : s < k}, each
+    used once, cover paths of 1 + diameter vertices, one per component.
+
+    One longest geodesic per component is an isometric linear forest, and
+    a ball of radius s meets a geodesic in at most 2s+1 consecutive
+    vertices, so every burning sequence of G yields such a cover. The
+    cover is decided exactly (``structural.intervals_cover``).
+    """
+    parts = [1 + max(prep.ecc[v] for v in comp) for comp in components]
+    k = lower
+    while True:
+        _check_rounds(k)
+        if structural.intervals_cover(tuple(range(2 * k - 1, 0, -2)))(parts):
+            return k
+        k += 1
+
+
 def burning_number_exact(g: Graph, budget: Optional[int] = None) -> BurnResult:
     """Minimum k admitting a valid burning sequence, with certificate.
 
     Iterative deepening from a rigorous lower bound (component count,
-    longest geodesic, cover-capacity counting, branch-vertex counting);
-    every level below the returned value exhausted, which is the
-    optimality proof. Raises Inconclusive when the node budget runs out
-    before the value is pinned down; the exception carries bounds that
-    are correct regardless.
+    longest geodesic, on two or three components one longest geodesic per
+    component, cover-capacity counting, branch-vertex counting); every
+    level below the returned value exhausted, which is the optimality
+    proof. When the lower bound meets the greedy upper bound, the greedy
+    sequence is the certificate and no level is searched. Raises
+    Inconclusive when the node budget runs out before the value is pinned
+    down; the exception carries bounds that are correct regardless.
     """
     n = g.vertex_count
     if n < 1:
         raise ValueError("graph must have at least one vertex")
 
-    components = len(connected_components(g))
-    _check_rounds(components)  # before the O(n^2) preparation
+    components = connected_components(g)
+    _check_rounds(len(components))  # before any ball is grown
     prep = _Prepared(g, max_radius=0)
     lower = max(
         1,
-        components,
+        len(components),
         ceil_sqrt(prep.diameter + 1),
         _structural_lower(g),
     )
+    # burning linear forests is NP-complete, so only few parts are decided
+    if 2 <= len(components) <= 3:
+        lower = _geodesic_forest_lower(prep, components, lower)
     upper_seq = _greedy_upper(prep)
     upper = len(upper_seq)
 
-    prep.extend(upper - 1)
-    while lower < upper and prep.capacity[lower - 1] < n:
+    while lower < upper:
+        prep.extend(lower - 1)
+        if prep.capacity[lower - 1] >= n:
+            break
         lower += 1
+    if lower > upper:
+        raise AssertionError(f"lower bound {lower} above the greedy witness's {upper}")
+    if lower == upper:
+        _check_rounds(upper)
+        return BurnResult(
+            value=upper,
+            method=EXACT,
+            lower_bound=lower,
+            upper_bound=upper,
+            certificate=upper_seq,
+        )
 
     budget_state = _Budget(budget)
     k = lower
     try:
         while True:
             _check_rounds(k)
+            prep.extend(k - 1)
             centers = _cover(prep, k, budget_state)
             if centers is None:
                 if k >= upper:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -7,23 +8,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burnkit import graphs
-from burnkit.families import SWEEP_CLASSES, build, enumerate_sweep
+from burnkit.families import SWEEP_CLASSES, build, enumerate_sweep, format_spec
+from burnkit.formulas import J5
 from burnkit.graphs import (
     GeneralizedStar,
     Graph,
+    LinearForest,
     Other,
     Path,
     TUnicyclic,
     distance_matrix,
     recognize_family,
 )
+from burnkit.intmath import ceil_sqrt
 from burnkit import solver
 from burnkit.solver import (
     MAX_EXACT_VERTICES,
     MAX_ROUNDS,
     Inconclusive,
     SequenceCheck,
+    _Budget,
     _Prepared,
+    _cover,
     _greedy_upper,
     _to_sequence,
     burning_number_exact,
@@ -45,6 +51,22 @@ def small_graphs(draw, max_n=9):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
     return Graph(n, edges)
+
+
+@st.composite
+def disconnected_graphs(draw, max_n=10):
+    """Two or three blocks with random edges inside each, so at least two
+    components; a block may itself fall apart."""
+    count = draw(st.integers(min_value=2, max_value=3))
+    blocks = [draw(st.integers(min_value=1, max_value=max_n // count)) for _ in range(count)]
+    edges = []
+    start = 0
+    for size in blocks:
+        pairs = [(u, v) for u in range(start, start + size) for v in range(u + 1, start + size)]
+        if pairs:
+            edges += draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+        start += size
+    return Graph(start, edges)
 
 
 class TestVerify:
@@ -124,7 +146,8 @@ class TestExact:
         assert a == b
 
     def test_refutation_below_value(self):
-        for spec in ("cycle:5", "uni:4;4,4", "forest:2,2", "path:10"):
+        j5 = [format_spec(LinearForest(parts)) for parts in sorted(J5) if sum(parts) <= 49]
+        for spec in ("cycle:5", "uni:4;4,4", "forest:2,2", "path:10", *j5):
             g = build(spec)
             value = burning_number_exact(g).value
             assert find_sequence(g, value - 1) is None
@@ -498,6 +521,36 @@ class TestGreedyAndBounds:
         res = burning_number_exact(g)
         assert res.value == 4  # one source per component, all radii wasted
 
+    def test_geodesic_forest_bound_exact_on_small_forests(self):
+        # a linear forest is its own longest geodesics, so the bound is b(G)
+        forests = [(a1, a2) for a1 in range(1, 40) for a2 in range(1, min(a1, 40 - a1) + 1)]
+        forests += [
+            (a1, a2, a3)
+            for a1 in range(1, 39)
+            for a2 in range(1, a1 + 1)
+            for a3 in range(1, min(a2, 40 - a1 - a2) + 1)
+        ]
+        for parts in forests:
+            res = burning_number_exact(build(LinearForest(parts)))
+            assert res.lower_bound == res.value, parts
+
+    @given(disconnected_graphs())
+    @settings(max_examples=40, deadline=None)
+    def test_lower_bound_sound_on_disconnected_graphs(self, g):
+        assert burning_number_exact(g).lower_bound <= brute_burning_number(g)
+
+    def test_greedy_sequence_closes_the_gap(self):
+        closed = 0
+        for desc in itertools.chain(enumerate_sweep("uni2", 14), enumerate_sweep("forest3", 14)):
+            g = build(desc)
+            res = burning_number_exact(g)
+            if res.lower_bound == res.upper_bound:
+                closed += 1
+                assert res.value == res.lower_bound
+                assert res.certificate == _greedy_upper(_Prepared(g, max_radius=0))
+                assert verify_sequence(g, res.certificate)
+        assert closed >= 20
+
 
 class ReferencePrepared:
     """``_Prepared``'s distance matrix, eccentricities and diameter as they
@@ -624,3 +677,50 @@ class TestBallPreparation:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+def cover_node_counts(g):
+    """(k, nodes) of ``_cover`` at every level from the component and
+    geodesic bounds up to the value, nodes read off the budget."""
+    value = burning_number_exact(g).value
+    prep = _Prepared(g, max_radius=value - 1)
+    lower = max(len(graphs.connected_components(g)), ceil_sqrt(prep.diameter + 1))
+    counts = []
+    for k in range(lower, value + 1):
+        budget = _Budget(10**9)
+        found = _cover(prep, k, budget)
+        assert (found is not None) == (k == value)
+        counts.append((k, 10**9 - budget.remaining))
+    return counts
+
+
+def node_count_graphs():
+    for family_class in SWEEP_CLASSES:
+        for desc in enumerate_sweep(family_class, 16):
+            yield format_spec(desc), build(desc)
+    for rows in range(1, 7):
+        for cols in range(rows, 8):
+            yield f"grid:{rows}x{cols}", grid_graph(rows, cols)
+    rng = random.Random(15)
+    for index in range(10):
+        yield f"tree#{index}", random_tree(rng, rng.randint(30, 40))
+    for parts in sorted(J5):
+        if sum(parts) <= 36:
+            desc = LinearForest(parts)
+            yield format_spec(desc), build(desc)
+
+
+class TestNodeCounts:
+    # The cover search's node counts are deterministic and do not depend on
+    # the hardware; a kernel change that keeps the branching order keeps
+    # every count. 815 levels, 5,101 nodes.
+    DIGEST = "9f4177cacd5a5ada9e62649a1023a047c3a5b7a432eb826d7d66d8f6287ad7c3"
+
+    def test_frozen_node_counts(self):
+        rows = [
+            (name, k, nodes)
+            for name, g in node_count_graphs()
+            for k, nodes in cover_node_counts(g)
+        ]
+        assert len(rows) == 815
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.DIGEST
