@@ -9,9 +9,9 @@ k-1, ..., 0 whose centers are free (no distance condition, repeats
 allowed). The first level with a cover is therefore b(G), and the
 exhausted levels below it are the optimality proof. When the lower bound
 already meets the greedy upper bound, the greedy sequence is the
-certificate and no level is searched. On two or three components the
-lower bound includes one longest geodesic per component, an isometric
-linear forest decided exactly by ``structural.intervals_cover``.
+certificate and no level is searched. ``_bounds`` computes both bounds
+and is the one list of the lower bound's terms; ``find_sequence`` uses it
+only when its budget runs out.
 
 Cover search (``_cover``); its state is the uncovered-vertex mask and the
 unused-radii mask, and every cut keeps it complete:
@@ -471,9 +471,10 @@ def find_sequence(
     """Length-k burning sequence of ``g``, or None if none exists.
 
     The search is complete, so a None return is a proof that ``g`` admits
-    no length-k burning sequence. Raises Inconclusive when the node budget
-    runs out first; it carries the geodesic lower bound and the greedy
-    upper bound on the burning number.
+    no length-k burning sequence. When the node budget runs out first, the
+    lower bound of ``_bounds`` is computed: below it None is still a proof,
+    and otherwise Inconclusive carries that bound and the greedy upper
+    bound on the burning number.
     """
     if g.vertex_count < 1:
         raise ValueError("graph must have at least one vertex")
@@ -493,7 +494,11 @@ def find_sequence(
         # may not exist at all
         return _search(prep, k, state)
     except _BudgetExhausted:
-        raise Inconclusive(ceil_sqrt(prep.diameter + 1), len(_greedy_upper(prep))) from None
+        pass
+    lower, greedy = _bounds(prep, connected_components(g))
+    if k < lower:
+        return None  # a length-k sequence would give b(G) <= k
+    raise Inconclusive(lower, len(greedy))
 
 
 def _greedy_upper(prep: _Prepared) -> tuple[int, ...]:
@@ -531,77 +536,67 @@ def _greedy_upper(prep: _Prepared) -> tuple[int, ...]:
             return tuple(seq)
 
 
-def _structural_lower(g: Graph) -> int:
-    """Counting lower bound for graphs with at most one branch vertex.
+def _bounds(prep: _Prepared, components: list[list[int]]) -> tuple[int, tuple[int, ...]]:
+    """A rigorous lower bound on b(G), and the greedy sequence, whose length
+    is the upper bound. The lower bound is the largest of these terms:
 
-    In any rooted tree partition all parts are paths (|T| <= 2h+1) except
-    possibly the one holding the unique vertex of degree s >= 3, which has
-    |T| <= 2h+1+(s-2)h. Summing over heights k-1..0 gives
-    n <= k^2 + (s-2)(k-1).
+      * components: every component needs a source of its own;
+      * geodesic: a longest geodesic is an isometric path of diameter + 1
+        vertices, and a path of m vertices burns in ceil(sqrt(m)) rounds;
+      * one-hub counting, when at most one vertex has degree s >= 3: in a
+        rooted tree partition every part is a path (|T| <= 2h+1) except
+        possibly the one holding that vertex (|T| <= 2h+1+(s-2)h), so
+        summing over heights k-1..0 gives n <= k^2 + (s-2)(k-1), with
+        s = 2 when no vertex has degree 3 or more;
+      * geodesic forest, on two or three components: one longest geodesic
+        per component is an isometric linear forest, and a ball of radius s
+        meets a geodesic in at most 2s+1 consecutive vertices, so intervals
+        of sizes {2s+1 : s < k}, each used once, cover those paths. The
+        cover is decided exactly (``structural.intervals_cover``); burning
+        linear forests is NP-complete, so more parts are not tried;
+      * capacity: the largest balls of radii k-1..0 hold n vertices between
+        them. k climbs until they do, but not past the greedy length.
+
+    Layers are grown up to the bound, at most to the greedy length minus 1.
     """
-    hubs = [v for v in range(g.vertex_count) if g.degree(v) >= 3]
-    if len(hubs) > 1:
-        return 1
-    extra = 0 if not hubs else g.degree(hubs[0]) - 2
-    return counting_lower(g.vertex_count, extra)
-
-
-def _geodesic_forest_lower(prep: _Prepared, components: list[list[int]], lower: int) -> int:
-    """Least k >= ``lower`` at which intervals of sizes {2s+1 : s < k}, each
-    used once, cover paths of 1 + diameter vertices, one per component.
-
-    One longest geodesic per component is an isometric linear forest, and
-    a ball of radius s meets a geodesic in at most 2s+1 consecutive
-    vertices, so every burning sequence of G yields such a cover. The
-    cover is decided exactly (``structural.intervals_cover``).
-    """
-    parts = [1 + max(prep.ecc[v] for v in comp) for comp in components]
-    k = lower
-    while True:
-        _check_rounds(k)
-        if structural.intervals_cover(tuple(range(2 * k - 1, 0, -2)))(parts):
-            return k
-        k += 1
+    n = prep.n
+    lower = max(len(components), ceil_sqrt(prep.diameter + 1))
+    hubs = [len(adj) for adj in prep.adjacency if len(adj) >= 3]
+    if len(hubs) <= 1:
+        lower = max(lower, counting_lower(n, max(hubs, default=2) - 2))
+    if 2 <= len(components) <= 3:
+        parts = [1 + max(prep.ecc[v] for v in comp) for comp in components]
+        while not structural.intervals_cover(tuple(range(2 * lower - 1, 0, -2)))(parts):
+            lower += 1
+    greedy = _greedy_upper(prep)
+    while lower < len(greedy):
+        prep.extend(lower - 1)
+        if prep.capacity[lower - 1] >= n:
+            break
+        lower += 1
+    if lower > len(greedy):
+        raise AssertionError(f"lower bound {lower} above the greedy witness's {len(greedy)}")
+    return lower, greedy
 
 
 def burning_number_exact(g: Graph, budget: Optional[int] = None) -> BurnResult:
     """Minimum k admitting a valid burning sequence, with certificate.
 
-    Iterative deepening from a rigorous lower bound (component count,
-    longest geodesic, on two or three components one longest geodesic per
-    component, cover-capacity counting, branch-vertex counting); every
-    level below the returned value exhausted, which is the optimality
-    proof. When the lower bound meets the greedy upper bound, the greedy
-    sequence is the certificate and no level is searched. Raises
-    Inconclusive when the node budget runs out before the value is pinned
-    down; the exception carries bounds that are correct regardless.
+    Iterative deepening from the lower bound of ``_bounds``, which lists
+    its terms; every level below the returned value is exhausted, which is
+    the optimality proof. When the lower bound meets the greedy upper
+    bound, the greedy sequence is the certificate and no level is searched.
+    Raises Inconclusive when the node budget runs out before the value is
+    pinned down; the exception carries bounds that are correct regardless.
     """
-    n = g.vertex_count
-    if n < 1:
+    if g.vertex_count < 1:
         raise ValueError("graph must have at least one vertex")
 
     components = connected_components(g)
     _check_rounds(len(components))  # before any ball is grown
     prep = _Prepared(g, max_radius=0)
-    lower = max(
-        1,
-        len(components),
-        ceil_sqrt(prep.diameter + 1),
-        _structural_lower(g),
-    )
-    # burning linear forests is NP-complete, so only few parts are decided
-    if 2 <= len(components) <= 3:
-        lower = _geodesic_forest_lower(prep, components, lower)
-    upper_seq = _greedy_upper(prep)
+    lower, upper_seq = _bounds(prep, components)
     upper = len(upper_seq)
-
-    while lower < upper:
-        prep.extend(lower - 1)
-        if prep.capacity[lower - 1] >= n:
-            break
-        lower += 1
-    if lower > upper:
-        raise AssertionError(f"lower bound {lower} above the greedy witness's {upper}")
     if lower == upper:
         _check_rounds(upper)
         return BurnResult(

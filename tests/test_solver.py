@@ -21,7 +21,7 @@ from burnkit.graphs import (
     recognize_family,
 )
 from burnkit.intmath import ceil_sqrt
-from burnkit import solver
+from burnkit import solver, structural
 from burnkit.solver import (
     MAX_EXACT_VERTICES,
     MAX_ROUNDS,
@@ -131,10 +131,21 @@ class TestExact:
         assert res.value == brute_burning_number(g)
         assert verify_sequence(g, res.certificate)
 
-    @given(small_graphs(max_n=8), st.integers(min_value=1, max_value=4))
-    @settings(max_examples=30, deadline=None)
-    def test_find_sequence_agrees_with_bruteforce(self, g, k):
-        found = find_sequence(g, k)
+    @given(
+        small_graphs(max_n=8),
+        st.integers(min_value=1, max_value=4),
+        st.sampled_from([None, 1]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_find_sequence_agrees_with_bruteforce(self, g, k, budget):
+        try:
+            found = find_sequence(g, k, budget=budget)
+        except Inconclusive as exc:
+            # the budget ran out at or above the shared lower bound
+            res = burning_number_exact(g)
+            assert exc.lower_bound <= k
+            assert (exc.lower_bound, exc.upper_bound) == (res.lower_bound, res.upper_bound)
+            return
         assert (found is not None) == brute_burnable(g, k)
         if found is not None:
             assert len(found) == k and verify_sequence(g, found)
@@ -208,6 +219,21 @@ class TestExact:
         lower, upper = exc.value.lower_bound, exc.value.upper_bound
         assert lower <= burning_number_exact(g).value <= upper
         assert 1 < lower and upper < g.vertex_count  # tighter than [1, n]
+
+    @pytest.mark.parametrize(
+        "spec,k",
+        [
+            ("forest:58,19,4", 9),  # geodesic-forest bound 10
+            ("star:9,9,9,9", 5),  # one-hub counting bound 6
+        ],
+    )
+    def test_budgeted_find_sequence_below_the_bound_is_none(self, spec, k):
+        assert find_sequence(build(spec), k, budget=3) is None
+
+    def test_budgeted_find_sequence_at_the_bound_is_inconclusive(self):
+        with pytest.raises(Inconclusive) as exc:
+            find_sequence(build("forest:58,19,4"), 10, budget=3)
+        assert (exc.value.lower_bound, exc.value.upper_bound) == (10, 12)
 
 
 def grid_graph(rows, cols, perm=None):
@@ -430,6 +456,19 @@ def t_unicyclic(t, max_order):
                 yield TUnicyclic(g=g, arms=arms)
 
 
+def descending_tuples(max_sum, min_count):
+    """Every descending tuple of at least ``min_count`` positive parts that
+    sum to at most ``max_sum``."""
+
+    def rec(prefix, left, largest):
+        if len(prefix) >= min_count:
+            yield prefix
+        for part in range(min(largest, left), 0, -1):
+            yield from rec(prefix + (part,), left - part, part)
+
+    return rec((), max_sum, max_sum)
+
+
 def tree_legs(shape):
     """Legs of a recognised spider, or the one leg (n-1,) of a path."""
     if isinstance(shape, GeneralizedStar):
@@ -538,6 +577,19 @@ class TestGreedyAndBounds:
     @settings(max_examples=40, deadline=None)
     def test_lower_bound_sound_on_disconnected_graphs(self, g):
         assert burning_number_exact(g).lower_bound <= brute_burning_number(g)
+
+    def test_one_hub_counting_term_kept(self):
+        # no value moves without the counting term, so pin the bound itself
+        descs = [GeneralizedStar(legs) for legs in descending_tuples(15, 3)]
+        descs += [
+            TUnicyclic(g=cycle, arms=arms)
+            for cycle in range(3, 16)
+            for arms in descending_tuples(16 - cycle, 1)
+        ]
+        assert len(descs) == 1861
+        for desc in descs:
+            bound = structural.lower_bound(desc.arms, getattr(desc, "g", 0))
+            assert burning_number_exact(build(desc)).lower_bound >= bound, desc
 
     def test_greedy_sequence_closes_the_gap(self):
         closed = 0
