@@ -14,14 +14,15 @@ some sources' rows asks :func:`distance_rows` for just those.
 reads each component off the vertices it returns.
 
 Recognition finds the components once and, for a graph with one branch
-vertex, those of the graph minus that vertex once; the cycle of a
-unicyclic graph is read off the latter, not searched for separately.
+vertex, walks out of that vertex once along its paths (:func:`hub_legs`);
+the cycle of a unicyclic graph is the walk that comes back, not searched
+for separately.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO, Union
+from typing import Iterable, Iterator, Sequence, TextIO, Union
 
 from .intmath import ceil_sqrt
 
@@ -204,9 +205,9 @@ def recognize_family(g: Graph) -> FamilyDescriptor:
     reported as Cycle, never as a unicyclic graph with no arms. Among
     disconnected graphs only linear forests are recognized; everything
     else falls through to Other. A connected graph with one branch vertex
-    (the hub) and at most n edges is decided by one components pass over
-    g - hub: a generalized star, or a t-unicyclic graph whose cycle is
-    the component that meets the hub twice.
+    (the hub) and at most n edges is decided by one walk out of the hub
+    (:func:`hub_legs`): a generalized star, or a t-unicyclic graph whose
+    cycle is the walk that comes back to the hub.
     """
     n = g.vertex_count
     if n == 0:
@@ -227,19 +228,37 @@ def recognize_family(g: Graph) -> FamilyDescriptor:
     if len(hubs) > 1 or m > n:
         return Other()
 
-    # With one hub every component of g - hub is a path that meets the hub
-    # only at its ends. A component meeting it at both ends closes the
-    # cycle (m == n allows one); every other component is an arm.
-    hub = hubs[0]
-    neighbours = set(g.adjacency[hub])
-    cycle, arms = 0, []
-    for comp in connected_components(g, (hub,)):
-        if len(neighbours.intersection(comp)) == 2:
-            cycle = len(comp) + 1
+    arms, cycle = hub_legs(g.adjacency, hubs[0])
+    return TUnicyclic(cycle, arms) if cycle else GeneralizedStar(arms)
+
+
+def hub_legs(adjacency: Sequence[Sequence[int]], hub: int) -> tuple[tuple[int, ...], int]:
+    """The legs, descending, and the cycle length (0 for none) at ``hub``.
+
+    ``adjacency`` must be that of a connected graph whose only vertex of
+    degree 3 or more is ``hub`` and which has at most as many edges as
+    vertices. Then every other vertex has degree 1 or 2, so the walk from
+    each neighbour of the hub through degree-2 vertices ends at a leaf,
+    after a leg's vertices, or back at the hub, after the cycle's other
+    vertices; the cycle's far end is not walked again. O(n) in all.
+    """
+    legs = []
+    cycle = 0
+    far_end = None
+    for first in adjacency[hub]:
+        if first == far_end:
+            continue
+        prev, v, length = hub, first, 1
+        while len(adjacency[v]) == 2:
+            a, b = adjacency[v]
+            prev, v = v, (b if a == prev else a)
+            length += 1
+        if v == hub:  # length counts the hub too
+            cycle, far_end = length, prev
         else:
-            arms.append(len(comp))
-    arms.sort(reverse=True)
-    return TUnicyclic(cycle, tuple(arms)) if cycle else GeneralizedStar(tuple(arms))
+            legs.append(length)
+    legs.sort(reverse=True)
+    return tuple(legs), cycle
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,10 @@ exhausted levels below it are the optimality proof. When the lower bound
 already meets the greedy upper bound, the greedy sequence is the
 certificate and no level is searched. ``_bounds`` computes both bounds
 and is the one list of the lower bound's terms; ``find_sequence`` uses it
-only when its budget runs out.
+only when its budget runs out. On a graph with one hub (a spider, or a
+t-unicyclic graph) one term is ``structural``'s hub rule, which decides
+b(G) <= k exactly, so there the lower bound is the value unless the rule
+gives up at its state limit, and no level is left for the search to refute.
 
 Cover search (``_cover``); its state is the uncovered-vertex mask and the
 unused-radii mask, and every cut keeps it complete:
@@ -45,7 +48,10 @@ minimum among all optima.
 The unicyclic oracle (``unicyclic_spanning_upper``) takes only cycles and
 t-unicyclic graphs and decides them by ``structural``'s one-hub rule with
 the cycle length, one decision per k, so it builds no tree and shares no
-code with the search above.
+code with the ball-cover search. It does share ``structural.burns`` with
+the hub-rule term of the lower bound, so the rule is checked against the
+search in the tests, through the unbudgeted ``find_sequence``, which
+never computes that bound.
 """
 
 from __future__ import annotations
@@ -65,6 +71,7 @@ from .graphs import (
     TUnicyclic,
     connected_components,
     distance_rows,
+    hub_legs,
     recognize_family,
 )
 from .intmath import ceil_sqrt, counting_lower
@@ -80,6 +87,18 @@ EXACT = "exact"
 # CPython 3.11). Time grows with n times the eccentricities, so a larger
 # graph is refused before any ball is grown.
 MAX_EXACT_VERTICES = 2_000
+
+# The hub-rule term of the lower bound gives up after this many
+# interval-cover states, counted over all its levels; each state may stay
+# in the cover's failed set. Giving up took 0.02 s and a 0.6 MB
+# tracemalloc peak on uni:594;480,424,270,158,43 at k = 42, a level that
+# without a limit filled a 512 MB address space in 39 s, and at most
+# 0.32 s and 1.1 MB on 300 random spiders and t-unicyclic graphs of order
+# up to 2,000 with 3 to 600 legs (2-core x86-64, CPython 3.11). All
+# spiders and t-unicyclic graphs to order 26 and the uni1 and uni2 sweeps
+# to orders 60 and 46 need at most 76 states, spiders with three to six
+# legs to order 40 at most 285, and the benchmark's one-hub graphs 56.
+HUB_RULE_STATES = 20_000
 
 
 @dataclass(frozen=True)
@@ -554,21 +573,40 @@ def _bounds(prep: _Prepared, components: list[list[int]]) -> tuple[int, tuple[in
         of sizes {2s+1 : s < k}, each used once, cover those paths. The
         cover is decided exactly (``structural.intervals_cover``); burning
         linear forests is NP-complete, so more parts are not tried;
+      * hub rule, on a connected graph with one vertex of degree >= 3 and
+        at most n edges, while the terms above leave the bound below the
+        greedy length: the legs and the cycle come from one walk out of
+        the hub (``hub_legs``), and k climbs while ``structural.burns``,
+        which decides b(G) <= k exactly, refutes it, so the bound reaches
+        the value or the greedy length. The cover behind that decision is
+        NP-complete too, so the term gives up after ``HUB_RULE_STATES``
+        interval-cover states; the levels refuted by then stand;
       * capacity: the largest balls of radii k-1..0 hold n vertices between
         them. k climbs until they do, but not past the greedy length.
 
     Layers are grown up to the bound, at most to the greedy length minus 1.
     """
-    n = prep.n
+    n, adjacency = prep.n, prep.adjacency
     lower = max(len(components), ceil_sqrt(prep.diameter + 1))
-    hubs = [len(adj) for adj in prep.adjacency if len(adj) >= 3]
+    hubs = [v for v, adj in enumerate(adjacency) if len(adj) >= 3]
     if len(hubs) <= 1:
-        lower = max(lower, counting_lower(n, max(hubs, default=2) - 2))
+        degree = len(adjacency[hubs[0]]) if hubs else 2
+        lower = max(lower, counting_lower(n, degree - 2))
     if 2 <= len(components) <= 3:
         parts = [1 + max(prep.ecc[v] for v in comp) for comp in components]
         while not structural.intervals_cover(tuple(range(2 * lower - 1, 0, -2)))(parts):
             lower += 1
     greedy = _greedy_upper(prep)
+    # one hub, connected and at most n edges: a spider or a t-unicyclic graph
+    if (lower < len(greedy) and len(hubs) == 1 and len(components) == 1
+            and sum(map(len, adjacency)) <= 2 * n):
+        legs, cycle = hub_legs(adjacency, hubs[0])
+        tick = _Budget(HUB_RULE_STATES).tick
+        try:
+            while lower < len(greedy) and not structural.burns(legs, lower, cycle, tick):
+                lower += 1
+        except _BudgetExhausted:
+            pass  # the levels refuted so far stand; the search decides the rest
     while lower < len(greedy):
         prep.extend(lower - 1)
         if prep.capacity[lower - 1] >= n:
@@ -695,8 +733,10 @@ def unicyclic_spanning_upper(g: Graph) -> int:
     k deepens from ``structural.lower_bound(arms, g)`` to the first k that
     ``structural.burns(arms, k, g)`` accepts. That is the minimum of b(T)
     over G's spanning trees T, its g edge-deleted spiders (proof in the
-    ``structural`` docstring), which is b(G): an independent second oracle,
-    not merely an upper bound. Raises ValueError for a graph that is
+    ``structural`` docstring), which is b(G): a second oracle, not merely
+    an upper bound, independent of the ball-cover search but not of the
+    hub-rule term of ``_bounds``, which calls the same ``structural.burns``.
+    Raises ValueError for a graph that is
     neither a cycle nor t-unicyclic, or that needs a search above
     ``MAX_ROUNDS`` rounds.
     """

@@ -32,26 +32,33 @@ so ``burns`` takes at most ``MAX_ROUNDS`` rounds.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Optional
 
 from .intmath import ceil_sqrt, counting_lower
 
 MAX_ROUNDS = 500  # each cover search recurses once per round; the default frame limit is 1000
 
 
-def intervals_cover(sizes: tuple[int, ...]) -> Callable[[Iterable[int]], bool]:
+def intervals_cover(
+    sizes: tuple[int, ...], tick: Optional[Callable[[], None]] = None
+) -> Callable[[Iterable[int]], bool]:
     """A test of whether intervals of ``sizes`` cover paths of given orders.
 
     ``sizes`` must be descending; each size is used at most once, on one
     path. Sizes are assigned largest first to the demands still open, and
     a state (index, sorted demands) fails at once when the sizes left sum
     to less than the demand or when it failed in an earlier call.
+    ``tick``, when given, is called once per state visited; whatever it
+    raises abandons the test, so a caller bounds the time and the memory
+    of the failed states by raising after a number of calls.
     """
     # left[i]: total of sizes[i:]
     left = list(accumulate(reversed(sizes), initial=0))[::-1]
     failed: set[tuple[int, tuple[int, ...]]] = set()
 
     def rec(i: int, demands: tuple[int, ...]) -> bool:
+        if tick is not None:
+            tick()
         if not demands:
             return True
         if left[i] < sum(demands) or (i, demands) in failed:
@@ -93,14 +100,19 @@ def _path_lower(legs: tuple[int, ...], cycle: int) -> int:
     return ceil_sqrt(a1 + a2 + 1)
 
 
-def burns(legs: tuple[int, ...], k: int, cycle: int = 0) -> bool:
+def burns(
+    legs: tuple[int, ...],
+    k: int,
+    cycle: int = 0,
+    tick: Optional[Callable[[], None]] = None,
+) -> bool:
     """True iff the one-hub graph with positive ``legs`` burns in at most k rounds.
 
     ``cycle`` is the length g of the cycle through the hub, 0 for none. A
     graph with a spanning path (a path, or a cycle with at most one leg)
     burns in ceil(sqrt(n)) rounds, and a path or a bare cycle in no fewer,
     so neither needs a search; any other search raises ValueError for k
-    above ``MAX_ROUNDS``.
+    above ``MAX_ROUNDS``. ``tick`` goes to every ``intervals_cover`` test.
     """
     n = max(cycle, 1) + sum(legs)
     if len(legs) <= (1 if cycle else 2) and ceil_sqrt(n) <= k:
@@ -111,7 +123,7 @@ def burns(legs: tuple[int, ...], k: int, cycle: int = 0) -> bool:
         raise ValueError(f"one-hub decision supports at most {MAX_ROUNDS} rounds, got {k}")
     distinct = sorted(set(legs), reverse=True)
     for r in range(k - 1, -1, -1):
-        covers = intervals_cover(tuple(2 * s + 1 for s in range(k - 1, -1, -1) if s != r))
+        covers = intervals_cover(tuple(2 * s + 1 for s in range(k - 1, -1, -1) if s != r), tick)
         for d in range(r + 1):
             for a in distinct if d else distinct[:1]:
                 if a < d:

@@ -10,6 +10,8 @@ from burnkit.families import build
 from burnkit.graphs import write_graph
 from burnkit.solver import verify_sequence
 
+from .test_solver import grid_graph
+
 
 def write_family(tmp_path, spec, name="g.txt"):
     path = tmp_path / name
@@ -161,9 +163,12 @@ class TestCmdCompute:
             main(["compute"])
         assert exc.value.code == 2
 
-    def test_budget_env_inconclusive(self, capsys, monkeypatch):
+    def test_budget_env_inconclusive(self, tmp_path, capsys, monkeypatch):
+        # a grid's bounds are [4, 5], so level 4 is searched
+        path = tmp_path / "grid.txt"
+        write_graph(grid_graph(6, 6), str(path))
         monkeypatch.setenv("BURNKIT_NODE_BUDGET", "2")
-        rc = main(["compute", "--family", "uni:9;10,2", "--method", "exact"])
+        rc = main(["compute", "--file", str(path), "--method", "exact"])
         assert rc == 3
         assert "inconclusive" in capsys.readouterr().err
 

@@ -167,6 +167,59 @@ def reference_recognize(g):
     return Other()
 
 
+def components_recognize(g):
+    """recognize_family as it was before the walk out of the hub: one
+    components pass over g - hub, the cycle being the component that meets
+    the hub twice."""
+    n = g.vertex_count
+    if n == 0:
+        return Other()
+    comps = connected_components(g)
+    m = g.edge_count
+    hubs = [v for v in range(n) if g.degree(v) >= 3]
+    if len(comps) > 1:
+        if hubs or m != n - len(comps):
+            return Other()
+        return LinearForest(tuple(sorted((len(c) for c in comps), reverse=True)))
+    if not hubs:
+        return Path(n) if m == n - 1 else Cycle(n)
+    if len(hubs) > 1 or m > n:
+        return Other()
+    hub = hubs[0]
+    neighbours = set(g.adjacency[hub])
+    cycle, arms = 0, []
+    for comp in connected_components(g, (hub,)):
+        if len(neighbours.intersection(comp)) == 2:
+            cycle = len(comp) + 1
+        else:
+            arms.append(len(comp))
+    arms.sort(reverse=True)
+    return TUnicyclic(cycle, tuple(arms)) if cycle else GeneralizedStar(tuple(arms))
+
+
+def descending_tuples(max_sum, min_count):
+    """Every descending tuple of at least ``min_count`` positive parts that
+    sum to at most ``max_sum``."""
+
+    def rec(prefix, left, largest):
+        if len(prefix) >= min_count:
+            yield prefix
+        for part in range(min(largest, left), 0, -1):
+            yield from rec(prefix + (part,), left - part, part)
+
+    return rec((), max_sum, max_sum)
+
+
+def one_hub_shapes(max_order):
+    """Every generalized star and t-unicyclic graph (t >= 1) of order at
+    most ``max_order``."""
+    for legs in descending_tuples(max_order - 1, 3):
+        yield GeneralizedStar(legs)
+    for cycle in range(3, max_order):
+        for arms in descending_tuples(max_order - cycle, 1):
+            yield TUnicyclic(g=cycle, arms=arms)
+
+
 def grid(rows, cols):
     edges = [(i * cols + j, i * cols + j + 1) for i in range(rows) for j in range(cols - 1)]
     edges += [(i * cols + j, (i + 1) * cols + j) for i in range(rows - 1) for j in range(cols)]
@@ -354,6 +407,19 @@ class TestRecognize:
         rng.shuffle(perm)
         g = relabelled(build(desc), perm)
         assert recognize_family(g) == reference_recognize(g) == desc
+        assert components_recognize(g) == desc
+
+    def test_one_hub_walk_matches_components(self):
+        rng = random.Random(20)
+        count = 0
+        for desc in one_hub_shapes(20):
+            g = build(desc)
+            perm = list(range(g.vertex_count))
+            rng.shuffle(perm)
+            for h in (g, relabelled(g, perm)):
+                assert recognize_family(h) == components_recognize(h) == desc
+            count += 1
+        assert count == 6541
 
     @pytest.mark.parametrize(
         "g",

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -11,6 +12,7 @@ from burnkit import graphs
 from burnkit.families import SWEEP_CLASSES, build, enumerate_sweep, format_spec
 from burnkit.formulas import J5
 from burnkit.graphs import (
+    Cycle,
     GeneralizedStar,
     Graph,
     LinearForest,
@@ -29,6 +31,7 @@ from burnkit.solver import (
     SequenceCheck,
     _Budget,
     _Prepared,
+    _bounds,
     _cover,
     _greedy_upper,
     _to_sequence,
@@ -42,7 +45,7 @@ from burnkit.solver import (
 )
 
 from .oracle import brute_burnable, brute_burning_number
-from .test_graphs import reference_cycle_vertices, reference_matrix
+from .test_graphs import one_hub_shapes, reference_cycle_vertices, reference_matrix
 
 
 @st.composite
@@ -164,7 +167,7 @@ class TestExact:
             assert find_sequence(g, value - 1) is None
 
     def test_budget_exhaustion_is_inconclusive(self):
-        g = build("uni:9;10,2")
+        g = grid_graph(6, 6)  # bounds [4, 5], so level 4 is searched
         with pytest.raises(Inconclusive) as exc:
             burning_number_exact(g, budget=3)
         assert exc.value.lower_bound <= 5 <= exc.value.upper_bound
@@ -213,7 +216,7 @@ class TestExact:
             burning_number_exact(build(f"path:{MAX_EXACT_VERTICES}"))
 
     def test_find_sequence_inconclusive_carries_real_bounds(self):
-        g = build("uni:9;10,2")
+        g = grid_graph(6, 6)
         with pytest.raises(Inconclusive) as exc:
             find_sequence(g, 4, budget=3)
         lower, upper = exc.value.lower_bound, exc.value.upper_bound
@@ -456,19 +459,6 @@ def t_unicyclic(t, max_order):
                 yield TUnicyclic(g=g, arms=arms)
 
 
-def descending_tuples(max_sum, min_count):
-    """Every descending tuple of at least ``min_count`` positive parts that
-    sum to at most ``max_sum``."""
-
-    def rec(prefix, left, largest):
-        if len(prefix) >= min_count:
-            yield prefix
-        for part in range(min(largest, left), 0, -1):
-            yield from rec(prefix + (part,), left - part, part)
-
-    return rec((), max_sum, max_sum)
-
-
 def tree_legs(shape):
     """Legs of a recognised spider, or the one leg (n-1,) of a path."""
     if isinstance(shape, GeneralizedStar):
@@ -578,18 +568,27 @@ class TestGreedyAndBounds:
     def test_lower_bound_sound_on_disconnected_graphs(self, g):
         assert burning_number_exact(g).lower_bound <= brute_burning_number(g)
 
-    def test_one_hub_counting_term_kept(self):
-        # no value moves without the counting term, so pin the bound itself
-        descs = [GeneralizedStar(legs) for legs in descending_tuples(15, 3)]
-        descs += [
-            TUnicyclic(g=cycle, arms=arms)
-            for cycle in range(3, 16)
-            for arms in descending_tuples(16 - cycle, 1)
-        ]
+    def test_one_hub_counting_term_kept(self, monkeypatch):
+        # no value moves without the counting term, so pin the bound itself;
+        # the hub rule gives up at once, so it cannot stand in for the term
+        monkeypatch.setattr(solver, "HUB_RULE_STATES", 0)
+        descs = list(one_hub_shapes(16))
         assert len(descs) == 1861
         for desc in descs:
             bound = structural.lower_bound(desc.arms, getattr(desc, "g", 0))
             assert burning_number_exact(build(desc)).lower_bound >= bound, desc
+
+    def test_one_hub_lower_bound_is_the_value(self):
+        # the hub rule leaves no level to refute; the unbudgeted search,
+        # which never computes the bound, checks both sides of the value
+        descs = [Cycle(n) for n in range(3, 17)] + list(one_hub_shapes(16))
+        for desc in descs:
+            g = build(desc)
+            res = burning_number_exact(g)
+            assert res.lower_bound == res.value, desc
+            assert find_sequence(g, res.value - 1) is None, desc
+            found = find_sequence(g, res.value)
+            assert found is not None and verify_sequence(g, found), desc
 
     def test_greedy_sequence_closes_the_gap(self):
         closed = 0
@@ -602,6 +601,43 @@ class TestGreedyAndBounds:
                 assert res.certificate == _greedy_upper(_Prepared(g, max_radius=0))
                 assert verify_sequence(g, res.certificate)
         assert closed >= 20
+
+
+class TestHubRule:
+    def test_raises_the_bound_to_the_value(self, monkeypatch):
+        g = build("uni:24;16,6")
+        res = burning_number_exact(g)
+        assert res.lower_bound == res.value == 7
+        # without the rule the other terms stop at 6 and a level is searched
+        monkeypatch.setattr(solver, "HUB_RULE_STATES", 0)
+        dropped = burning_number_exact(g)
+        assert (dropped.value, dropped.lower_bound) == (7, 6)
+        assert dropped.upper_bound == res.upper_bound
+        assert verify_sequence(g, dropped.certificate)
+
+    def test_state_limit_bounds_a_hard_level(self):
+        # At k = 42 the counting bound is tight (42^2 + 5 * 41 = 1,969 = n).
+        # Without the state limit, deciding that level filled a 512 MB
+        # address space with failed states in 39 s. The rule gives up, and
+        # the other terms stand.
+        g = build("uni:594;480,424,270,158,43")
+        start = time.perf_counter()
+        with pytest.raises(Inconclusive) as exc:
+            burning_number_exact(g, budget=1)
+        assert time.perf_counter() - start < 30
+        assert (exc.value.lower_bound, exc.value.upper_bound) == (42, 48)
+        # the balls the bound reads are grown first, so only the bound's
+        # own allocations are traced
+        prep = _Prepared(g, max_radius=41)
+        components = graphs.connected_components(g)
+        tracemalloc.start()
+        try:
+            lower, greedy = _bounds(prep, components)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (lower, len(greedy)) == (42, 48)
+        assert peak < 4 * 2**20
 
 
 class ReferencePrepared:
@@ -700,7 +736,7 @@ class TestBallPreparation:
             assert_matches_reference(random_tree(rng, rng.randint(50, 80)), max_radius=0)
 
     def test_no_distance_matrix_needed(self, monkeypatch):
-        g = build("uni:9;10,2")
+        g = grid_graph(6, 6)  # a refuted level below the value
         value = burning_number_exact(g).value
 
         def fail(*args, **kwargs):

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from burnkit import families, solver, structural
 from burnkit.families import build, enumerate_sweep
 from burnkit.formulas import b_three_paths, b_two_paths
-from burnkit.graphs import Cycle, GeneralizedStar, Path, TUnicyclic
+from burnkit.graphs import Cycle, GeneralizedStar, Path, TUnicyclic, distance_matrix
 from burnkit.intmath import ceil_sqrt
-from burnkit.solver import burning_number_exact, unicyclic_spanning_upper
+from burnkit.solver import find_sequence, unicyclic_spanning_upper
 from burnkit.structural import MAX_ROUNDS
 
 from .test_solver import reference_tree_shapes, t_unicyclic, tree_legs
@@ -41,9 +41,23 @@ def cover_tests():
     return functools.cache(lambda k: structural.intervals_cover(tuple(range(2 * k - 1, 0, -2))))
 
 
+def search_value(g):
+    """b of a connected graph by deepening with unbudgeted ``find_sequence``.
+
+    Unbudgeted, ``find_sequence`` never computes the solver's lower bound,
+    so the one-hub rule that bound applies is checked here against the
+    ball-cover search, not against itself. The deepening starts at the
+    geodesic bound: a longest geodesic is an isometric path.
+    """
+    k = ceil_sqrt(1 + max(map(max, distance_matrix(g))))
+    while find_sequence(g, k) is None:
+        k += 1
+    return k
+
+
 def reference_tree_value(shape):
-    """The oracle's former per-shape value: exact search on the built tree."""
-    return burning_number_exact(families.build(shape)).value
+    """The oracle's former per-shape value, from the search on the built tree."""
+    return search_value(families.build(shape))
 
 
 def reference_intervals_cover(parts, sizes):
@@ -157,6 +171,25 @@ class TestSpiders:
                 if expected and value is None:
                     value = k
                 k += 1
+
+    def test_tick_changes_no_answer(self):
+        # one tick per interval-cover state; a search runs below the value
+        for legs, cycle in [*((legs, 0) for legs in spiders(3, 16)), ((4, 3), 9), ((5, 2, 2), 6)]:
+            for k in range(1, structural.lower_bound(legs, cycle) + 3):
+                ticks = []
+                answer = structural.burns(legs, k, cycle, lambda: ticks.append(k))
+                assert answer is structural.burns(legs, k, cycle), (legs, cycle, k)
+                assert ticks or k >= structural.lower_bound(legs, cycle), (legs, cycle, k)
+
+    def test_tick_abandons_the_decision(self):
+        class Stop(Exception):
+            pass
+
+        def stop():
+            raise Stop
+
+        with pytest.raises(Stop):
+            structural.burns((480, 424, 270, 158, 43), 42, 594, stop)
 
     def test_burns_iff_k_reaches_value(self):
         for legs in spiders(3, 20):
@@ -303,7 +336,7 @@ class TestSpanningOracle:
     def test_cycle_mode_burns_iff_k_reaches_value(self, spec):
         desc = families.parse_spec(spec)
         arms = getattr(desc, "arms", ())
-        value = burning_number_exact(build(desc)).value
+        value = search_value(build(desc))
         assert not any(structural.burns(arms, k, desc.g) for k in range(1, value)), spec
         assert all(structural.burns(arms, k, desc.g) for k in range(value, value + 3)), spec
 
