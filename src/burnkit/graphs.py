@@ -232,33 +232,42 @@ def recognize_family(g: Graph) -> FamilyDescriptor:
     return TUnicyclic(cycle, arms) if cycle else GeneralizedStar(arms)
 
 
-def hub_legs(adjacency: Sequence[Sequence[int]], hub: int) -> tuple[tuple[int, ...], int]:
-    """The legs, descending, and the cycle length (0 for none) at ``hub``.
+def hub_walks(adjacency: Sequence[Sequence[int]], hub: int) -> tuple[list[list[int]], list[int]]:
+    """The vertices of each leg at ``hub``, from the hub outwards, and of
+    the cycle through it, from one neighbour of the hub round to the other
+    ([] for none).
 
-    ``adjacency`` must be that of a connected graph whose only vertex of
-    degree 3 or more is ``hub`` and which has at most as many edges as
-    vertices. Then every other vertex has degree 1 or 2, so the walk from
-    each neighbour of the hub through degree-2 vertices ends at a leaf,
-    after a leg's vertices, or back at the hub, after the cycle's other
-    vertices; the cycle's far end is not walked again. O(n) in all.
+    ``adjacency`` must be that of a connected graph in which every vertex
+    but ``hub`` has degree 1 or 2 and which has at most as many edges as
+    vertices: a one-hub graph, or a path or a cycle with any vertex as the
+    hub. Then the walk from each neighbour of the hub through degree-2
+    vertices ends at a leaf, after a leg's vertices, or back at the hub,
+    after the cycle's other vertices; the cycle's far end is not walked
+    again. Legs come in the hub's neighbour order. O(n) in all.
     """
-    legs = []
-    cycle = 0
-    far_end = None
+    legs: list[list[int]] = []
+    cycle: list[int] = []
     for first in adjacency[hub]:
-        if first == far_end:
+        if cycle and first == cycle[-1]:
             continue
-        prev, v, length = hub, first, 1
-        while len(adjacency[v]) == 2:
+        prev, v, walk = hub, first, [first]
+        while v != hub and len(adjacency[v]) == 2:
             a, b = adjacency[v]
             prev, v = v, (b if a == prev else a)
-            length += 1
-        if v == hub:  # length counts the hub too
-            cycle, far_end = length, prev
+            walk.append(v)
+        if v == hub:
+            cycle = walk[:-1]
         else:
-            legs.append(length)
-    legs.sort(reverse=True)
-    return tuple(legs), cycle
+            legs.append(walk)
+    return legs, cycle
+
+
+def hub_legs(adjacency: Sequence[Sequence[int]], hub: int) -> tuple[tuple[int, ...], int]:
+    """The leg lengths, descending, and the cycle length (0 for none) at
+    ``hub``, read off :func:`hub_walks`."""
+    legs, cycle = hub_walks(adjacency, hub)
+    lengths = tuple(sorted(map(len, legs), reverse=True))
+    return lengths, len(cycle) + 1 if cycle else 0
 
 
 # --------------------------------------------------------------------------

@@ -11,10 +11,19 @@ exhausted levels below it are the optimality proof. When the lower bound
 already meets the greedy upper bound, the greedy sequence is the
 certificate and no level is searched. ``_bounds`` computes both bounds
 and is the one list of the lower bound's terms; ``find_sequence`` uses it
-only when its budget runs out. On a graph with one hub (a spider, or a
-t-unicyclic graph) one term is ``structural``'s hub rule, which decides
-b(G) <= k exactly, so there the lower bound is the value unless the rule
-gives up at its state limit, and no level is left for the search to refute.
+only when its budget runs out.
+
+Before any ball is grown, the structural route (``_route``) takes the
+graphs that ``structural`` decides exactly: connected graphs with at most
+one vertex of degree 3 or more and at most n edges (paths, cycles,
+spiders, t-unicyclic graphs), and linear forests. One walk out of the hub,
+or along each path, gives the vertex ids; k deepens with the one-hub rule
+or the interval cover, and the cover at the first accepted k is turned
+into the certificate on walk coordinates (``_walk_sequence``), with no
+distance computed. A routed result has lower bound, value and upper bound
+equal and spends no search nodes. The covers are NP-complete to decide,
+so the route gives up after ``HUB_RULE_STATES`` interval-cover states;
+the levels it refuted by then are a floor for the ball search.
 
 Cover search (``_cover``); its state is the uncovered-vertex mask and the
 unused-radii mask, and every cut keeps it complete:
@@ -48,10 +57,10 @@ minimum among all optima.
 The unicyclic oracle (``unicyclic_spanning_upper``) takes only cycles and
 t-unicyclic graphs and decides them by ``structural``'s one-hub rule with
 the cycle length, one decision per k, so it builds no tree and shares no
-code with the ball-cover search. It does share ``structural.burns`` with
-the hub-rule term of the lower bound, so the rule is checked against the
-search in the tests, through the unbudgeted ``find_sequence``, which
-never computes that bound.
+code with the ball-cover search. It does share that rule with the
+structural route, so the rule is checked against the search in the
+tests, through the unbudgeted ``find_sequence``, which never runs the
+route.
 """
 
 from __future__ import annotations
@@ -62,7 +71,7 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import structural
 from .graphs import (
@@ -71,7 +80,7 @@ from .graphs import (
     TUnicyclic,
     connected_components,
     distance_rows,
-    hub_legs,
+    hub_walks,
     recognize_family,
 )
 from .intmath import ceil_sqrt, counting_lower
@@ -88,16 +97,18 @@ EXACT = "exact"
 # graph is refused before any ball is grown.
 MAX_EXACT_VERTICES = 2_000
 
-# The hub-rule term of the lower bound gives up after this many
-# interval-cover states, counted over all its levels; each state may stay
-# in the cover's failed set. Giving up took 0.02 s and a 0.6 MB
+# The structural route, on one-hub graphs and on linear forests, gives up
+# after this many interval-cover states, counted over all its levels; each
+# state may stay in the cover's failed set. Giving up took 0.02 s and a 0.6 MB
 # tracemalloc peak on uni:594;480,424,270,158,43 at k = 42, a level that
 # without a limit filled a 512 MB address space in 39 s, and at most
 # 0.32 s and 1.1 MB on 300 random spiders and t-unicyclic graphs of order
-# up to 2,000 with 3 to 600 legs (2-core x86-64, CPython 3.11). All
-# spiders and t-unicyclic graphs to order 26 and the uni1 and uni2 sweeps
-# to orders 60 and 46 need at most 76 states, spiders with three to six
-# legs to order 40 at most 285, and the benchmark's one-hub graphs 56.
+# up to 2,000 with 3 to 600 legs (2-core x86-64, CPython 3.11). Deciding
+# every level up to the value, the route needs at most 76 states on all
+# spiders and t-unicyclic graphs to order 20, the uni1 and uni2 sweeps to
+# orders 60 and 46, the forest3 sweep to order 40 and all linear forests
+# to order 18, at most 285 on spiders with three to six legs to order 40,
+# and at most 57 on the benchmark's one-hub graphs and forests.
 HUB_RULE_STATES = 20_000
 
 
@@ -107,6 +118,9 @@ class BurnResult:
 
     Invariant: lower_bound <= value <= upper_bound, and the certificate,
     when present, is a valid burning sequence of length exactly ``value``.
+    From the exact solver, ``upper_bound`` is the length of the greedy
+    sequence, except on a graph the structural route answers, where both
+    bounds are the value and the certificate is the route's.
     """
 
     value: int
@@ -199,6 +213,14 @@ def _check_rounds(k: int) -> None:
         )
 
 
+def _check_vertices(n: int) -> None:
+    if n > MAX_EXACT_VERTICES:
+        raise ValueError(
+            f"exact search supports at most {MAX_EXACT_VERTICES} vertices; "
+            f"this graph has {n}"
+        )
+
+
 class _Budget:
     __slots__ = ("remaining",)
 
@@ -224,11 +246,7 @@ class _Prepared:
 
     def __init__(self, g: Graph, max_radius: int):
         n = g.vertex_count
-        if n > MAX_EXACT_VERTICES:
-            raise ValueError(
-                f"exact search supports at most {MAX_EXACT_VERTICES} vertices; "
-                f"this graph has {n}"
-            )
+        _check_vertices(n)
         self.n = n
         self.full = (1 << n) - 1
         self.adjacency = g.adjacency
@@ -491,9 +509,11 @@ def find_sequence(
 
     The search is complete, so a None return is a proof that ``g`` admits
     no length-k burning sequence. When the node budget runs out first, the
-    lower bound of ``_bounds`` is computed: below it None is still a proof,
-    and otherwise Inconclusive carries that bound and the greedy upper
-    bound on the burning number.
+    bounds ``burning_number_exact`` reports are computed: the structural
+    route's value and certificate, or the lower bound of ``_bounds`` and
+    the greedy sequence. A sequence among them of length exactly k is
+    returned; below the lower bound None is still a proof, and otherwise
+    Inconclusive carries both bounds.
     """
     if g.vertex_count < 1:
         raise ValueError("graph must have at least one vertex")
@@ -514,10 +534,15 @@ def find_sequence(
         return _search(prep, k, state)
     except _BudgetExhausted:
         pass
-    lower, greedy = _bounds(prep, connected_components(g))
+    components = connected_components(g)
+    lower, known = _route(g, components)
+    if known is None:
+        lower, known = _bounds(prep, components, lower)
+    if len(known) == k:
+        return known
     if k < lower:
         return None  # a length-k sequence would give b(G) <= k
-    raise Inconclusive(lower, len(greedy))
+    raise Inconclusive(lower, len(known))
 
 
 def _greedy_upper(prep: _Prepared) -> tuple[int, ...]:
@@ -555,10 +580,15 @@ def _greedy_upper(prep: _Prepared) -> tuple[int, ...]:
             return tuple(seq)
 
 
-def _bounds(prep: _Prepared, components: list[list[int]]) -> tuple[int, tuple[int, ...]]:
+def _bounds(
+    prep: _Prepared, components: list[list[int]], floor: int
+) -> tuple[int, tuple[int, ...]]:
     """A rigorous lower bound on b(G), and the greedy sequence, whose length
     is the upper bound. The lower bound is the largest of these terms:
 
+      * route floor: ``floor``, the first level the structural route
+        (``_route``) did not refute before it gave up, 1 for a graph it
+        does not take;
       * components: every component needs a source of its own;
       * geodesic: a longest geodesic is an isometric path of diameter + 1
         vertices, and a path of m vertices burns in ceil(sqrt(m)) rounds;
@@ -573,21 +603,13 @@ def _bounds(prep: _Prepared, components: list[list[int]]) -> tuple[int, tuple[in
         of sizes {2s+1 : s < k}, each used once, cover those paths. The
         cover is decided exactly (``structural.intervals_cover``); burning
         linear forests is NP-complete, so more parts are not tried;
-      * hub rule, on a connected graph with one vertex of degree >= 3 and
-        at most n edges, while the terms above leave the bound below the
-        greedy length: the legs and the cycle come from one walk out of
-        the hub (``hub_legs``), and k climbs while ``structural.burns``,
-        which decides b(G) <= k exactly, refutes it, so the bound reaches
-        the value or the greedy length. The cover behind that decision is
-        NP-complete too, so the term gives up after ``HUB_RULE_STATES``
-        interval-cover states; the levels refuted by then stand;
       * capacity: the largest balls of radii k-1..0 hold n vertices between
         them. k climbs until they do, but not past the greedy length.
 
     Layers are grown up to the bound, at most to the greedy length minus 1.
     """
     n, adjacency = prep.n, prep.adjacency
-    lower = max(len(components), ceil_sqrt(prep.diameter + 1))
+    lower = max(floor, len(components), ceil_sqrt(prep.diameter + 1))
     hubs = [v for v, adj in enumerate(adjacency) if len(adj) >= 3]
     if len(hubs) <= 1:
         degree = len(adjacency[hubs[0]]) if hubs else 2
@@ -597,16 +619,6 @@ def _bounds(prep: _Prepared, components: list[list[int]]) -> tuple[int, tuple[in
         while not structural.intervals_cover(tuple(range(2 * lower - 1, 0, -2)))(parts):
             lower += 1
     greedy = _greedy_upper(prep)
-    # one hub, connected and at most n edges: a spider or a t-unicyclic graph
-    if (lower < len(greedy) and len(hubs) == 1 and len(components) == 1
-            and sum(map(len, adjacency)) <= 2 * n):
-        legs, cycle = hub_legs(adjacency, hubs[0])
-        tick = _Budget(HUB_RULE_STATES).tick
-        try:
-            while lower < len(greedy) and not structural.burns(legs, lower, cycle, tick):
-                lower += 1
-        except _BudgetExhausted:
-            pass  # the levels refuted so far stand; the search decides the rest
     while lower < len(greedy):
         prep.extend(lower - 1)
         if prep.capacity[lower - 1] >= n:
@@ -617,13 +629,139 @@ def _bounds(prep: _Prepared, components: list[list[int]]) -> tuple[int, tuple[in
     return lower, greedy
 
 
+# --------------------------------------------------------------------------
+# Structural route
+# --------------------------------------------------------------------------
+
+def _route(g: Graph, components: list[list[int]]) -> tuple[int, Optional[tuple[int, ...]]]:
+    """b(G) and a certificate for a one-hub graph or a linear forest, read
+    off its walks; otherwise a floor on b(G) and None.
+
+    A connected graph with at most one vertex of degree 3 or more and at
+    most n edges (a path, a cycle, a spider or a t-unicyclic graph) is
+    walked once out of that vertex (a path out of an end, a cycle out of
+    vertex 0), and k deepens from ``structural.lower_bound`` with
+    ``structural.hub_cover``. A linear forest is walked once along each
+    path, and k deepens from the larger of its number of parts and
+    ceil(sqrt(n)) with ``structural.forest_cover``. Both decide b(G) <= k
+    exactly and return the cover that proves it, so the first k with a
+    cover is b(G), and ``_walk_sequence`` turns that cover into the
+    certificate. Deciding those covers is NP-complete, so the route gives
+    up after ``HUB_RULE_STATES`` interval-cover states, or above
+    ``MAX_ROUNDS``, and then returns the first level it did not refute.
+    Any other graph gets the floor 1 after one pass over the degrees.
+    """
+    adjacency = g.adjacency
+    n = g.vertex_count
+    hubs = [v for v, adj in enumerate(adjacency) if len(adj) >= 3]
+    degrees = sum(map(len, adjacency))
+    if len(components) == 1 and len(hubs) <= 1 and degrees <= 2 * n:
+        hub = hubs[0] if hubs else next((v for v, adj in enumerate(adjacency) if len(adj) < 2), 0)
+        legs, ring = hub_walks(adjacency, hub)
+        # every walk starts at the hub; the cycle's, possibly empty, is last
+        walks = [[hub, *walk] for walk in (*legs, ring)]
+        lengths = tuple(map(len, legs))
+        cycle = len(ring) + 1 if ring else 0
+        k = structural.lower_bound(lengths, cycle)
+        decide = lambda k, tick: structural.hub_cover(lengths, k, cycle, tick)
+    elif not hubs and degrees == 2 * (n - len(components)):
+        hub, cycle = None, 0
+        walks = []
+        for comp in components:
+            # walked from an end, a path is that end and its one leg, if any
+            end = next(v for v in comp if len(adjacency[v]) < 2)
+            walks.append([end, *itertools.chain(*hub_walks(adjacency, end)[0])])
+        parts = tuple(map(len, walks))
+        k = max(len(parts), ceil_sqrt(n))
+        decide = lambda k, tick: structural.forest_cover(parts, k, tick)
+    else:
+        return 1, None
+    tick = _Budget(HUB_RULE_STATES).tick
+    try:
+        while k <= MAX_ROUNDS:
+            centers = decide(k, tick)
+            if centers is not None:
+                seq = _walk_sequence(walks, centers, hub is not None, cycle)
+                if len(seq) != k:
+                    # every level below k is refuted, so g cannot burn sooner
+                    raise AssertionError(f"cover at the first feasible level {k} gave {seq}")
+                return k, seq
+            k += 1
+    except _BudgetExhausted:
+        pass  # the levels refuted so far stand; the search decides the rest
+    return k, None
+
+
+def _walk_sequence(
+    walks: list[list[int]], centers: structural.Cover, hub: bool, cycle: int
+) -> tuple[int, ...]:
+    """Burning sequence from a cover on walks (``structural.Cover``), round
+    by round as ``_to_sequence`` makes it from a cover on vertex ids.
+
+    With ``hub`` every walk starts at one shared hub, and for ``cycle`` > 0
+    the last walk is the cycle through it, of that length; otherwise the
+    walks are the paths of a linear forest. What the sources so far have
+    burned is found from their coordinates alone, as spans of positions
+    on each walk: along a source's own walk (both ways round the cycle)
+    and, past the hub, a prefix of every other walk. A round whose center
+    is burned or None takes the first unburned position, hub first, then
+    walk by walk.
+    """
+    ring = len(walks) - 1 if cycle else -1
+    sources: list[tuple[int, int]] = []
+
+    def spans(b: int, i: int) -> Iterator[tuple[int, int]]:
+        """Spans of walk b that the sources have burned by round i."""
+        for m, (a, p) in enumerate(sources):
+            reach = i - 1 - m
+            if a != b:
+                if not hub:
+                    continue
+                reach -= min(p, cycle - p) if a == ring else p
+                p = 0
+            if reach < 0:
+                continue
+            low, high = p - reach, p + reach
+            if b != ring:
+                yield low, high
+            elif 2 * reach + 1 >= cycle:
+                yield 0, cycle - 1
+            else:
+                yield max(low, 0), min(high, cycle - 1)
+                if low < 0:
+                    yield low + cycle, cycle - 1
+                if high >= cycle:
+                    yield 0, high - cycle
+
+    def first_unburned(i: int) -> Optional[tuple[int, int]]:
+        for b, walk in enumerate(walks):
+            q = 1 if hub and b else 0  # the hub is checked on walk 0
+            for low, high in sorted(spans(b, i)):
+                if low > q:
+                    break
+                q = max(q, high + 1)
+            if q < len(walk):
+                return b, q
+        return None
+
+    for i, center in enumerate(centers):
+        if center is None or any(low <= center[1] <= high for low, high in spans(center[0], i)):
+            center = first_unburned(i)
+            if center is None:
+                break
+        sources.append(center)
+    return tuple(walks[b][p] for b, p in sources)
+
+
 def burning_number_exact(g: Graph, budget: Optional[int] = None) -> BurnResult:
     """Minimum k admitting a valid burning sequence, with certificate.
 
-    Iterative deepening from the lower bound of ``_bounds``, which lists
-    its terms; every level below the returned value is exhausted, which is
-    the optimality proof. When the lower bound meets the greedy upper
-    bound, the greedy sequence is the certificate and no level is searched.
+    The structural route answers one-hub graphs and linear forests first.
+    Otherwise, iterative deepening from the lower bound of ``_bounds``,
+    which lists its terms; every level below the returned value is
+    exhausted, which is the optimality proof. When the lower bound meets
+    the greedy upper bound, the greedy sequence is the certificate and no
+    level is searched.
     Raises Inconclusive when the node budget runs out before the value is
     pinned down; the exception carries bounds that are correct regardless.
     """
@@ -632,8 +770,18 @@ def burning_number_exact(g: Graph, budget: Optional[int] = None) -> BurnResult:
 
     components = connected_components(g)
     _check_rounds(len(components))  # before any ball is grown
+    _check_vertices(g.vertex_count)
+    lower, routed = _route(g, components)
+    if routed is not None:
+        return BurnResult(
+            value=lower,
+            method=EXACT,
+            lower_bound=lower,
+            upper_bound=lower,
+            certificate=routed,
+        )
     prep = _Prepared(g, max_radius=0)
-    lower, upper_seq = _bounds(prep, components)
+    lower, upper_seq = _bounds(prep, components, lower)
     upper = len(upper_seq)
     if lower == upper:
         _check_rounds(upper)
@@ -735,7 +883,7 @@ def unicyclic_spanning_upper(g: Graph) -> int:
     over G's spanning trees T, its g edge-deleted spiders (proof in the
     ``structural`` docstring), which is b(G): a second oracle, not merely
     an upper bound, independent of the ball-cover search but not of the
-    hub-rule term of ``_bounds``, which calls the same ``structural.burns``.
+    structural route of ``burning_number_exact``, which uses the same rule.
     Raises ValueError for a graph that is
     neither a cycle nor t-unicyclic, or that needs a search above
     ``MAX_ROUNDS`` rounds.

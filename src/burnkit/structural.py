@@ -24,37 +24,48 @@ two cycle suffixes, at least g-2c-1 vertices in all, that the deleted edge
 joins in G, and intervals covering the suffixes also cover the joined
 path; cutting the cycle path at an interval boundary gives an edge-deleted
 spider. Burning linear forests is NP-complete (Bessy et al. 2017);
-``burns`` builds one ``intervals_cover`` test per r, which keeps only
+``hub_cover`` builds one ``assign_intervals`` test per r, which keeps only
 failed states (a success ends the call) and recurses one frame per size,
-so ``burns`` takes at most ``MAX_ROUNDS`` rounds.
+so it takes at most ``MAX_ROUNDS`` rounds.
+
+Each decider returns the cover behind a yes, not just the yes:
+``assign_intervals`` the sizes it laid on each path, and ``hub_cover``
+and ``forest_cover`` the centers of the balls as positions along the
+graph's walks (``Cover``), which the solver turns into a certificate.
+``intervals_cover`` and ``burns`` are the same tests as bools.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional, Sequence
 
 from .intmath import ceil_sqrt, counting_lower
 
 MAX_ROUNDS = 500  # each cover search recurses once per round; the default frame limit is 1000
 
 
-def intervals_cover(
+def assign_intervals(
     sizes: tuple[int, ...], tick: Optional[Callable[[], None]] = None
-) -> Callable[[Iterable[int]], bool]:
-    """A test of whether intervals of ``sizes`` cover paths of given orders.
+) -> Callable[[Sequence[int]], Optional[list[list[int]]]]:
+    """A cover of paths of given orders by intervals of ``sizes``, or None.
 
     ``sizes`` must be descending; each size is used at most once, on one
-    path. Sizes are assigned largest first to the demands still open, and
-    a state (index, sorted demands) fails at once when the sizes left sum
-    to less than the demand or when it failed in an earlier call.
-    ``tick``, when given, is called once per state visited; whatever it
-    raises abandons the test, so a caller bounds the time and the memory
-    of the failed states by raising after a number of calls.
+    path. The returned function maps the path orders to the sizes placed
+    on each path, in the order given (none on a path of order 0 or less),
+    or to None when no cover exists. Sizes are assigned largest first to
+    the demands still open, and a state (index, sorted demands) fails at
+    once when the sizes left sum to less than the demand or when it failed
+    in an earlier call. ``tick``, when given, is called once per state
+    visited; whatever it raises abandons the test, so a caller bounds the
+    time and the memory of the failed states by raising after a number of
+    calls.
     """
     # left[i]: total of sizes[i:]
     left = list(accumulate(reversed(sizes), initial=0))[::-1]
     failed: set[tuple[int, tuple[int, ...]]] = set()
+    # on success, the open demand each size went to, last size first
+    chosen: list[int] = []
 
     def rec(i: int, demands: tuple[int, ...]) -> bool:
         if tick is not None:
@@ -67,11 +78,35 @@ def intervals_cover(
         # equal demands are interchangeable, so each value is tried once
         for j, d in enumerate(demands):
             if (j == 0 or d != demands[j - 1]) and rec(i + 1, _assign(demands, j, sizes[i])):
+                chosen.append(d)
                 return True
         failed.add((i, demands))
         return False
 
-    return lambda parts: rec(0, tuple(sorted((p for p in parts if p > 0), reverse=True)))
+    def assign(parts: Sequence[int]) -> Optional[list[list[int]]]:
+        chosen.clear()
+        if not rec(0, tuple(sorted((p for p in parts if p > 0), reverse=True))):
+            return None
+        # equal open demands are interchangeable, so the first path with
+        # the chosen open demand takes the size
+        open_demand = list(parts)
+        placed: list[list[int]] = [[] for _ in parts]
+        for size, d in zip(sizes, reversed(chosen)):
+            j = open_demand.index(d)
+            placed[j].append(size)
+            open_demand[j] -= size
+        return placed
+
+    return assign
+
+
+def intervals_cover(
+    sizes: tuple[int, ...], tick: Optional[Callable[[], None]] = None
+) -> Callable[[Sequence[int]], bool]:
+    """A test of whether intervals of ``sizes`` cover paths of given orders
+    (``assign_intervals`` as a bool)."""
+    assign = assign_intervals(sizes, tick)
+    return lambda parts: assign(parts) is not None
 
 
 def _assign(demands: tuple[int, ...], j: int, size: int) -> tuple[int, ...]:
@@ -100,38 +135,113 @@ def _path_lower(legs: tuple[int, ...], cycle: int) -> int:
     return ceil_sqrt(a1 + a2 + 1)
 
 
+# Entry i of a cover is the center of its ball of radius k-1-i, as (walk,
+# position), or None when that radius is not needed. On a one-hub graph walk
+# j < len(legs) is leg j and walk len(legs) the cycle; position p >= 1 is the
+# p-th vertex out of the hub along it (round the cycle from one end of its
+# walk), and position 0 is the hub. On a linear forest walk j is path j and
+# position p its (p+1)-th vertex from one end.
+Cover = list[Optional[tuple[int, int]]]
+
+
+def _place(centers: Cover, sizes: list[int], walk: int, first: int, last: int) -> None:
+    """Centers of intervals of ``sizes`` laid back to back along ``walk``
+    from position ``first``, none centered past ``last``."""
+    k = len(centers)
+    for size in sizes:
+        radius = size // 2
+        centers[k - 1 - radius] = (walk, min(first + radius, last))
+        first += size
+
+
+def _sizes(k: int, skip: int = -1) -> tuple[int, ...]:
+    """Interval sizes 2s+1 for s = k-1, ..., 0, without radius ``skip``."""
+    return tuple(2 * s + 1 for s in range(k - 1, -1, -1) if s != skip)
+
+
+def forest_cover(
+    parts: tuple[int, ...], k: int, tick: Optional[Callable[[], None]] = None
+) -> Optional[Cover]:
+    """A cover of the linear forest with path orders ``parts`` by balls of
+    radii k-1, ..., 0, or None if there is none.
+
+    A ball meets a path in an interval, so b <= k iff intervals of sizes
+    2k-1, ..., 1 cover the paths; ``tick`` goes to that test.
+    """
+    placed = assign_intervals(_sizes(k), tick)(parts)
+    if placed is None:
+        return None
+    centers: Cover = [None] * k
+    for j, sizes in enumerate(placed):
+        _place(centers, sizes, j, 0, parts[j] - 1)
+    return centers
+
+
+def hub_cover(
+    legs: tuple[int, ...],
+    k: int,
+    cycle: int = 0,
+    tick: Optional[Callable[[], None]] = None,
+) -> Optional[Cover]:
+    """A cover of the one-hub graph with positive ``legs`` by balls of radii
+    k-1, ..., 0, or None if there is none.
+
+    ``cycle`` is the length g of the cycle through the hub, 0 for none. A
+    graph with a spanning path (a path, or a cycle with at most one leg)
+    burns in ceil(sqrt(n)) rounds, and a path or a bare cycle in no fewer,
+    so neither needs a search: the cover lays intervals along the path
+    from the end of leg 0 through the hub. Any other search raises
+    ValueError for k above ``MAX_ROUNDS``; its cover is the hub's ball
+    (r, x) and the intervals that ``assign_intervals`` lays on the
+    residual forest. ``tick`` goes to every ``assign_intervals`` test.
+    """
+    n = max(cycle, 1) + sum(legs)
+    centers: Cover = [None] * k
+    if len(legs) <= (1 if cycle else 2) and ceil_sqrt(n) <= k:
+        end = legs[0] if legs else 0
+        beyond = len(legs) if cycle else 1  # the walk past the hub
+        first = 0
+        for size in _sizes(k):
+            if first >= n:
+                break
+            p = min(first + size // 2, n - 1)
+            centers[k - 1 - size // 2] = (0, end - p) if p <= end else (beyond, p - end)
+            first += size
+        return centers
+    if len(legs) + (2 if cycle else 0) <= 2:
+        return None
+    if k > MAX_ROUNDS:
+        raise ValueError(f"one-hub decision supports at most {MAX_ROUNDS} rounds, got {k}")
+    distinct = sorted(set(legs), reverse=True)
+    for r in range(k - 1, -1, -1):
+        assign = assign_intervals(_sizes(k, r), tick)
+        for d in range(r + 1):
+            for a in distinct if d else distinct[:1]:
+                if a < d:
+                    break
+                j = legs.index(a)
+                residual = [b - (r - d) for b in legs]
+                residual[j] = a - d - r
+                # the cycle path; without a cycle it is negative and ignored
+                residual.append(cycle - 2 * (r - d) - 1)
+                placed = assign(residual)
+                if placed is not None:
+                    centers[k - 1 - r] = (j, d)
+                    # each remainder starts past the hub's ball: a leg's at
+                    # its cut, the cycle path at c = r - d
+                    for walk, sizes in enumerate(placed):
+                        cut = legs[walk] - residual[walk] if walk < len(legs) else r - d
+                        _place(centers, sizes, walk, cut + 1, cut + residual[walk])
+                    return centers
+    return None
+
+
 def burns(
     legs: tuple[int, ...],
     k: int,
     cycle: int = 0,
     tick: Optional[Callable[[], None]] = None,
 ) -> bool:
-    """True iff the one-hub graph with positive ``legs`` burns in at most k rounds.
-
-    ``cycle`` is the length g of the cycle through the hub, 0 for none. A
-    graph with a spanning path (a path, or a cycle with at most one leg)
-    burns in ceil(sqrt(n)) rounds, and a path or a bare cycle in no fewer,
-    so neither needs a search; any other search raises ValueError for k
-    above ``MAX_ROUNDS``. ``tick`` goes to every ``intervals_cover`` test.
-    """
-    n = max(cycle, 1) + sum(legs)
-    if len(legs) <= (1 if cycle else 2) and ceil_sqrt(n) <= k:
-        return True
-    if len(legs) + (2 if cycle else 0) <= 2:
-        return False
-    if k > MAX_ROUNDS:
-        raise ValueError(f"one-hub decision supports at most {MAX_ROUNDS} rounds, got {k}")
-    distinct = sorted(set(legs), reverse=True)
-    for r in range(k - 1, -1, -1):
-        covers = intervals_cover(tuple(2 * s + 1 for s in range(k - 1, -1, -1) if s != r), tick)
-        for d in range(r + 1):
-            for a in distinct if d else distinct[:1]:
-                if a < d:
-                    break
-                residual = [b - (r - d) for b in legs]
-                residual[legs.index(a)] = a - d - r
-                # the cycle path; without a cycle it is negative and ignored
-                residual.append(cycle - 2 * (r - d) - 1)
-                if covers(residual):
-                    return True
-    return False
+    """True iff the one-hub graph with positive ``legs`` burns in at most k
+    rounds (``hub_cover`` as a bool)."""
+    return hub_cover(legs, k, cycle, tick) is not None

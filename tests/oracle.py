@@ -27,12 +27,23 @@ def _bfs(adjacency, source):
 
 
 def brute_burnable(g, k: int) -> bool:
-    """True iff some length-k burning sequence exists (exhaustive)."""
+    """True iff some length-k burning sequence exists (exhaustive).
+
+    Every component needs a source of its own, so a prefix is cut once the
+    components without a source outnumber the sources still to place.
+    """
     n = g.vertex_count
     dist = [_bfs(g.adjacency, s) for s in range(n)]
+    # component of each vertex: the lowest vertex it reaches
+    comp = [next(u for u in range(n) if row[u] < _INF) for row in dist]
+    sources_in = {c: 0 for c in comp}
+    unsourced = len(sources_in)
     seq: list[int] = []
 
     def rec(i: int) -> bool:
+        nonlocal unsourced
+        if unsourced > k - i:
+            return False
         if i == k:
             covered = set()
             for j, x in enumerate(seq):
@@ -44,9 +55,14 @@ def brute_burnable(g, k: int) -> bool:
                 continue
             if all(dist[x][v] >= i - j for j, x in enumerate(seq)):
                 seq.append(v)
-                if rec(i + 1):
-                    return True
+                sources_in[comp[v]] += 1
+                unsourced -= sources_in[comp[v]] == 1
+                found = rec(i + 1)
+                unsourced += sources_in[comp[v]] == 1
+                sources_in[comp[v]] -= 1
                 seq.pop()
+                if found:
+                    return True
         return False
 
     return rec(0)

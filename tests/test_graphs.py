@@ -21,6 +21,7 @@ from burnkit.graphs import (
     connected_components,
     distance_matrix,
     distance_rows,
+    hub_walks,
     parse_graph,
     qr_decompose,
     read_graph,
@@ -408,6 +409,29 @@ class TestRecognize:
         g = relabelled(build(desc), perm)
         assert recognize_family(g) == reference_recognize(g) == desc
         assert components_recognize(g) == desc
+
+    def test_hub_walks_are_the_legs_and_the_cycle(self):
+        rng = random.Random(21)
+        cases = [(Path(9), (8,), 0), (Cycle(9), (), 9)]
+        cases += [(desc, desc.arms, getattr(desc, "g", 0)) for desc in one_hub_shapes(13)]
+        for desc, arms, cycle_length in cases:
+            g = build(desc)
+            perm = list(range(g.vertex_count))
+            rng.shuffle(perm)
+            g = relabelled(g, perm)
+            # a path is walked from an end, a cycle from any vertex
+            pick = min if isinstance(desc, Path) else max
+            hub = pick(range(g.vertex_count), key=g.degree)
+            legs, cycle = hub_walks(g.adjacency, hub)
+            assert tuple(sorted(map(len, legs), reverse=True)) == arms, desc
+            assert (len(cycle) + 1 if cycle else 0) == cycle_length, desc
+            walked = [v for walk in (*legs, cycle) for v in walk]
+            assert sorted([hub, *walked]) == list(range(g.vertex_count)), desc
+            for walk in legs:
+                assert g.degree(walk[-1]) == 1, desc
+            closed = [[hub, *cycle, hub]] if cycle else []
+            for walk in [[hub, *leg] for leg in legs] + closed:
+                assert all(v in g.adjacency[u] for u, v in zip(walk, walk[1:])), desc
 
     def test_one_hub_walk_matches_components(self):
         rng = random.Random(20)

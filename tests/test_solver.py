@@ -45,7 +45,29 @@ from burnkit.solver import (
 )
 
 from .oracle import brute_burnable, brute_burning_number
-from .test_graphs import one_hub_shapes, reference_cycle_vertices, reference_matrix
+from .test_graphs import (
+    descending_tuples,
+    one_hub_shapes,
+    reference_cycle_vertices,
+    reference_matrix,
+    relabelled,
+)
+
+
+def search_value(g):
+    """b of a graph by deepening with unbudgeted ``find_sequence``.
+
+    Unbudgeted, ``find_sequence`` never runs the structural route or
+    computes the solver's lower bound, so the one-hub and forest rules
+    are checked here against the ball-cover search, not against
+    themselves. The deepening starts at the geodesic bound: a longest
+    geodesic is an isometric path.
+    """
+    n = g.vertex_count
+    k = ceil_sqrt(1 + max(d for row in distance_matrix(g) for d in row if d < 2 * n))
+    while find_sequence(g, k) is None:
+        k += 1
+    return k
 
 
 @st.composite
@@ -212,8 +234,9 @@ class TestExact:
             raise Admitted
 
         monkeypatch.setattr(solver, "_grow_balls", admitted)
+        # a grid, since the structural route answers a path without balls
         with pytest.raises(Admitted):
-            burning_number_exact(build(f"path:{MAX_EXACT_VERTICES}"))
+            burning_number_exact(grid_graph(40, 50))
 
     def test_find_sequence_inconclusive_carries_real_bounds(self):
         g = grid_graph(6, 6)
@@ -234,9 +257,18 @@ class TestExact:
         assert find_sequence(build(spec), k, budget=3) is None
 
     def test_budgeted_find_sequence_at_the_bound_is_inconclusive(self):
+        # the search runs out on a graph the structural route does not take
         with pytest.raises(Inconclusive) as exc:
-            find_sequence(build("forest:58,19,4"), 10, budget=3)
-        assert (exc.value.lower_bound, exc.value.upper_bound) == (10, 12)
+            find_sequence(grid_graph(6, 6), 4, budget=3)
+        assert (exc.value.lower_bound, exc.value.upper_bound) == (4, 5)
+        # on a routed graph the bounds are the value, and at the value the
+        # route's certificate is the sequence
+        g = build("forest:58,19,4")
+        found = find_sequence(g, 10, budget=3)
+        assert found is not None and len(found) == 10 and verify_sequence(g, found)
+        with pytest.raises(Inconclusive) as exc:
+            find_sequence(g, 11, budget=3)
+        assert (exc.value.lower_bound, exc.value.upper_bound) == (10, 10)
 
 
 def grid_graph(rows, cols, perm=None):
@@ -485,21 +517,24 @@ class TestUnicyclicOracles:
     def test_spanning_matches(self, spec, value):
         assert unicyclic_spanning_upper(build(spec)) == value
 
+    # burning_number_exact decides these graphs by the same one-hub rule
+    # as the oracle, so the oracle is checked against the ball-cover search
+
     def test_spanning_equals_exact_on_small_sweep(self):
         for desc in enumerate_sweep("uni1", 16):
             g = build(desc)
-            assert unicyclic_spanning_upper(g) == burning_number_exact(g).value
+            assert unicyclic_spanning_upper(g) == search_value(g)
 
     @pytest.mark.parametrize("t,max_n", [(3, 24), (4, 22), (5, 20)])
     def test_spanning_equals_exact_beyond_two_arms(self, t, max_n):
         for desc in t_unicyclic(t, max_n):
             graph = build(desc)
-            assert unicyclic_spanning_upper(graph) == burning_number_exact(graph).value, desc
+            assert unicyclic_spanning_upper(graph) == search_value(graph), desc
 
     @pytest.mark.parametrize("spec", ["cycle:9", "uni:7;3", "uni:9;10,2", "uni:7;3,2,1"])
     def test_one_hub_graph_recognised_once(self, spec, monkeypatch):
         g = build(spec)
-        value = burning_number_exact(g).value
+        value = search_value(g)
         seen = []
 
         def counted(graph):
@@ -591,16 +626,21 @@ class TestGreedyAndBounds:
             assert found is not None and verify_sequence(g, found), desc
 
     def test_greedy_sequence_closes_the_gap(self):
+        # graphs the structural route does not take: grids that are neither
+        # paths nor a cycle, and random trees with more than one hub
+        rng = random.Random(7)
+        graphs_ = [grid_graph(r, c) for r in range(2, 8) for c in range(max(r, 3), 9)]
+        graphs_ += [random_tree(rng, rng.randint(20, 40)) for _ in range(60)]
         closed = 0
-        for desc in itertools.chain(enumerate_sweep("uni2", 14), enumerate_sweep("forest3", 14)):
-            g = build(desc)
+        for g in graphs_:
+            assert recognize_family(g) == Other()
             res = burning_number_exact(g)
             if res.lower_bound == res.upper_bound:
                 closed += 1
                 assert res.value == res.lower_bound
                 assert res.certificate == _greedy_upper(_Prepared(g, max_radius=0))
                 assert verify_sequence(g, res.certificate)
-        assert closed >= 20
+        assert closed >= 18
 
 
 class TestHubRule:
@@ -608,11 +648,12 @@ class TestHubRule:
         g = build("uni:24;16,6")
         res = burning_number_exact(g)
         assert res.lower_bound == res.value == 7
+        assert res.upper_bound == 7  # the route's certificate is the witness
         # without the rule the other terms stop at 6 and a level is searched
         monkeypatch.setattr(solver, "HUB_RULE_STATES", 0)
         dropped = burning_number_exact(g)
         assert (dropped.value, dropped.lower_bound) == (7, 6)
-        assert dropped.upper_bound == res.upper_bound
+        assert dropped.upper_bound == 8  # the greedy sequence's length
         assert verify_sequence(g, dropped.certificate)
 
     def test_state_limit_bounds_a_hard_level(self):
@@ -626,18 +667,178 @@ class TestHubRule:
             burning_number_exact(g, budget=1)
         assert time.perf_counter() - start < 30
         assert (exc.value.lower_bound, exc.value.upper_bound) == (42, 48)
-        # the balls the bound reads are grown first, so only the bound's
-        # own allocations are traced
-        prep = _Prepared(g, max_radius=41)
+        # the structural route gives up there, and its floor is the level
         components = graphs.connected_components(g)
         tracemalloc.start()
         try:
-            lower, greedy = _bounds(prep, components)
+            floor, certificate = solver._route(g, components)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (lower, len(greedy)) == (42, 48)
+        assert (floor, certificate) == (42, None)
         assert peak < 4 * 2**20
+        lower, greedy = _bounds(_Prepared(g, max_radius=0), components, floor)
+        assert (lower, len(greedy)) == (42, 48)
+
+
+def route_shapes(max_order):
+    """Every path, cycle, spider, t-unicyclic graph and linear forest of
+    order at most ``max_order``."""
+    yield from (Path(n) for n in range(1, max_order + 1))
+    yield from (Cycle(n) for n in range(3, max_order + 1))
+    yield from one_hub_shapes(max_order)
+    yield from (LinearForest(parts) for parts in descending_tuples(max_order, 2))
+
+
+@st.composite
+def relabelled_route_graphs(draw):
+    """A spider, a t-unicyclic graph or a linear forest, vertex ids permuted."""
+    kind = draw(st.sampled_from(["star", "uni", "forest"]))
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=5))
+    sizes = tuple(sorted(sizes, reverse=True))
+    if kind == "star":
+        desc = GeneralizedStar(sizes + (1,) * (3 - len(sizes)))
+    elif kind == "uni":
+        desc = TUnicyclic(draw(st.integers(min_value=3, max_value=9)), sizes)
+    else:
+        desc = LinearForest(sizes + (1,) * (2 - len(sizes)))
+    g = build(desc)
+    return relabelled(g, draw(st.permutations(range(g.vertex_count))))
+
+
+def assert_routed(g, res):
+    """``res`` is the route's answer: bounds at the value, valid certificate."""
+    assert res.lower_bound == res.value == res.upper_bound
+    assert len(res.certificate) == res.value
+    assert check_sequence(g, res.certificate).ok
+
+
+class TestRoute:
+    def test_matches_search_on_every_small_graph(self, monkeypatch):
+        graphs_ = [build(desc) for desc in route_shapes(18)]
+        assert len(graphs_) == 5173
+
+        def fail(*args, **kwargs):
+            raise AssertionError("ball search prepared for a routed graph")
+
+        monkeypatch.setattr(solver, "_Prepared", fail)
+        results = [burning_number_exact(g) for g in graphs_]
+        monkeypatch.undo()
+        for g, res in zip(graphs_, results):
+            assert res.value == search_value(g), recognize_family(g)
+            assert_routed(g, res)
+
+    @given(relabelled_route_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_search_on_relabelled_graphs(self, g):
+        res = burning_number_exact(g)
+        assert res.value == search_value(g)
+        assert_routed(g, res)
+
+    @pytest.mark.parametrize(
+        "spec,value",
+        [("uni:24;16,6", 7), ("star:9,9,9,9", 6), ("forest:58,19,4", 10), ("path:2000", 45)],
+    )
+    def test_no_ball_grown_and_no_distance_computed(self, spec, value, monkeypatch):
+        g = build(spec)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("balls grown or distances computed")
+
+        for name in ("_Prepared", "_grow_balls", "_cover", "distance_rows"):
+            monkeypatch.setattr(solver, name, fail)
+        res = burning_number_exact(g)
+        monkeypatch.undo()
+        assert res.value == value
+        assert_routed(g, res)
+
+    def test_ball_path_without_states_gives_the_same_values(self, monkeypatch):
+        graphs_ = [build(desc) for desc in route_shapes(13)]
+        routed = [burning_number_exact(g).value for g in graphs_]
+        monkeypatch.setattr(solver, "HUB_RULE_STATES", 0)
+        searched = 0
+        for g, value in zip(graphs_, routed):
+            res = burning_number_exact(g)
+            assert res.value == value
+            assert len(res.certificate) == value and verify_sequence(g, res.certificate)
+            searched += res.upper_bound > res.lower_bound
+        assert searched > 100  # levels the search, not the route, decided
+
+    def test_state_limit_leaves_its_floor(self, monkeypatch):
+        # star:9,9,9,9 has the counting bound 6, its value: the route gives
+        # up before its first state, and the floor is that bound
+        monkeypatch.setattr(solver, "HUB_RULE_STATES", 0)
+        g = build("star:9,9,9,9")
+        assert solver._route(g, graphs.connected_components(g)) == (6, None)
+        assert burning_number_exact(g).value == 6
+
+
+def reference_walk_sequence(g, walks, centers, hub):
+    """``_walk_sequence`` by distance rows: a center is burned when some
+    earlier source is close enough, and a swap takes the first unburned
+    vertex in walk order, the hub first."""
+    dist = reference_matrix(g)
+    order = [w[p] for b, w in enumerate(walks) for p in range(1 if hub and b else 0, len(w))]
+    seq = []
+    for i, center in enumerate(centers):
+        def burned(v):
+            return any(dist[x][v] <= i - 1 - m for m, x in enumerate(seq))
+
+        v = None if center is None else walks[center[0]][center[1]]
+        if v is None or burned(v):
+            v = next((u for u in order if not burned(u)), None)
+            if v is None:
+                break
+        seq.append(v)
+    return tuple(seq)
+
+
+@st.composite
+def walks_and_centers(draw):
+    """A one-hub graph or a linear forest, its walks as the route makes
+    them, and arbitrary centers on them."""
+    sizes = tuple(draw(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4)))
+    cycle = draw(st.sampled_from([0, 0, 3, 4, 5, 6, 7, 8]))
+    forest = draw(st.booleans())
+    if forest:
+        g = build(LinearForest(tuple(sorted(sizes + (1,), reverse=True))))
+        walks = []
+        for comp in graphs.connected_components(g):
+            end = next(v for v in comp if len(g.adjacency[v]) < 2)
+            walks.append([end, *itertools.chain(*graphs.hub_walks(g.adjacency, end)[0])])
+        cycle = 0
+    else:
+        desc = TUnicyclic(cycle, sizes) if cycle else GeneralizedStar(sizes + (1,) * (3 - len(sizes)))
+        g = build(desc)
+        hub = next(v for v, adj in enumerate(g.adjacency) if len(adj) >= 3)
+        legs, ring = graphs.hub_walks(g.adjacency, hub)
+        walks = [[hub, *walk] for walk in (*legs, ring)]
+    spots = st.tuples(st.integers(0, len(walks) - 1), st.integers(0, 20))
+    centers = draw(st.lists(st.none() | spots, min_size=1, max_size=7))
+    centers = [c and (c[0], c[1] % len(walks[c[0]])) for c in centers]
+    return g, walks, centers, not forest, cycle
+
+
+class TestWalkSequence:
+    @given(walks_and_centers())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_conversion_by_distances(self, case):
+        g, walks, centers, hub, cycle = case
+        expected = reference_walk_sequence(g, walks, centers, hub)
+        assert solver._walk_sequence(walks, centers, hub, cycle) == expected
+
+    def test_cycle_source_burns_a_leg_the_short_way_round(self):
+        # c4 sits next to the hub on cycle:5, so two rounds later it has
+        # burned the leg's first vertex; l1 is swapped for the first
+        # unburned vertex in walk order
+        g = build("uni:5;3")
+        hub = next(v for v, adj in enumerate(g.adjacency) if len(adj) >= 3)
+        legs, ring = graphs.hub_walks(g.adjacency, hub)
+        walks = [[hub, *legs[0]], [hub, *ring]]
+        centers = [(1, 4), (1, 2), (0, 3), (0, 1)]
+        seq = solver._walk_sequence(walks, centers, True, 5)
+        assert seq == reference_walk_sequence(g, walks, centers, True)
+        assert walks[0][1] not in seq
 
 
 class ReferencePrepared:

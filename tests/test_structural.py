@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from burnkit import families, solver, structural
 from burnkit.families import build, enumerate_sweep
 from burnkit.formulas import b_three_paths, b_two_paths
-from burnkit.graphs import Cycle, GeneralizedStar, Path, TUnicyclic, distance_matrix
+from burnkit.graphs import Cycle, GeneralizedStar, Path, TUnicyclic
 from burnkit.intmath import ceil_sqrt
-from burnkit.solver import find_sequence, unicyclic_spanning_upper
+from burnkit.solver import unicyclic_spanning_upper
 from burnkit.structural import MAX_ROUNDS
 
-from .test_solver import reference_tree_shapes, t_unicyclic, tree_legs
+from .test_solver import reference_tree_shapes, search_value, t_unicyclic, tree_legs
 
 
 def structural_value(legs):
@@ -39,20 +39,6 @@ def forest_value(parts, covers):
 def cover_tests():
     """One ``intervals_cover`` test per k, built on first use."""
     return functools.cache(lambda k: structural.intervals_cover(tuple(range(2 * k - 1, 0, -2))))
-
-
-def search_value(g):
-    """b of a connected graph by deepening with unbudgeted ``find_sequence``.
-
-    Unbudgeted, ``find_sequence`` never computes the solver's lower bound,
-    so the one-hub rule that bound applies is checked here against the
-    ball-cover search, not against itself. The deepening starts at the
-    geodesic bound: a longest geodesic is an isometric path.
-    """
-    k = ceil_sqrt(1 + max(map(max, distance_matrix(g))))
-    while find_sequence(g, k) is None:
-        k += 1
-    return k
 
 
 def reference_tree_value(shape):
@@ -246,6 +232,26 @@ class TestIntervals:
         covers = structural.intervals_cover(sizes)
         for parts in forests:
             assert covers(parts) is reference_intervals_cover(parts, sizes), (sizes, parts)
+
+    @given(
+        st.integers(min_value=1, max_value=9),
+        st.integers(min_value=0, max_value=9),
+        st.lists(st.lists(st.integers(min_value=-1, max_value=12), max_size=6), max_size=16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_assignment_covers_every_path(self, k, r, forests):
+        sizes = tuple(2 * s + 1 for s in range(k - 1, -1, -1) if s != r)
+        assign = structural.assign_intervals(sizes)
+        for parts in forests:
+            placed = assign(parts)
+            assert (placed is not None) is reference_intervals_cover(parts, sizes), parts
+            if placed is None:
+                continue
+            used = [size for on_path in placed for size in on_path]
+            assert len(set(used)) == len(used) and set(used) <= set(sizes), (parts, placed)
+            for part, on_path in zip(parts, placed):
+                # every size placed on a path is still needed when it comes
+                assert sum(on_path) >= part and sum(on_path[:-1]) < max(part, 1), placed
 
     def test_one_test_matches_reference_largest_forest_first(self):
         # a smaller forest starts at index 0 in states that a larger one
