@@ -13,16 +13,20 @@ some sources' rows asks :func:`distance_rows` for just those.
 :func:`connected_components` runs the kernel over one shared list and
 reads each component off the vertices it returns.
 
-Recognition finds the components once and, for a graph with one branch
-vertex, walks out of that vertex once along its paths (:func:`hub_legs`);
-the cycle of a unicyclic graph is the walk that comes back, not searched
-for separately.
+Recognition runs no components pass. After one scan of the degrees,
+:func:`family_walks` walks once out of the one branch vertex (the hub), or
+along each path from its end (:func:`hub_walks`); the walks cover all n
+vertices exactly when the graph is a connected one-hub graph or a linear
+forest, and every other graph is ``Other``. The cycle of a unicyclic graph
+is the walk that comes back to the hub, not searched for separately. The
+solver's structural route reads its vertex ids off the same walks.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, TextIO, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO, Union
 
 from .intmath import ceil_sqrt
 
@@ -204,32 +208,79 @@ def recognize_family(g: Graph) -> FamilyDescriptor:
     Arms and forest parts come out sorted descending. A plain cycle is
     reported as Cycle, never as a unicyclic graph with no arms. Among
     disconnected graphs only linear forests are recognized; everything
-    else falls through to Other. A connected graph with one branch vertex
-    (the hub) and at most n edges is decided by one walk out of the hub
-    (:func:`hub_legs`): a generalized star, or a t-unicyclic graph whose
-    cycle is the walk that comes back to the hub.
+    else falls through to Other. The family is read off
+    :func:`family_walks`: the paths of a linear forest, or the walks out
+    of the hub, which are the arms of a generalized star or of a
+    t-unicyclic graph and, if one comes back to the hub, its cycle.
     """
-    n = g.vertex_count
-    if n == 0:
+    walked = family_walks(g)
+    if walked is None:
         return Other()
-    comps = connected_components(g)
-    m = g.edge_count
-    hubs = [v for v in range(n) if g.degree(v) >= 3]
+    hub, legs, cycle = walked
+    if hub is None:
+        return LinearForest(tuple(sorted(map(len, legs), reverse=True)))
+    if len(g.adjacency[hub]) < 3:  # a path walked from an end, or a cycle
+        return Cycle(g.vertex_count) if cycle else Path(g.vertex_count)
+    arms = tuple(sorted(map(len, legs), reverse=True))
+    return TUnicyclic(len(cycle) + 1, arms) if cycle else GeneralizedStar(arms)
 
-    if len(comps) > 1:
-        # degrees at most 2 and no cycle: every component is a path
-        if hubs or m != n - len(comps):
-            return Other()
-        return LinearForest(tuple(sorted((len(c) for c in comps), reverse=True)))
 
-    if not hubs:  # connected with degrees at most 2
-        return Path(n) if m == n - 1 else Cycle(n)
+class Walks(NamedTuple):
+    """The walks of a connected one-hub graph or of a linear forest.
 
-    if len(hubs) > 1 or m > n:
-        return Other()
+    For a connected graph ``hub`` is its vertex of degree 3 or more, else
+    the lower-id end of a path or vertex 0 of a cycle, and ``legs`` and
+    ``cycle`` are :func:`hub_walks` out of it. For a linear forest of two
+    or more paths ``hub`` is None, ``cycle`` is empty and ``legs`` holds
+    every path from its lower-id end, in the order of their least vertex.
+    """
 
-    arms, cycle = hub_legs(g.adjacency, hubs[0])
-    return TUnicyclic(cycle, arms) if cycle else GeneralizedStar(arms)
+    hub: Optional[int]
+    legs: list[list[int]]
+    cycle: list[int]
+
+
+def family_walks(g: Graph) -> Optional[Walks]:
+    """The walks of ``g`` if it is a connected graph with at most one vertex
+    of degree 3 or more and at most n edges (a path, a cycle, a spider or a
+    t-unicyclic graph) or a linear forest; None for every other graph.
+
+    One scan of the degrees rejects two branch vertices or more than n
+    edges. Then one walk goes out of the hub (:func:`hub_walks`), or, with
+    no branch vertex, one from each path's lower-id end, or round the cycle
+    through vertex 0 when no vertex is an end. The walks never meet, so
+    they cover all n vertices exactly when ``g`` is one of those graphs:
+    a second component, or a second cycle through the hub, is never
+    walked. No components pass is run; O(n) in all.
+    """
+    adjacency = g.adjacency
+    n = len(adjacency)
+    degrees = list(map(len, adjacency))
+    if n == 0 or sum(degrees) > 2 * n:
+        return None
+    hubs = [v for v, d in enumerate(degrees) if d > 2]
+    if len(hubs) > 1:
+        return None
+    if hubs:
+        hub = hubs[0]
+    else:
+        paths: list[list[int]] = []
+        far_ends = set()
+        for end in (v for v, d in enumerate(degrees) if d < 2):
+            if end not in far_ends:
+                path = [end, *itertools.chain(*hub_walks(adjacency, end)[0])]
+                far_ends.add(path[-1])
+                paths.append(path)
+        if len(paths) > 1:
+            if sum(map(len, paths)) != n:
+                return None  # some component is a cycle
+            paths.sort(key=min)
+            return Walks(None, paths, [])
+        hub = paths[0][0] if paths else 0
+    legs, cycle = hub_walks(adjacency, hub)
+    if 1 + sum(map(len, legs)) + len(cycle) != n:
+        return None
+    return Walks(hub, legs, cycle)
 
 
 def hub_walks(adjacency: Sequence[Sequence[int]], hub: int) -> tuple[list[list[int]], list[int]]:
@@ -237,13 +288,14 @@ def hub_walks(adjacency: Sequence[Sequence[int]], hub: int) -> tuple[list[list[i
     the cycle through it, from one neighbour of the hub round to the other
     ([] for none).
 
-    ``adjacency`` must be that of a connected graph in which every vertex
-    but ``hub`` has degree 1 or 2 and which has at most as many edges as
-    vertices: a one-hub graph, or a path or a cycle with any vertex as the
-    hub. Then the walk from each neighbour of the hub through degree-2
-    vertices ends at a leaf, after a leg's vertices, or back at the hub,
-    after the cycle's other vertices; the cycle's far end is not walked
-    again. Legs come in the hub's neighbour order. O(n) in all.
+    Every vertex but ``hub`` must have degree at most 2. Then the walk
+    from each neighbour of the hub through degree-2 vertices ends at a
+    leaf, after a leg's vertices, or back at the hub, after the cycle's
+    other vertices; the cycle's far end is not walked again. Legs come in
+    the hub's neighbour order. When the graph is connected and has at
+    most as many edges as vertices (a one-hub graph, or a path or a cycle
+    with any vertex as the hub), the walks hold every vertex but the hub.
+    O(n) in all.
     """
     legs: list[list[int]] = []
     cycle: list[int] = []
@@ -260,14 +312,6 @@ def hub_walks(adjacency: Sequence[Sequence[int]], hub: int) -> tuple[list[list[i
         else:
             legs.append(walk)
     return legs, cycle
-
-
-def hub_legs(adjacency: Sequence[Sequence[int]], hub: int) -> tuple[tuple[int, ...], int]:
-    """The leg lengths, descending, and the cycle length (0 for none) at
-    ``hub``, read off :func:`hub_walks`."""
-    legs, cycle = hub_walks(adjacency, hub)
-    lengths = tuple(sorted(map(len, legs), reverse=True))
-    return lengths, len(cycle) + 1 if cycle else 0
 
 
 # --------------------------------------------------------------------------

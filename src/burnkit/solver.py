@@ -17,7 +17,9 @@ Before any ball is grown, the structural route (``_route``) takes the
 graphs that ``structural`` decides exactly: connected graphs with at most
 one vertex of degree 3 or more and at most n edges (paths, cycles,
 spiders, t-unicyclic graphs), and linear forests. One walk out of the hub,
-or along each path, gives the vertex ids; k deepens with the one-hub rule
+or along each path (``graphs.family_walks``), both recognizes these graphs
+and gives the vertex ids, so no components pass is run for them; the
+other graphs get one components pass. k deepens with the one-hub rule
 or the interval cover, and the cover at the first accepted k is turned
 into the certificate on walk coordinates (``_walk_sequence``), with no
 distance computed. A routed result has lower bound, value and upper bound
@@ -48,6 +50,11 @@ exactly k. Above b(G) a cover may convert to a shorter sequence; there
 ``find_sequence`` falls back to a depth-first search over source sequences
 (``_search``) to keep the strict definition, under which some longer
 lengths admit no sequence at all (K4 burns in 2 rounds, never in 3).
+
+A sequence is checked by burning the graph once (``_burn_rounds``): round
+r spreads the fire one step and then lights x_r, which must not be alight
+yet. That decides both conditions in O(n + m); distance rows are computed
+only to name the first failing pair of a rejected sequence.
 
 Branch vertices, candidate centers and swaps are chosen by fixed rules
 (set sizes, ties by vertex id), which makes certificates deterministic:
@@ -80,7 +87,7 @@ from .graphs import (
     TUnicyclic,
     connected_components,
     distance_rows,
-    hub_walks,
+    family_walks,
     recognize_family,
 )
 from .intmath import ceil_sqrt, counting_lower
@@ -163,33 +170,70 @@ def _validated(g: Graph, sources: tuple[int, ...]) -> tuple[int, ...]:
     return seq
 
 
-def _check_rows(seq: tuple[int, ...], rows: list[list[int]]) -> SequenceCheck:
-    """Both conditions for ``seq``, given its sources' distance rows."""
-    k = len(seq)
-    for i, j in itertools.combinations(range(k), 2):
-        if rows[i][seq[j]] < j - i:
-            return SequenceCheck(ok=False, failed_pair=(i + 1, j + 1))
-    covered = set()
-    for i, row in enumerate(rows):
-        radius = k - 1 - i
-        covered.update(v for v, d in enumerate(row) if d <= radius)
-    uncovered = frozenset(range(len(rows[0]))) - covered
-    if uncovered:
-        return SequenceCheck(ok=False, uncovered=uncovered)
-    return SequenceCheck(ok=True)
+def _burn_rounds(g: Graph, seq: tuple[int, ...]) -> tuple[list[int], int]:
+    """Burn ``g`` by ``seq``: the round in which each vertex catches fire
+    (0 if never), and the first round whose source was already alight
+    before it (0 if none).
+
+    Round r spreads the fire one step, then lights x_r. Vertex v catches
+    fire in round min_i (i + d(x_i, v)), so x_r is alight before round r
+    exactly when d(x_i, x_r) < r - i for some i < r, and after round k the
+    vertices that never caught fire are the ones no ball covers. The pass
+    stops at the first such round; until then it is one multi-source
+    breadth-first search, O(n + m) with O(n) memory.
+    """
+    adjacency = g.adjacency
+    burn = [0] * len(adjacency)
+    frontier: list[int] = []
+    for r, x in enumerate(seq, start=1):
+        reached = []
+        for u in frontier:
+            for v in adjacency[u]:
+                if not burn[v]:
+                    burn[v] = r
+                    reached.append(v)
+        if not burn[x]:
+            burn[x] = r
+            reached.append(x)
+        elif burn[x] < r:
+            return burn, r
+        frontier = reached
+    return burn, 0
+
+
+def _first_pair(g: Graph, seq: tuple[int, ...]) -> tuple[int, int]:
+    """The lexicographically first pair i < j (1-based) with
+    d(x_i, x_j) < j - i, from one source's distance row at a time."""
+    for i, x in enumerate(seq):
+        (row,) = distance_rows(g, (x,))
+        for j in range(i + 1, len(seq)):
+            if row[seq[j]] < j - i:
+                return i + 1, j + 1
+    raise AssertionError(f"no pair of {seq} fails the distance condition")
 
 
 def check_sequence(g: Graph, sources: tuple[int, ...]) -> SequenceCheck:
     """Check both burning-sequence conditions, reporting what failed.
 
     Malformed input (empty sequence, duplicate or out-of-range ids) raises
-    ValueError before any distance is computed; that is distinct from a
-    well-formed but invalid sequence. Only the k sources' distance rows
-    are computed. Distances across components are 2n, more than any gap,
-    so the pairwise condition holds vacuously there.
+    ValueError before the graph is searched; that is distinct from a
+    well-formed but invalid sequence. One pass burns the graph
+    (``_burn_rounds``): round r spreads the fire one step, then lights
+    x_r, which must not be alight yet, and the vertices never reached
+    are ``uncovered``. A valid sequence therefore costs O(n + m) and no
+    distance row. Only when a source was alight early are distance rows
+    computed, one source at a time in order, until the first failing pair
+    (the lexicographically first) is found. Across components no fire
+    spreads, so the pairwise condition holds vacuously there.
     """
     seq = _validated(g, sources)
-    return _check_rows(seq, distance_rows(g, seq))
+    burn, early = _burn_rounds(g, seq)
+    if early:
+        return SequenceCheck(ok=False, failed_pair=_first_pair(g, seq))
+    if 0 in burn:
+        uncovered = frozenset(v for v, r in enumerate(burn) if not r)
+        return SequenceCheck(ok=False, uncovered=uncovered)
+    return SequenceCheck(ok=True)
 
 
 def verify_sequence(g: Graph, sources: tuple[int, ...]) -> bool:
@@ -534,10 +578,9 @@ def find_sequence(
         return _search(prep, k, state)
     except _BudgetExhausted:
         pass
-    components = connected_components(g)
-    lower, known = _route(g, components)
+    lower, known = _route(g)
     if known is None:
-        lower, known = _bounds(prep, components, lower)
+        lower, known = _bounds(prep, connected_components(g), lower)
     if len(known) == k:
         return known
     if k < lower:
@@ -633,49 +676,42 @@ def _bounds(
 # Structural route
 # --------------------------------------------------------------------------
 
-def _route(g: Graph, components: list[list[int]]) -> tuple[int, Optional[tuple[int, ...]]]:
+def _route(g: Graph) -> tuple[int, Optional[tuple[int, ...]]]:
     """b(G) and a certificate for a one-hub graph or a linear forest, read
     off its walks; otherwise a floor on b(G) and None.
 
-    A connected graph with at most one vertex of degree 3 or more and at
-    most n edges (a path, a cycle, a spider or a t-unicyclic graph) is
-    walked once out of that vertex (a path out of an end, a cycle out of
-    vertex 0), and k deepens from ``structural.lower_bound`` with
-    ``structural.hub_cover``. A linear forest is walked once along each
-    path, and k deepens from the larger of its number of parts and
-    ceil(sqrt(n)) with ``structural.forest_cover``. Both decide b(G) <= k
-    exactly and return the cover that proves it, so the first k with a
-    cover is b(G), and ``_walk_sequence`` turns that cover into the
-    certificate. Deciding those covers is NP-complete, so the route gives
-    up after ``HUB_RULE_STATES`` interval-cover states, or above
-    ``MAX_ROUNDS``, and then returns the first level it did not refute.
-    Any other graph gets the floor 1 after one pass over the degrees.
+    ``graphs.family_walks`` takes a connected graph with at most one vertex
+    of degree 3 or more and at most n edges (a path, a cycle, a spider or a
+    t-unicyclic graph), walked once out of that vertex (a path out of an
+    end, a cycle out of vertex 0), and a linear forest, walked once along
+    each path; no components pass is run. On a one-hub graph k deepens
+    from ``structural.lower_bound`` with ``structural.hub_cover``, on a
+    linear forest from the larger of its number of parts and ceil(sqrt(n))
+    with ``structural.forest_cover``. Both decide b(G) <= k exactly and
+    return the cover that proves it, so the first k with a cover is b(G),
+    and ``_walk_sequence`` turns that cover into the certificate. Deciding
+    those covers is NP-complete, so the route gives up after
+    ``HUB_RULE_STATES`` interval-cover states, or above ``MAX_ROUNDS``, and
+    then returns the first level it did not refute. Any other graph gets
+    the floor 1.
     """
-    adjacency = g.adjacency
-    n = g.vertex_count
-    hubs = [v for v, adj in enumerate(adjacency) if len(adj) >= 3]
-    degrees = sum(map(len, adjacency))
-    if len(components) == 1 and len(hubs) <= 1 and degrees <= 2 * n:
-        hub = hubs[0] if hubs else next((v for v, adj in enumerate(adjacency) if len(adj) < 2), 0)
-        legs, ring = hub_walks(adjacency, hub)
+    walked = family_walks(g)
+    if walked is None:
+        return 1, None
+    hub, legs, ring = walked
+    if hub is not None:
         # every walk starts at the hub; the cycle's, possibly empty, is last
         walks = [[hub, *walk] for walk in (*legs, ring)]
         lengths = tuple(map(len, legs))
         cycle = len(ring) + 1 if ring else 0
         k = structural.lower_bound(lengths, cycle)
         decide = lambda k, tick: structural.hub_cover(lengths, k, cycle, tick)
-    elif not hubs and degrees == 2 * (n - len(components)):
-        hub, cycle = None, 0
-        walks = []
-        for comp in components:
-            # walked from an end, a path is that end and its one leg, if any
-            end = next(v for v in comp if len(adjacency[v]) < 2)
-            walks.append([end, *itertools.chain(*hub_walks(adjacency, end)[0])])
-        parts = tuple(map(len, walks))
-        k = max(len(parts), ceil_sqrt(n))
-        decide = lambda k, tick: structural.forest_cover(parts, k, tick)
     else:
-        return 1, None
+        cycle = 0
+        walks = legs  # each path from an end
+        parts = tuple(map(len, walks))
+        k = max(len(parts), ceil_sqrt(g.vertex_count))
+        decide = lambda k, tick: structural.forest_cover(parts, k, tick)
     tick = _Budget(HUB_RULE_STATES).tick
     try:
         while k <= MAX_ROUNDS:
@@ -768,10 +804,8 @@ def burning_number_exact(g: Graph, budget: Optional[int] = None) -> BurnResult:
     if g.vertex_count < 1:
         raise ValueError("graph must have at least one vertex")
 
-    components = connected_components(g)
-    _check_rounds(len(components))  # before any ball is grown
     _check_vertices(g.vertex_count)
-    lower, routed = _route(g, components)
+    lower, routed = _route(g)
     if routed is not None:
         return BurnResult(
             value=lower,
@@ -780,6 +814,8 @@ def burning_number_exact(g: Graph, budget: Optional[int] = None) -> BurnResult:
             upper_bound=lower,
             certificate=routed,
         )
+    components = connected_components(g)
+    _check_rounds(len(components))  # before any ball is grown
     prep = _Prepared(g, max_radius=0)
     lower, upper_seq = _bounds(prep, components, lower)
     upper = len(upper_seq)
@@ -841,33 +877,41 @@ def extract_partition(g: Graph, sources: tuple[int, ...]) -> list[TreePart]:
     earliest burning round; ties broken by lowest part index, then lowest
     vertex id), which carves one BFS tree per source. Part i then has
     height at most k-i, and the roots inherit the sequence's pairwise
-    distance gaps.
+    distance gaps. The burn rounds come from the pass that checks the
+    sequence (``_burn_rounds``); the vertices are grouped by round, and
+    then by part, in one pass each.
     """
     seq = _validated(g, sources)
-    rows = distance_rows(g, seq)
-    if not _check_rows(seq, rows).ok:
+    burn, early = _burn_rounds(g, seq)
+    if early or 0 in burn:
         raise ValueError(f"not a valid burning sequence: {seq}")
-    n = g.vertex_count
-    # round at which each vertex burns; source m burns exactly at round m+1
-    burn = [min(m + 1 + row[v] for m, row in enumerate(rows)) for v in range(n)]
-    part = [-1] * n
+    adjacency = g.adjacency
+    k = len(seq)
+    rounds: list[list[int]] = [[] for _ in range(k + 1)]
+    for v, r in enumerate(burn):
+        rounds[r].append(v)
+    part = [-1] * len(burn)
     parent: dict[int, int] = {}
     for m, x in enumerate(seq):
         part[x] = m
-    for v in sorted(range(n), key=lambda v: (burn[v], v)):
-        if part[v] >= 0:
-            continue
-        feeders = [u for u in g.adjacency[v] if burn[u] == burn[v] - 1]
-        u = min(feeders, key=lambda u: (part[u], u))
-        part[v] = part[u]
-        parent[v] = u
+    # a vertex's feeders all burn a round earlier, so rounds go in order
+    for r in range(2, k + 1):
+        for v in rounds[r]:
+            if part[v] < 0:
+                feeders = [u for u in adjacency[v] if burn[u] == r - 1]
+                u = min(feeders, key=lambda u: (part[u], u))
+                part[v] = part[u]
+                parent[v] = u
+    members: list[list[int]] = [[] for _ in seq]
+    for v, m in enumerate(part):
+        members[m].append(v)
 
     parts = []
     for m, x in enumerate(seq):
-        vertices = frozenset(v for v in range(n) if part[v] == m)
+        vertices = members[m]
         edges = tuple(sorted((parent[v], v) for v in vertices if v in parent))
         height = max(burn[v] for v in vertices) - (m + 1)
-        parts.append(TreePart(root=x, vertices=vertices, edges=edges, height=height))
+        parts.append(TreePart(root=x, vertices=frozenset(vertices), edges=edges, height=height))
     return parts
 
 

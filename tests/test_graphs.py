@@ -21,6 +21,7 @@ from burnkit.graphs import (
     connected_components,
     distance_matrix,
     distance_rows,
+    family_walks,
     hub_walks,
     parse_graph,
     qr_decompose,
@@ -432,6 +433,39 @@ class TestRecognize:
             closed = [[hub, *cycle, hub]] if cycle else []
             for walk in [[hub, *leg] for leg in legs] + closed:
                 assert all(v in g.adjacency[u] for u, v in zip(walk, walk[1:])), desc
+
+    def test_unions_of_walkable_components_match_reference(self):
+        # paths, cycles, spiders and t-unicyclic graphs side by side: only
+        # a union of paths is recognized, and family_walks walks exactly
+        # the recognized graphs, each vertex once
+        rng = random.Random(23)
+        shapes = [Path(1), Path(2), Path(5), Cycle(3), Cycle(6)]
+        shapes += [GeneralizedStar((2, 1, 1)), TUnicyclic(4, (2,)), TUnicyclic(3, (1, 1))]
+        kinds = set()
+        for _ in range(600):
+            blocks = [build(rng.choice(shapes)) for _ in range(rng.randint(1, 3))]
+            edges, start = [], 0
+            for block in blocks:
+                edges += [(start + u, start + v) for u, v in block.edges()]
+                start += block.vertex_count
+            perm = list(range(start))
+            rng.shuffle(perm)
+            g = Graph(start, [(perm[u], perm[v]) for u, v in edges])
+            family = recognize_family(g)
+            assert family == reference_recognize(g)
+            kinds.add(type(family).__name__)
+            walked = family_walks(g)
+            assert (walked is None) == (family == Other())
+            if walked is not None:
+                hub, legs, cycle = walked
+                vertices = [v for walk in (*legs, cycle) for v in walk]
+                vertices += [] if hub is None else [hub]
+                assert sorted(vertices) == list(range(start))
+                if hub is None:
+                    # each path from its lower-id end, paths by least vertex
+                    assert all(path[0] < path[-1] or len(path) == 1 for path in legs)
+                    assert legs == sorted(legs, key=min)
+        assert kinds == {"Path", "Cycle", "LinearForest", "GeneralizedStar", "TUnicyclic", "Other"}
 
     def test_one_hub_walk_matches_components(self):
         rng = random.Random(20)

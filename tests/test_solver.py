@@ -361,6 +361,93 @@ class TestCheckSequenceRows:
             extract_partition(build("cycle:4"), seq)
 
 
+def random_burning_sequence(g, rng):
+    """A valid burning sequence drawn round by round: each source is drawn
+    among the vertices no earlier source's fire has reached before its
+    round, until every vertex is covered."""
+    n = g.vertex_count
+    dist = reference_matrix(g)
+    seq = []
+    while True:
+        k = len(seq)
+        if seq and all(any(dist[x][v] <= k - 1 - m for m, x in enumerate(seq)) for v in range(n)):
+            return tuple(seq)
+        free = [v for v in range(n) if all(dist[x][v] >= k - m for m, x in enumerate(seq))]
+        seq.append(rng.choice(free))
+
+
+def random_blocks(rng, count, max_size):
+    """``count`` blocks of random trees plus a few chords, vertex ids
+    shuffled across blocks, so the graph has ``count`` components."""
+    sizes = [rng.randint(1, max_size) for _ in range(count)]
+    perm = list(range(sum(sizes)))
+    rng.shuffle(perm)
+    edges = set()
+    start = 0
+    for size in sizes:
+        for v in range(start + 1, start + size):
+            edges.add((rng.randrange(start, v), v))
+        for _ in range(rng.randint(0, 2)):
+            u, v = sorted(rng.sample(range(start, start + size), 2)) if size > 1 else (start, start)
+            if u != v:
+                edges.add((u, v))
+        start += size
+    return Graph(len(perm), [(perm[u], perm[v]) for u, v in edges])
+
+
+class TestBurnPass:
+    """``check_sequence`` by one burn pass: a valid sequence needs no
+    distance row, and a rejected one still reports the reference's pair."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            build("path:2000"),
+            build("uni:5;665,665,665"),
+            build("forest:900,700,300"),
+            grid_graph(6, 6),
+        ],
+        ids=repr,
+    )
+    def test_valid_sequences_need_no_distance_rows(self, g, monkeypatch):
+        cert = burning_number_exact(g).certificate
+
+        def fail(*args, **kwargs):
+            raise AssertionError("distance rows computed for a valid sequence")
+
+        monkeypatch.setattr(solver, "distance_rows", fail)
+        monkeypatch.setattr(graphs, "distance_rows", fail)
+        assert check_sequence(g, cert) == SequenceCheck(ok=True)
+        parts = extract_partition(g, cert)
+        assert [part.root for part in parts] == list(cert)
+        assert sum(len(part.vertices) for part in parts) == g.vertex_count
+
+    def test_early_sources_across_components(self):
+        # Sources hop between components, and some catch fire before their
+        # round; the pass stops at the first such round, but the reported
+        # pair is the lexicographically first, which may be another one
+        rng = random.Random(19)
+        later_pair = rejected = 0
+        for _ in range(400):
+            g = random_blocks(rng, rng.randint(2, 4), 7)
+            n = g.vertex_count
+            seq = tuple(rng.sample(range(n), rng.randint(2, n)))
+            got = check_sequence(g, seq)
+            assert got == reference_check(g, seq)
+            if got.failed_pair:
+                rejected += 1
+                later_pair += solver._burn_rounds(g, seq)[1] != got.failed_pair[1]
+        assert rejected >= 200
+        assert later_pair >= 20
+
+    def test_random_valid_sequences(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            g = random_blocks(rng, rng.randint(1, 3), 9)
+            seq = random_burning_sequence(g, rng)
+            assert check_sequence(g, seq) == reference_check(g, seq) == SequenceCheck(ok=True)
+
+
 class TestCoverSearch:
     def test_forest_58_19_4_certified(self):
         g = build("forest:58,19,4")
@@ -398,6 +485,35 @@ class TestCoverSearch:
         assert len(seq) == 3 and verify_sequence(g, seq)
 
 
+def reference_partition(g, seq):
+    """``extract_partition`` as it was before the burn rounds: k distance
+    rows, a k-way minimum per vertex and k scans of all n vertices."""
+    if not reference_check(g, seq).ok:
+        raise ValueError(f"not a valid burning sequence: {seq}")
+    dist = reference_matrix(g)
+    rows = [dist[x] for x in seq]
+    n = g.vertex_count
+    burn = [min(m + 1 + row[v] for m, row in enumerate(rows)) for v in range(n)]
+    part = [-1] * n
+    parent = {}
+    for m, x in enumerate(seq):
+        part[x] = m
+    for v in sorted(range(n), key=lambda v: (burn[v], v)):
+        if part[v] >= 0:
+            continue
+        feeders = [u for u in g.adjacency[v] if burn[u] == burn[v] - 1]
+        u = min(feeders, key=lambda u: (part[u], u))
+        part[v] = part[u]
+        parent[v] = u
+    parts = []
+    for m, x in enumerate(seq):
+        vertices = frozenset(v for v in range(n) if part[v] == m)
+        edges = tuple(sorted((parent[v], v) for v in vertices if v in parent))
+        height = max(burn[v] for v in vertices) - (m + 1)
+        parts.append(solver.TreePart(root=x, vertices=vertices, edges=edges, height=height))
+    return parts
+
+
 class TestPartition:
     def test_cycle4_example(self):
         g = build("cycle:4")
@@ -422,6 +538,24 @@ class TestPartition:
     def test_invalid_sequence_rejected(self):
         with pytest.raises(ValueError):
             extract_partition(build("path:3"), (1,))
+        with pytest.raises(ValueError):
+            extract_partition(build("path:9"), (0, 2, 1))
+
+    def test_matches_rows_reference_on_sweep_certificates(self):
+        for family_class, max_n in (("uni2", 20), ("uni1", 24), ("forest3", 18)):
+            for desc in enumerate_sweep(family_class, max_n):
+                g = build(desc)
+                cert = burning_number_exact(g).certificate
+                assert extract_partition(g, cert) == reference_partition(g, cert), desc
+
+    def test_matches_rows_reference_on_random_valid_sequences(self):
+        rng = random.Random(11)
+        cases = [grid_graph(4, 5), build("uni:6;4,3"), build("forest:5,3,1"), Graph(5)]
+        cases += [random_blocks(rng, rng.randint(1, 3), 9) for _ in range(150)]
+        for g in cases:
+            for _ in range(3):
+                seq = random_burning_sequence(g, rng)
+                assert extract_partition(g, seq) == reference_partition(g, seq)
 
     @pytest.mark.parametrize(
         "spec", ["cycle:9", "uni:4;4,4", "uni:3;6", "star:4,3,2", "forest:7,3", "path:16"]
@@ -668,16 +802,15 @@ class TestHubRule:
         assert time.perf_counter() - start < 30
         assert (exc.value.lower_bound, exc.value.upper_bound) == (42, 48)
         # the structural route gives up there, and its floor is the level
-        components = graphs.connected_components(g)
         tracemalloc.start()
         try:
-            floor, certificate = solver._route(g, components)
+            floor, certificate = solver._route(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert (floor, certificate) == (42, None)
         assert peak < 4 * 2**20
-        lower, greedy = _bounds(_Prepared(g, max_radius=0), components, floor)
+        lower, greedy = _bounds(_Prepared(g, max_radius=0), graphs.connected_components(g), floor)
         assert (lower, len(greedy)) == (42, 48)
 
 
@@ -764,12 +897,37 @@ class TestRoute:
             searched += res.upper_bound > res.lower_bound
         assert searched > 100  # levels the search, not the route, decided
 
+    def test_routed_graphs_run_no_components_pass(self, monkeypatch):
+        calls = []
+        counted = graphs.connected_components
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(graphs, "connected_components", counting)
+        monkeypatch.setattr(solver, "connected_components", counting)
+        routed = [build(desc) for desc in route_shapes(9)]
+        routed += [build(spec) for spec in ("path:2000", "cycle:40", "uni:5;665,665,665")]
+        routed += [build("forest:900,700,300"), Graph(7)]
+        for g in routed:
+            burning_number_exact(g)
+            recognize_family(g)
+            assert not calls, g
+        rng = random.Random(3)
+        for g in [grid_graph(4, 5), grid_graph(6, 6)] + [random_tree(rng, 30) for _ in range(5)]:
+            burning_number_exact(g)
+            assert len(calls) == 1, g
+            recognize_family(g)
+            assert len(calls) == 1, g
+            calls.clear()
+
     def test_state_limit_leaves_its_floor(self, monkeypatch):
         # star:9,9,9,9 has the counting bound 6, its value: the route gives
         # up before its first state, and the floor is that bound
         monkeypatch.setattr(solver, "HUB_RULE_STATES", 0)
         g = build("star:9,9,9,9")
-        assert solver._route(g, graphs.connected_components(g)) == (6, None)
+        assert solver._route(g) == (6, None)
         assert burning_number_exact(g).value == 6
 
 
