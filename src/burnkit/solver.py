@@ -20,12 +20,12 @@ spiders, t-unicyclic graphs), and linear forests. One walk out of the hub,
 or along each path (``graphs.family_walks``), both recognizes these graphs
 and gives the vertex ids, so no components pass is run for them; the
 other graphs get one components pass. k deepens with the one-hub rule
-or the interval cover, and the cover at the first accepted k is turned
-into the certificate on walk coordinates (``_walk_sequence``), with no
-distance computed. A routed result has lower bound, value and upper bound
-equal and spends no search nodes. The covers are NP-complete to decide,
-so the route gives up after ``HUB_RULE_STATES`` interval-cover states;
-the levels it refuted by then are a floor for the ball search.
+or the interval cover, and the cover at the first accepted k, on walk
+coordinates, becomes the certificate. A routed result has lower bound,
+value and upper bound equal and spends no search nodes. The covers are
+NP-complete to decide, so the route gives up after ``HUB_RULE_STATES``
+interval-cover states; the levels it refuted by then are a floor for the
+ball search.
 
 Cover search (``_cover``); its state is the uncovered-vertex mask and the
 unused-radii mask, and every cut keeps it complete:
@@ -41,20 +41,21 @@ unused-radii mask, and every cut keeps it complete:
     skipped, since swapping in the larger center keeps every completion
     valid.
 
-A cover becomes a certificate round by round (``_to_sequence``): a center
-that is already burned when its round comes is swapped for an unburned
-vertex, whose ball is then redundant because the burned center's ball lies
-inside the ball of the source that burned it. At the first feasible level
-no round runs out of unburned vertices, so the certificate has length
-exactly k. Above b(G) a cover may convert to a shorter sequence; there
-``find_sequence`` falls back to a depth-first search over source sequences
-(``_search``) to keep the strict definition, under which some longer
-lengths admit no sequence at all (K4 burns in 2 rounds, never in 3).
-
-A sequence is checked by burning the graph once (``_burn_rounds``): round
-r spreads the fire one step and then lights x_r, which must not be alight
-yet. That decides both conditions in O(n + m); distance rows are computed
-only to name the first failing pair of a rejected sequence.
+One staggered fire (``_burn``) both checks sequences and makes
+certificates: round r spreads the fire one step and lights x_r. To check
+a sequence, x_r must not be alight yet, which decides both conditions in
+O(n + m); distance rows are computed only to name the first failing pair
+of a rejected sequence. To turn a cover (centers by descending radius,
+on vertex ids from the search or on walk coordinates from the route)
+into a certificate, a center already alight when its round comes is
+swapped for the first unlit vertex in a fixed order; its ball lies inside
+the ball of the source that lit it, so the cover stays a cover, and no
+distance is computed. At the first feasible level no round runs out of
+unlit vertices, so the certificate has length exactly k. Above b(G) a
+cover may convert to a shorter sequence; there ``find_sequence`` falls
+back to a depth-first search over source sequences (``_search``) to keep
+the strict definition, under which some longer lengths admit no sequence
+at all (K4 burns in 2 rounds, never in 3).
 
 Branch vertices, candidate centers and swaps are chosen by fixed rules
 (set sizes, ties by vertex id), which makes certificates deterministic:
@@ -78,7 +79,7 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import structural
 from .graphs import (
@@ -170,22 +171,36 @@ def _validated(g: Graph, sources: tuple[int, ...]) -> tuple[int, ...]:
     return seq
 
 
-def _burn_rounds(g: Graph, seq: tuple[int, ...]) -> tuple[list[int], int]:
-    """Burn ``g`` by ``seq``: the round in which each vertex catches fire
-    (0 if never), and the first round whose source was already alight
-    before it (0 if none).
+def _burn(
+    g: Graph, centers: Sequence[Optional[int]], order: Sequence[int] = ()
+) -> tuple[tuple[int, ...], list[int]]:
+    """Burn ``g`` from ``centers`` in turn: the sources lit, and the round in
+    which each vertex caught fire (0 if never).
 
-    Round r spreads the fire one step, then lights x_r. Vertex v catches
-    fire in round min_i (i + d(x_i, v)), so x_r is alight before round r
-    exactly when d(x_i, x_r) < r - i for some i < r, and after round k the
-    vertices that never caught fire are the ones no ball covers. The pass
-    stops at the first such round; until then it is one multi-source
-    breadth-first search, O(n + m) with O(n) memory.
+    Round r takes center r, unless it is None or already alight; then it
+    takes the first unlit vertex of ``order``, and the pass stops when
+    there is none. The round spreads the fire one step and lights its
+    source. Vertex v catches fire in round min_m (m + d(x_m, v)), so x_r is
+    alight before round r exactly when d(x_m, x_r) < r - m for some m < r:
+    with the empty ``order`` fewer sources are lit than given exactly when
+    the distance condition fails. A center alight before its round lies
+    within radius r - 1 - m of some source x_m, so its ball lies inside
+    x_m's and a swap keeps a cover a cover. Burned vertices stay burned,
+    so the pointer into ``order`` only moves forward; the pass is one
+    multi-source breadth-first search, O(n + m + len(order)), O(n) memory.
     """
     adjacency = g.adjacency
     burn = [0] * len(adjacency)
+    lit: list[int] = []
     frontier: list[int] = []
-    for r, x in enumerate(seq, start=1):
+    spare = 0
+    for r, x in enumerate(centers, start=1):
+        if x is None or burn[x]:
+            while spare < len(order) and burn[order[spare]]:
+                spare += 1
+            if spare == len(order):
+                break
+            x = order[spare]
         reached = []
         for u in frontier:
             for v in adjacency[u]:
@@ -195,10 +210,9 @@ def _burn_rounds(g: Graph, seq: tuple[int, ...]) -> tuple[list[int], int]:
         if not burn[x]:
             burn[x] = r
             reached.append(x)
-        elif burn[x] < r:
-            return burn, r
+        lit.append(x)
         frontier = reached
-    return burn, 0
+    return tuple(lit), burn
 
 
 def _first_pair(g: Graph, seq: tuple[int, ...]) -> tuple[int, int]:
@@ -218,17 +232,18 @@ def check_sequence(g: Graph, sources: tuple[int, ...]) -> SequenceCheck:
     Malformed input (empty sequence, duplicate or out-of-range ids) raises
     ValueError before the graph is searched; that is distinct from a
     well-formed but invalid sequence. One pass burns the graph
-    (``_burn_rounds``): round r spreads the fire one step, then lights
-    x_r, which must not be alight yet, and the vertices never reached
-    are ``uncovered``. A valid sequence therefore costs O(n + m) and no
+    (``_burn`` with no order to swap from): it stops at the first source
+    already alight, so fewer sources lit than given means the distance
+    condition failed, and otherwise the vertices never reached are
+    ``uncovered``. A valid sequence therefore costs O(n + m) and no
     distance row. Only when a source was alight early are distance rows
     computed, one source at a time in order, until the first failing pair
     (the lexicographically first) is found. Across components no fire
     spreads, so the pairwise condition holds vacuously there.
     """
     seq = _validated(g, sources)
-    burn, early = _burn_rounds(g, seq)
-    if early:
+    lit, burn = _burn(g, seq)
+    if len(lit) < len(seq):
         return SequenceCheck(ok=False, failed_pair=_first_pair(g, seq))
     if 0 in burn:
         uncovered = frozenset(v for v, r in enumerate(burn) if not r)
@@ -521,38 +536,16 @@ def _search(prep: _Prepared, k: int, budget: _Budget) -> Optional[tuple[int, ...
     return None
 
 
-def _to_sequence(
-    prep: _Prepared, centers: Sequence[Optional[int]]
-) -> tuple[int, ...]:
-    """Burning sequence from a cover, centers listed by descending radius.
-
-    Round i keeps its center unless the center is already burned (or the
-    cover left it None); then it takes the first unburned vertex in
-    ``prep.order``. A burned center's ball lies inside the ball of the
-    source that burned it, so the swap keeps the cover. The result is
-    shorter than the cover when some round finds every vertex burned.
-    """
-    balls, full = prep.balls, prep.full
-    seq: list[int] = []
-    for i, c in enumerate(centers):
-        burned = 0
-        for m, x in enumerate(seq):
-            burned |= balls[i - 1 - m][x]
-        if burned == full:
-            break
-        if c is None or (burned >> c) & 1:
-            c = next(v for v in prep.order if not (burned >> v) & 1)
-        seq.append(c)
-    return tuple(seq)
-
-
 def find_sequence(
     g: Graph, k: int, budget: Optional[int] = None
 ) -> Optional[tuple[int, ...]]:
     """Length-k burning sequence of ``g``, or None if none exists.
 
     The search is complete, so a None return is a proof that ``g`` admits
-    no length-k burning sequence. When the node budget runs out first, the
+    no length-k burning sequence. A cover found at level k becomes a
+    sequence by ``_burn`` with the candidate order; when it comes out
+    shorter, g burns in fewer rounds and ``_search`` looks for a strict
+    length-k sequence. When the node budget runs out first, the
     bounds ``burning_number_exact`` reports are computed: the structural
     route's value and certificate, or the lower bound of ``_bounds`` and
     the greedy sequence. A sequence among them of length exactly k is
@@ -570,7 +563,7 @@ def find_sequence(
         centers = _cover(prep, k, state)
         if centers is None:
             return None  # every burning sequence is a cover
-        seq = _to_sequence(prep, centers)
+        seq, _ = _burn(g, centers, prep.order)
         if len(seq) == k:
             return seq
         # g burns in fewer than k rounds, and a strict length-k sequence
@@ -688,12 +681,14 @@ def _route(g: Graph) -> tuple[int, Optional[tuple[int, ...]]]:
     from ``structural.lower_bound`` with ``structural.hub_cover``, on a
     linear forest from the larger of its number of parts and ceil(sqrt(n))
     with ``structural.forest_cover``. Both decide b(G) <= k exactly and
-    return the cover that proves it, so the first k with a cover is b(G),
-    and ``_walk_sequence`` turns that cover into the certificate. Deciding
-    those covers is NP-complete, so the route gives up after
-    ``HUB_RULE_STATES`` interval-cover states, or above ``MAX_ROUNDS``, and
-    then returns the first level it did not refute. Any other graph gets
-    the floor 1.
+    return the cover that proves it, so the first k with a cover is b(G).
+    Its centers, (walk, position), map to the walk's vertex ids, and
+    ``_burn`` turns them into the certificate, swapping in unlit vertices
+    in walk order: the hub, then each leg, then the cycle, or each path in
+    turn. No distance is computed. Deciding those covers is NP-complete, so
+    the route gives up after ``HUB_RULE_STATES`` interval-cover states, or
+    above ``MAX_ROUNDS``, and then returns the first level it did not
+    refute. Any other graph gets the floor 1.
     """
     walked = family_walks(g)
     if walked is None:
@@ -702,13 +697,14 @@ def _route(g: Graph) -> tuple[int, Optional[tuple[int, ...]]]:
     if hub is not None:
         # every walk starts at the hub; the cycle's, possibly empty, is last
         walks = [[hub, *walk] for walk in (*legs, ring)]
+        order = [hub, *itertools.chain(*legs, ring)]
         lengths = tuple(map(len, legs))
         cycle = len(ring) + 1 if ring else 0
         k = structural.lower_bound(lengths, cycle)
         decide = lambda k, tick: structural.hub_cover(lengths, k, cycle, tick)
     else:
-        cycle = 0
         walks = legs  # each path from an end
+        order = list(itertools.chain(*walks))
         parts = tuple(map(len, walks))
         k = max(len(parts), ceil_sqrt(g.vertex_count))
         decide = lambda k, tick: structural.forest_cover(parts, k, tick)
@@ -717,7 +713,8 @@ def _route(g: Graph) -> tuple[int, Optional[tuple[int, ...]]]:
         while k <= MAX_ROUNDS:
             centers = decide(k, tick)
             if centers is not None:
-                seq = _walk_sequence(walks, centers, hub is not None, cycle)
+                spots = [None if c is None else walks[c[0]][c[1]] for c in centers]
+                seq, _ = _burn(g, spots, order)
                 if len(seq) != k:
                     # every level below k is refuted, so g cannot burn sooner
                     raise AssertionError(f"cover at the first feasible level {k} gave {seq}")
@@ -726,67 +723,6 @@ def _route(g: Graph) -> tuple[int, Optional[tuple[int, ...]]]:
     except _BudgetExhausted:
         pass  # the levels refuted so far stand; the search decides the rest
     return k, None
-
-
-def _walk_sequence(
-    walks: list[list[int]], centers: structural.Cover, hub: bool, cycle: int
-) -> tuple[int, ...]:
-    """Burning sequence from a cover on walks (``structural.Cover``), round
-    by round as ``_to_sequence`` makes it from a cover on vertex ids.
-
-    With ``hub`` every walk starts at one shared hub, and for ``cycle`` > 0
-    the last walk is the cycle through it, of that length; otherwise the
-    walks are the paths of a linear forest. What the sources so far have
-    burned is found from their coordinates alone, as spans of positions
-    on each walk: along a source's own walk (both ways round the cycle)
-    and, past the hub, a prefix of every other walk. A round whose center
-    is burned or None takes the first unburned position, hub first, then
-    walk by walk.
-    """
-    ring = len(walks) - 1 if cycle else -1
-    sources: list[tuple[int, int]] = []
-
-    def spans(b: int, i: int) -> Iterator[tuple[int, int]]:
-        """Spans of walk b that the sources have burned by round i."""
-        for m, (a, p) in enumerate(sources):
-            reach = i - 1 - m
-            if a != b:
-                if not hub:
-                    continue
-                reach -= min(p, cycle - p) if a == ring else p
-                p = 0
-            if reach < 0:
-                continue
-            low, high = p - reach, p + reach
-            if b != ring:
-                yield low, high
-            elif 2 * reach + 1 >= cycle:
-                yield 0, cycle - 1
-            else:
-                yield max(low, 0), min(high, cycle - 1)
-                if low < 0:
-                    yield low + cycle, cycle - 1
-                if high >= cycle:
-                    yield 0, high - cycle
-
-    def first_unburned(i: int) -> Optional[tuple[int, int]]:
-        for b, walk in enumerate(walks):
-            q = 1 if hub and b else 0  # the hub is checked on walk 0
-            for low, high in sorted(spans(b, i)):
-                if low > q:
-                    break
-                q = max(q, high + 1)
-            if q < len(walk):
-                return b, q
-        return None
-
-    for i, center in enumerate(centers):
-        if center is None or any(low <= center[1] <= high for low, high in spans(center[0], i)):
-            center = first_unburned(i)
-            if center is None:
-                break
-        sources.append(center)
-    return tuple(walks[b][p] for b, p in sources)
 
 
 def burning_number_exact(g: Graph, budget: Optional[int] = None) -> BurnResult:
@@ -841,7 +777,7 @@ def burning_number_exact(g: Graph, budget: Optional[int] = None) -> BurnResult:
                     raise AssertionError("complete search missed the greedy witness")
                 k += 1
                 continue
-            seq = _to_sequence(prep, centers)
+            seq, _ = _burn(g, centers, prep.order)
             if len(seq) != k:
                 # every level below k is refuted, so g cannot burn sooner
                 raise AssertionError(f"cover at the first feasible level {k} gave {seq}")
@@ -878,12 +814,12 @@ def extract_partition(g: Graph, sources: tuple[int, ...]) -> list[TreePart]:
     vertex id), which carves one BFS tree per source. Part i then has
     height at most k-i, and the roots inherit the sequence's pairwise
     distance gaps. The burn rounds come from the pass that checks the
-    sequence (``_burn_rounds``); the vertices are grouped by round, and
-    then by part, in one pass each.
+    sequence (``_burn``); the vertices are grouped by round, and then by
+    part, in one pass each.
     """
     seq = _validated(g, sources)
-    burn, early = _burn_rounds(g, seq)
-    if early or 0 in burn:
+    lit, burn = _burn(g, seq)
+    if len(lit) < len(seq) or 0 in burn:
         raise ValueError(f"not a valid burning sequence: {seq}")
     adjacency = g.adjacency
     k = len(seq)

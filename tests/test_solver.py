@@ -32,9 +32,9 @@ from burnkit.solver import (
     _Budget,
     _Prepared,
     _bounds,
+    _burn,
     _cover,
     _greedy_upper,
-    _to_sequence,
     burning_number_exact,
     check_sequence,
     extract_partition,
@@ -436,7 +436,7 @@ class TestBurnPass:
             assert got == reference_check(g, seq)
             if got.failed_pair:
                 rejected += 1
-                later_pair += solver._burn_rounds(g, seq)[1] != got.failed_pair[1]
+                later_pair += len(_burn(g, seq)[0]) + 1 != got.failed_pair[1]
         assert rejected >= 200
         assert later_pair >= 20
 
@@ -481,8 +481,61 @@ class TestCoverSearch:
         # the radius-2 ball at the middle of path:5 covers it all, so the
         # repeated or missing centers must be swapped for unburned vertices
         g = build("path:5")
-        seq = _to_sequence(_Prepared(g, max_radius=2), centers)
+        seq, _ = _burn(g, centers, _Prepared(g, max_radius=2).order)
         assert len(seq) == 3 and verify_sequence(g, seq)
+
+
+def reference_to_sequence(prep, centers):
+    """A cover's burning sequence as it was made from bitmask balls: round
+    i ORs the balls of radius i-1-m of every earlier source x_m, and a
+    burned or missing center takes the first unburned vertex in
+    ``prep.order``."""
+    balls, full = prep.balls, prep.full
+    seq = []
+    for i, c in enumerate(centers):
+        burned = 0
+        for m, x in enumerate(seq):
+            burned |= balls[i - 1 - m][x]
+        if burned == full:
+            break
+        if c is None or (burned >> c) & 1:
+            c = next(v for v in prep.order if not (burned >> v) & 1)
+        seq.append(c)
+    return tuple(seq)
+
+
+@st.composite
+def graphs_and_centers(draw):
+    """A small graph and arbitrary centers on it: repeats, None, and
+    more of them than the graph needs."""
+    g = draw(small_graphs(max_n=14))
+    spots = st.none() | st.integers(0, g.vertex_count - 1)
+    return g, draw(st.lists(spots, min_size=1, max_size=g.vertex_count + 3))
+
+
+class TestCoverToSequence:
+    """``_burn`` with the candidate order converts a cover as the bitmask
+    balls did."""
+
+    def test_first_feasible_covers(self):
+        levels = swapped = 0
+        for name, g in node_count_graphs():
+            k = burning_number_exact(g).value
+            prep = _Prepared(g, max_radius=k - 1)
+            centers = _cover(prep, k, _Budget(None))
+            seq = reference_to_sequence(prep, centers)
+            assert len(seq) == k, name
+            assert _burn(g, centers, prep.order)[0] == seq, name
+            levels += 1
+            swapped += seq != tuple(centers)
+        assert (levels, swapped) == (557, 387)
+
+    @given(graphs_and_centers())
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_centers(self, case):
+        g, centers = case
+        prep = _Prepared(g, max_radius=len(centers) - 1)
+        assert _burn(g, centers, prep.order)[0] == reference_to_sequence(prep, centers)
 
 
 def reference_partition(g, seq):
@@ -932,9 +985,9 @@ class TestRoute:
 
 
 def reference_walk_sequence(g, walks, centers, hub):
-    """``_walk_sequence`` by distance rows: a center is burned when some
-    earlier source is close enough, and a swap takes the first unburned
-    vertex in walk order, the hub first."""
+    """A cover on walks turned into a sequence by distance rows: a center
+    is burned when some earlier source is close enough, and a swap takes
+    the first unburned vertex in walk order, the hub first."""
     dist = reference_matrix(g)
     order = [w[p] for b, w in enumerate(walks) for p in range(1 if hub and b else 0, len(w))]
     seq = []
@@ -977,13 +1030,24 @@ def walks_and_centers(draw):
     return g, walks, centers, not forest, cycle
 
 
+def burn_on_walks(g, walks, centers, hub):
+    """``_burn`` on a cover on walks as the route runs it: centers mapped to
+    vertex ids, unlit vertices swapped in walk order, the hub first."""
+    spots = [None if c is None else walks[c[0]][c[1]] for c in centers]
+    if hub:
+        order = [walks[0][0], *itertools.chain(*(walk[1:] for walk in walks))]
+    else:
+        order = list(itertools.chain(*walks))
+    return _burn(g, spots, order)[0]
+
+
 class TestWalkSequence:
     @given(walks_and_centers())
     @settings(max_examples=400, deadline=None)
     def test_matches_conversion_by_distances(self, case):
         g, walks, centers, hub, cycle = case
         expected = reference_walk_sequence(g, walks, centers, hub)
-        assert solver._walk_sequence(walks, centers, hub, cycle) == expected
+        assert burn_on_walks(g, walks, centers, hub) == expected
 
     def test_cycle_source_burns_a_leg_the_short_way_round(self):
         # c4 sits next to the hub on cycle:5, so two rounds later it has
@@ -994,7 +1058,7 @@ class TestWalkSequence:
         legs, ring = graphs.hub_walks(g.adjacency, hub)
         walks = [[hub, *legs[0]], [hub, *ring]]
         centers = [(1, 4), (1, 2), (0, 3), (0, 1)]
-        seq = solver._walk_sequence(walks, centers, True, 5)
+        seq = burn_on_walks(g, walks, centers, True)
         assert seq == reference_walk_sequence(g, walks, centers, True)
         assert walks[0][1] not in seq
 
@@ -1170,4 +1234,20 @@ class TestNodeCounts:
             for k, nodes in cover_node_counts(g)
         ]
         assert len(rows) == 815
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.DIGEST
+
+
+class TestCertificates:
+    # Certificates are deterministic: the same graph gets the same sequence
+    # from every version that keeps the search's branching order and the
+    # route's covers, whichever way a cover is turned into a sequence.
+    # 1,265 graphs: the search's node-count set and every routed shape to
+    # order 12.
+    DIGEST = "47f72bff368abfa2ef380971f233d10b2554680e05a342715d1e2e2d3256fff1"
+
+    def test_frozen_certificates(self):
+        rows = [(name, burning_number_exact(g).certificate) for name, g in node_count_graphs()]
+        for desc in route_shapes(12):
+            rows.append((format_spec(desc), burning_number_exact(build(desc)).certificate))
+        assert len(rows) == 1265
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.DIGEST
