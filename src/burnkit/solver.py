@@ -39,7 +39,16 @@ unused-radii mask, and every cut keeps it complete:
   * dominance: at one radius, a candidate whose share of the uncovered
     vertices is a subset of an already-tried candidate's share is
     skipped, since swapping in the larger center keeps every completion
-    valid.
+    valid;
+  * packing: with R the largest unused radius, uncovered vertices
+    pairwise more than 2R apart need a ball each, since by the triangle
+    inequality a ball of radius at most R holds no two vertices more than
+    2R apart (nor two in different components). Starting from the branch
+    vertex, the lowest-id uncovered vertex outside the radius-2R balls of
+    all those taken so far is taken, and the node fails once more are
+    taken than radii are unused (Meir and Moon's packing bound). The cut
+    only drops subtrees that hold no cover, so the first cover found and
+    its centers are the same as without it.
 
 One staggered fire (``_burn``) both checks sequences and makes
 certificates: round r spreads the fire one step and lights x_r. To check
@@ -77,7 +86,7 @@ import itertools
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -97,12 +106,13 @@ from .structural import MAX_ROUNDS
 EXACT = "exact"
 
 # The search's preparation holds an n-bit ball per vertex and radius, up to
-# the greedy bound, and grows every ball to its eccentricity. For balanced
-# three-arm unicyclic graphs, preparing the search (balls, greedy bound and
-# the balls up to it) took 3.8 MB and 0.2 s at n = 1,000, 17 MB and 0.9 s
-# at 2,000, and 83 MB and 4.6 s at 4,000 (tracemalloc peak; 2-core x86-64,
-# CPython 3.11). Time grows with n times the eccentricities, so a larger
-# graph is refused before any ball is grown.
+# twice the level searched, and grows every ball to its eccentricity. On
+# grids, which reach the search, preparing it (balls, bounds, and the layers
+# of the level the search starts at) took 3.3 MB and 0.04 s at n = 1,000
+# (25 x 40), 13.6 MB and 0.12 s at 2,000 (40 x 50), and 64 MB and 0.5 s at
+# 4,000 (50 x 80) (tracemalloc peak, time untraced; 2-core x86-64, CPython
+# 3.11). Memory grows with n^2 times the level, so a larger graph is
+# refused before any ball is grown.
 MAX_EXACT_VERTICES = 2_000
 
 # The structural route, on one-hub graphs and on linear forests, gives up
@@ -151,11 +161,16 @@ class Inconclusive(Exception):
 
 @dataclass(frozen=True)
 class SequenceCheck:
-    """Outcome of checking the two burning-sequence conditions."""
+    """Outcome of checking the two burning-sequence conditions.
+
+    ``distance`` is d(x_i, x_j) for the failed pair, read off the row that
+    found it. It is fixed by the graph and the pair, so equality ignores it.
+    """
 
     ok: bool
     failed_pair: Optional[tuple[int, int]] = None  # 1-based positions i < j
     uncovered: frozenset[int] = frozenset()
+    distance: Optional[int] = field(default=None, compare=False)
 
 
 def _validated(g: Graph, sources: tuple[int, ...]) -> tuple[int, ...]:
@@ -215,14 +230,15 @@ def _burn(
     return tuple(lit), burn
 
 
-def _first_pair(g: Graph, seq: tuple[int, ...]) -> tuple[int, int]:
+def _first_pair(g: Graph, seq: tuple[int, ...]) -> tuple[int, int, int]:
     """The lexicographically first pair i < j (1-based) with
-    d(x_i, x_j) < j - i, from one source's distance row at a time."""
+    d(x_i, x_j) < j - i, and that distance, from one source's distance row
+    at a time."""
     for i, x in enumerate(seq):
         (row,) = distance_rows(g, (x,))
         for j in range(i + 1, len(seq)):
             if row[seq[j]] < j - i:
-                return i + 1, j + 1
+                return i + 1, j + 1, row[seq[j]]
     raise AssertionError(f"no pair of {seq} fails the distance condition")
 
 
@@ -238,13 +254,15 @@ def check_sequence(g: Graph, sources: tuple[int, ...]) -> SequenceCheck:
     ``uncovered``. A valid sequence therefore costs O(n + m) and no
     distance row. Only when a source was alight early are distance rows
     computed, one source at a time in order, until the first failing pair
-    (the lexicographically first) is found. Across components no fire
-    spreads, so the pairwise condition holds vacuously there.
+    (the lexicographically first) is found; its distance comes with it.
+    Across components no fire spreads, so the pairwise condition holds
+    vacuously there.
     """
     seq = _validated(g, sources)
     lit, burn = _burn(g, seq)
     if len(lit) < len(seq):
-        return SequenceCheck(ok=False, failed_pair=_first_pair(g, seq))
+        i, j, d = _first_pair(g, seq)
+        return SequenceCheck(ok=False, failed_pair=(i, j), distance=d)
     if 0 in burn:
         uncovered = frozenset(v for v, r in enumerate(burn) if not r)
         return SequenceCheck(ok=False, uncovered=uncovered)
@@ -299,8 +317,11 @@ class _Prepared:
 
     No distance matrix is built: the search, the geodesic lower bounds and
     the greedy upper bound read only the balls, ``ecc`` and ``diameter``.
-    Layers above ``max_radius`` are grown by ``extend`` when a level needs
-    them.
+    The tables (``tiers``, ``sizes``, ``suffix``, ``maxball``, ``capacity``)
+    cover radii 0..``max_radius`` and the ball layers radii
+    0..2 * ``max_radius``, which the search's packing cut reads at twice
+    the largest unused radius. ``extend`` grows both when a level needs
+    more.
     """
 
     def __init__(self, g: Graph, max_radius: int):
@@ -311,7 +332,7 @@ class _Prepared:
         self.adjacency = g.adjacency
         keep = max(max_radius, 2)
         # balls[r][v]: vertices within distance r of v, as a bitmask
-        self.balls, self.ecc = _grow_balls(g.adjacency, keep)
+        self.balls, self.ecc = _grow_balls(g.adjacency, 2 * keep)
         self.diameter = max(self.ecc, default=0)
         self.maxball: list[int] = []
         # per radius: the vertices grouped by ball size (tiers), the sizes,
@@ -331,9 +352,10 @@ class _Prepared:
         return sorted(range(self.n), key=lambda v: (-two_hop[v].bit_count(), v))
 
     def extend(self, max_radius: int) -> None:
-        """Grow the balls to ``max_radius`` and the tables built from them."""
+        """Grow the balls to radius 2 * ``max_radius`` and the tables built
+        from them to ``max_radius``."""
         n, adjacency, ecc, balls = self.n, self.adjacency, self.ecc, self.balls
-        for r in range(len(balls), max_radius + 1):
+        for r in range(len(balls), 2 * max_radius + 1):
             prev = balls[-1]
             layer = []
             for v in range(n):
@@ -343,7 +365,7 @@ class _Prepared:
                         mask |= prev[u]
                 layer.append(mask)
             balls.append(layer)
-        for layer in balls[len(self.maxball):]:
+        for layer in balls[len(self.maxball) : max_radius + 1]:
             by_size: dict[int, int] = {}
             for v, mask in enumerate(layer):
                 s = mask.bit_count()
@@ -404,8 +426,9 @@ def _cover(prep: _Prepared, k: int, budget: _Budget) -> Optional[list[Optional[i
 
     Entry i of the result is the center of radius k-1-i, or None when that
     radius was not needed. The search is complete, so None is a proof.
-    ``prep`` must hold the layers up to k-1. Nodes are counted in a local
-    and written back to ``budget`` on every exit.
+    ``prep`` must hold the tables up to radius k-1 and the ball layers up
+    to 2(k-1), as ``extend(k - 1)`` leaves them. Nodes are counted in a
+    local and written back to ``budget`` on every exit.
     """
     balls, maxball, tiers = prep.balls, prep.maxball, prep.tiers
     sizes, suffix = prep.sizes, prep.suffix
@@ -424,11 +447,22 @@ def _cover(prep: _Prepared, k: int, budget: _Budget) -> Optional[list[Optional[i
             return False
         # branch on the uncovered vertex with the fewest centers at the
         # largest unused radius, ties by lowest id
-        for tier in tiers[radii.bit_length() - 1]:
+        top = radii.bit_length() - 1
+        for tier in tiers[top]:
             pending = tier & uncovered
             if pending:
                 u = (pending & -pending).bit_length() - 1
                 break
+        # packing: vertices pairwise more than 2 * top apart need a ball
+        # each; u takes one, and the other radii must do for the rest
+        wide = balls[2 * top]
+        far = uncovered & ~wide[u]
+        spare = radii.bit_count() - 1
+        while far:
+            if not spare:
+                return False
+            spare -= 1
+            far &= ~wide[(far & -far).bit_length() - 1]
         rest = radii
         while rest:
             r = rest.bit_length() - 1

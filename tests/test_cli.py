@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from burnkit import cli, solver
+from burnkit import cli, graphs, solver
 from burnkit.cli import main
 from burnkit.compute import NoClosedForm, compute
 from burnkit.families import build
@@ -193,6 +193,27 @@ class TestCmdVerify:
         path = write_family(tmp_path, "path:9")
         assert main(["verify", "--file", path, "--sequence", "0,2,1"]) == 1
         assert "distance condition" in capsys.readouterr().out
+
+    def test_distance_read_off_the_check(self, tmp_path, capsys, monkeypatch):
+        # check_sequence found the pair with one distance row; verify
+        # computes no second one
+        def fail(*args, **kwargs):
+            raise AssertionError("distance row recomputed by verify")
+
+        real, rows = solver.distance_rows, []
+
+        def counted(g, sources):
+            rows.append(tuple(sources))
+            return real(g, sources)
+
+        monkeypatch.setattr(cli, "distance_rows", fail, raising=False)
+        monkeypatch.setattr(graphs, "distance_rows", fail)
+        monkeypatch.setattr(solver, "distance_rows", counted)
+        path = write_family(tmp_path, "path:9")
+        assert main(["verify", "--file", path, "--sequence", "0,2,1"]) == 1
+        out = capsys.readouterr().out
+        assert out == "invalid: distance condition failed for positions (1,3): d(0,1)=1 < 2\n"
+        assert rows == [(0,)]
 
     def test_duplicate_is_input_error(self, tmp_path, capsys):
         path = write_family(tmp_path, "cycle:5")

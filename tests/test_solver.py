@@ -3,6 +3,7 @@ import itertools
 import random
 import time
 import tracemalloc
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
@@ -1178,15 +1179,19 @@ class TestBallPreparation:
         assert exc.value.lower_bound <= value <= exc.value.upper_bound
 
     def test_memory_at_vertex_limit(self):
-        # the n x n matrix's row pointers alone took 8 * 2,000^2 bytes = 32 MB
+        # the n x n matrix's row pointers alone took 8 * 2,000^2 bytes = 32 MB;
+        # the layers up to twice the first searched level stay below that
         g = grid_graph(40, 50)
         assert g.vertex_count == MAX_EXACT_VERTICES
         tracemalloc.start()
         try:
-            _greedy_upper(_Prepared(g, 0))
+            prep = _Prepared(g, 0)
+            lower, _ = _bounds(prep, graphs.connected_components(g), 1)
+            prep.extend(lower - 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert lower == 15 and len(prep.balls) == 2 * lower - 1
         assert peak < 32 * 2**20
 
 
@@ -1224,8 +1229,9 @@ def node_count_graphs():
 class TestNodeCounts:
     # The cover search's node counts are deterministic and do not depend on
     # the hardware; a kernel change that keeps the branching order keeps
-    # every count. 815 levels, 5,101 nodes.
-    DIGEST = "9f4177cacd5a5ada9e62649a1023a047c3a5b7a432eb826d7d66d8f6287ad7c3"
+    # every count. 815 levels, 4,093 nodes; ``TestPackingCut`` compares each
+    # level with the search without the packing cut (5,101 nodes).
+    DIGEST = "0815ad2947bd9fa17610c84e17f1e7071533e683935f2cec7e31bebb2d4aa257"
 
     def test_frozen_node_counts(self):
         rows = [
@@ -1235,6 +1241,108 @@ class TestNodeCounts:
         ]
         assert len(rows) == 815
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.DIGEST
+
+
+def reference_cover(prep, k, budget):
+    """``_cover`` as it was before the packing cut: the same budget, branch
+    vertex, cover-budget bisection and dominance, and the same order."""
+    balls, maxball, tiers = prep.balls, prep.maxball, prep.tiers
+    sizes, suffix = prep.sizes, prep.suffix
+    centers = [None] * k
+
+    def rec(uncovered, radii, capacity):
+        budget.tick()
+        if not uncovered:
+            return True
+        count = uncovered.bit_count()
+        if count > capacity:
+            return False
+        for tier in tiers[radii.bit_length() - 1]:
+            pending = tier & uncovered
+            if pending:
+                u = (pending & -pending).bit_length() - 1
+                break
+        rest = radii
+        while rest:
+            r = rest.bit_length() - 1
+            rest ^= 1 << r
+            ball_r = balls[r]
+            ball_next = balls[rest.bit_length() - 1] if rest else None
+            left = capacity - maxball[r]
+            need = count - left
+            options = []
+            cand = ball_r[u] & suffix[r][bisect_left(sizes[r], need)]
+            while cand:
+                low = cand & -cand
+                c = low.bit_length() - 1
+                share = ball_r[c] & uncovered
+                if ball_next is None or ball_next[c] & uncovered != share:
+                    options.append((-share.bit_count(), c, share))
+                cand ^= low
+            options.sort()
+            tried = []
+            for size, c, share in options:
+                if count + size > left:
+                    break
+                for t in tried:
+                    if not share & ~t:
+                        break
+                else:
+                    tried.append(share)
+                    if rec(uncovered & ~share, radii ^ (1 << r), left):
+                        centers[k - 1 - r] = c
+                        return True
+        return False
+
+    found = rec(prep.full, (1 << k) - 1, prep.capacity[k - 1])
+    return centers if found else None
+
+
+def covers_against_reference(g, levels=None):
+    """(nodes, reference nodes) of ``_cover`` and ``reference_cover`` at
+    each level, default 1 up to b(g), after checking that both find a cover
+    at the same levels and that it has the same centers."""
+    value = burning_number_exact(g).value
+    prep = _Prepared(g, max_radius=value - 1)
+    rows = []
+    for k in levels or range(1, value + 1):
+        budget, ref_budget = _Budget(10**9), _Budget(10**9)
+        got = _cover(prep, k, budget)
+        assert got == reference_cover(prep, k, ref_budget), k
+        assert (got is not None) == (k == value), k
+        rows.append((10**9 - budget.remaining, 10**9 - ref_budget.remaining))
+    return rows
+
+
+class TestPackingCut:
+    """The packing cut removes only subtrees without a cover: the search
+    finds the same covers as without it, in no more nodes."""
+
+    def test_node_count_levels(self):
+        nodes = ref_nodes = 0
+        for name, g in node_count_graphs():
+            levels = [k for k, _ in cover_node_counts(g)]
+            for got, ref in covers_against_reference(g, levels):
+                assert got <= ref, name
+                nodes += got
+                ref_nodes += ref
+        assert (nodes, ref_nodes) == (4093, 5101)
+
+    @given(small_graphs(max_n=12) | disconnected_graphs(max_n=12))
+    @settings(max_examples=300, deadline=None)
+    def test_random_graphs(self, g):
+        for got, ref in covers_against_reference(g):
+            assert got <= ref
+
+    def test_refute_grids_and_trees(self):
+        rng = random.Random(3)
+        perm = list(range(64))
+        rng.shuffle(perm)
+        cases = [grid_graph(8, 8), grid_graph(8, 8, perm)]
+        cases += [random_tree(rng, rng.randint(50, 70)) for _ in range(5)]
+        for g in cases:
+            for got, ref in covers_against_reference(g):
+                assert got <= ref
 
 
 class TestCertificates:
