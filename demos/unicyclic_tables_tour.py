@@ -15,8 +15,8 @@ from burnkit import (
     burning_number_exact,
     enumerate_sweep,
     format_spec,
-    isometric_path_lower,
     qr_decompose,
+    structural,
     t_unicyclic_bounds,
     unicyclic_spanning_upper,
 )
@@ -51,7 +51,7 @@ for desc in enumerate_sweep("uni2", 16):
     table = b_unicyclic_t2(desc.g, *desc.arms).value
     exact = burning_number_exact(graph).value
     spanning = unicyclic_spanning_upper(graph)
-    iso = isometric_path_lower(desc)
-    assert table == exact == spanning and iso <= exact, format_spec(desc)
+    lower = structural.lower_bound(desc.arms, desc.g)
+    assert table == exact == spanning and lower <= exact, format_spec(desc)
     agree += 1
 print(f"  {agree} instances: table = direct search = spanning-tree minimum.")

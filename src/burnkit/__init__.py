@@ -53,7 +53,6 @@ from .solver import (
     check_sequence,
     extract_partition,
     find_sequence,
-    isometric_path_lower,
     unicyclic_spanning_upper,
     verify_sequence,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "extract_partition",
     "find_sequence",
     "format_spec",
-    "isometric_path_lower",
     "load_errata",
     "parse_errata",
     "parse_graph",

@@ -96,9 +96,8 @@ def _bfs(g: Graph, source: int, dist: list[int]) -> list[int]:
     """Write hop distances from ``source`` into ``dist``; return the reached vertices.
 
     The vertices come in BFS order, ``source`` first. An entry of ``dist``
-    equal to 2n is unvisited; any other value blocks the search, so a
-    caller pre-marks vertices to leave out, and the distances of an
-    earlier search keep the next one out of its component.
+    equal to 2n is unvisited; any other value blocks the search, so the
+    distances of an earlier search keep the next one out of its component.
     """
     adjacency = g.adjacency
     unvisited = 2 * len(adjacency)
@@ -140,17 +139,14 @@ def distance_rows(g: Graph, sources: Iterable[int]) -> list[list[int]]:
     return rows
 
 
-def connected_components(g: Graph, excluded: Iterable[int] = ()) -> list[list[int]]:
+def connected_components(g: Graph) -> list[list[int]]:
     """Vertex lists of the connected components, each sorted, in id order.
 
-    Vertices in ``excluded`` are removed from the graph first. One list
-    serves every search, so a component costs only its own vertices and
-    edges, however many components there are.
+    One list serves every search, so a component costs only its own
+    vertices and edges, however many components there are.
     """
     unvisited = 2 * g.vertex_count
     dist = [unvisited] * g.vertex_count
-    for v in excluded:
-        dist[v] = -1
     comps = []
     for s in range(g.vertex_count):
         if dist[s] == unvisited:

@@ -670,8 +670,8 @@ def _bounds(
       * geodesic forest, on two or three components: one longest geodesic
         per component is an isometric linear forest, and a ball of radius s
         meets a geodesic in at most 2s+1 consecutive vertices, so intervals
-        of sizes {2s+1 : s < k}, each used once, cover those paths. The
-        cover is decided exactly (``structural.intervals_cover``); burning
+        of sizes {2s+1 : s < k}, each used once, cover those paths. That is
+        the cover ``structural.forest_cover`` decides exactly; burning
         linear forests is NP-complete, so more parts are not tried;
       * capacity: the largest balls of radii k-1..0 hold n vertices between
         them. k climbs until they do, but not past the greedy length.
@@ -685,8 +685,8 @@ def _bounds(
         degree = len(adjacency[hubs[0]]) if hubs else 2
         lower = max(lower, counting_lower(n, degree - 2))
     if 2 <= len(components) <= 3:
-        parts = [1 + max(prep.ecc[v] for v in comp) for comp in components]
-        while not structural.intervals_cover(tuple(range(2 * lower - 1, 0, -2)))(parts):
+        parts = tuple(1 + max(prep.ecc[v] for v in comp) for comp in components)
+        while structural.forest_cover(parts, lower) is None:
             lower += 1
     greedy = _greedy_upper(prep)
     while lower < len(greedy):
@@ -767,7 +767,8 @@ def burning_number_exact(g: Graph, budget: Optional[int] = None) -> BurnResult:
     which lists its terms; every level below the returned value is
     exhausted, which is the optimality proof. When the lower bound meets
     the greedy upper bound, the greedy sequence is the certificate and no
-    level is searched.
+    level is searched; so it is when the node budget runs out at the greedy
+    length, since every level below it is refuted by then.
     Raises Inconclusive when the node budget runs out before the value is
     pinned down; the exception carries bounds that are correct regardless.
     """
@@ -789,15 +790,16 @@ def burning_number_exact(g: Graph, budget: Optional[int] = None) -> BurnResult:
     prep = _Prepared(g, max_radius=0)
     lower, upper_seq = _bounds(prep, components, lower)
     upper = len(upper_seq)
+    greedy = BurnResult(
+        value=upper,
+        method=EXACT,
+        lower_bound=lower,
+        upper_bound=upper,
+        certificate=upper_seq,
+    )
     if lower == upper:
         _check_rounds(upper)
-        return BurnResult(
-            value=upper,
-            method=EXACT,
-            lower_bound=lower,
-            upper_bound=upper,
-            certificate=upper_seq,
-        )
+        return greedy
 
     budget_state = _Budget(budget)
     k = lower
@@ -823,7 +825,9 @@ def burning_number_exact(g: Graph, budget: Optional[int] = None) -> BurnResult:
                 certificate=seq,
             )
     except _BudgetExhausted:
-        raise Inconclusive(max(lower, k), upper) from None
+        if k < upper:
+            raise Inconclusive(k, upper) from None
+        return greedy  # every level below the greedy length is refuted
 
 
 # --------------------------------------------------------------------------
@@ -892,15 +896,14 @@ def extract_partition(g: Graph, sources: tuple[int, ...]) -> list[TreePart]:
 def unicyclic_spanning_upper(g: Graph) -> int:
     """b(G) of a cycle or a t-unicyclic graph by the one-hub rule.
 
-    k deepens from ``structural.lower_bound(arms, g)`` to the first k that
-    ``structural.burns(arms, k, g)`` accepts. That is the minimum of b(T)
-    over G's spanning trees T, its g edge-deleted spiders (proof in the
-    ``structural`` docstring), which is b(G): a second oracle, not merely
-    an upper bound, independent of the ball-cover search but not of the
-    structural route of ``burning_number_exact``, which uses the same rule.
-    Raises ValueError for a graph that is
-    neither a cycle nor t-unicyclic, or that needs a search above
-    ``MAX_ROUNDS`` rounds.
+    k deepens from ``structural.lower_bound(arms, g)`` to the first k at
+    which ``structural.hub_cover(arms, k, g)`` finds a cover. That is the
+    minimum of b(T) over G's spanning trees T, its g edge-deleted spiders
+    (proof in the ``structural`` docstring), which is b(G): a second
+    oracle, not merely an upper bound, independent of the ball-cover search
+    but not of the structural route of ``burning_number_exact``, which uses
+    the same rule. Raises ValueError for a graph that is neither a cycle
+    nor t-unicyclic, or that needs a search above ``MAX_ROUNDS`` rounds.
     """
     desc = recognize_family(g)
     if not isinstance(desc, (Cycle, TUnicyclic)):
@@ -909,19 +912,6 @@ def unicyclic_spanning_upper(g: Graph) -> int:
         )
     arms = getattr(desc, "arms", ())
     k = structural.lower_bound(arms, desc.g)
-    while not structural.burns(arms, k, desc.g):
+    while structural.hub_cover(arms, k, desc.g) is None:
         k += 1
     return k
-
-
-def isometric_path_lower(desc: TUnicyclic) -> int:
-    """Lower bound from the longest isometric paths of a t-unicyclic graph.
-
-    The path through the longest arm and halfway around the cycle has
-    a1 + floor(g/2) + 1 vertices; with a second arm there is also the path
-    through both arms with a1 + a2 + 1 vertices. This is the path term of
-    ``structural.lower_bound(desc.arms, desc.g)``.
-    """
-    if not isinstance(desc, TUnicyclic) or desc.t < 1:
-        raise ValueError("isometric path bound needs a t-unicyclic graph, t >= 1")
-    return structural._path_lower(desc.arms, desc.g)

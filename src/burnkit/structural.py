@@ -32,7 +32,6 @@ Each decider returns the cover behind a yes, not just the yes:
 ``assign_intervals`` the sizes it laid on each path, and ``hub_cover``
 and ``forest_cover`` the centers of the balls as positions along the
 graph's walks (``Cover``), which the solver turns into a certificate.
-``intervals_cover`` and ``burns`` are the same tests as bools.
 """
 
 from __future__ import annotations
@@ -98,15 +97,6 @@ def assign_intervals(
         return placed
 
     return assign
-
-
-def intervals_cover(
-    sizes: tuple[int, ...], tick: Optional[Callable[[], None]] = None
-) -> Callable[[Sequence[int]], bool]:
-    """A test of whether intervals of ``sizes`` cover paths of given orders
-    (``assign_intervals`` as a bool)."""
-    assign = assign_intervals(sizes, tick)
-    return lambda parts: assign(parts) is not None
 
 
 def _assign(demands: tuple[int, ...], j: int, size: int) -> tuple[int, ...]:
@@ -234,14 +224,3 @@ def hub_cover(
                         _place(centers, sizes, walk, cut + 1, cut + residual[walk])
                     return centers
     return None
-
-
-def burns(
-    legs: tuple[int, ...],
-    k: int,
-    cycle: int = 0,
-    tick: Optional[Callable[[], None]] = None,
-) -> bool:
-    """True iff the one-hub graph with positive ``legs`` burns in at most k
-    rounds (``hub_cover`` as a bool)."""
-    return hub_cover(legs, k, cycle, tick) is not None

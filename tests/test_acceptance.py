@@ -10,6 +10,7 @@ import os
 
 import pytest
 
+from burnkit import structural
 from burnkit.families import build, enumerate_sweep, format_spec
 from burnkit.formulas import (
     b2_by_degree,
@@ -26,7 +27,6 @@ from burnkit.solver import (
     burning_number_exact,
     extract_partition,
     find_sequence,
-    isometric_path_lower,
     unicyclic_spanning_upper,
     verify_sequence,
 )
@@ -179,9 +179,9 @@ def test_criterion_6_bound_sandwich(uni1_data, uni2_data):
                 failures.append((format_spec(desc), lower, row["exact"], upper))
             if upper != ceil_sqrt(n):
                 failures.append((format_spec(desc), "upper is not root bound"))
-            if isometric_path_lower(desc) > row["exact"]:
+            if structural.lower_bound(desc.arms, desc.g) > row["exact"]:
                 failures.append(
-                    (format_spec(desc), "isometric", isometric_path_lower(desc))
+                    (format_spec(desc), "one-hub", structural.lower_bound(desc.arms, desc.g))
                 )
     _report(
         "criterion 6 bound sandwich on all unicyclic instances",

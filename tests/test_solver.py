@@ -40,7 +40,6 @@ from burnkit.solver import (
     check_sequence,
     extract_partition,
     find_sequence,
-    isometric_path_lower,
     unicyclic_spanning_upper,
     verify_sequence,
 )
@@ -194,6 +193,18 @@ class TestExact:
         with pytest.raises(Inconclusive) as exc:
             burning_number_exact(g, budget=3)
         assert exc.value.lower_bound <= 5 <= exc.value.upper_bound
+
+    def test_budget_at_the_greedy_level_gives_the_greedy_sequence(self):
+        # the 8x8 grid has bounds [5, 6]; refuting level 5 takes 4,998
+        # nodes, so 5,002 runs out at level 6 with nothing left to refute
+        g = grid_graph(8, 8)
+        res = burning_number_exact(g, budget=5002)
+        assert (res.value, res.lower_bound, res.upper_bound) == (6, 5, 6)
+        assert res.certificate == _greedy_upper(_Prepared(g, max_radius=0))
+        assert verify_sequence(g, res.certificate)
+        with pytest.raises(Inconclusive) as exc:
+            burning_number_exact(g, budget=4000)
+        assert (exc.value.lower_bound, exc.value.upper_bound) == (5, 6)
 
     def test_round_limit(self, monkeypatch):
         # MAX_ROUNDS isolated vertices still solve; one more is refused
@@ -749,16 +760,12 @@ class TestUnicyclicOracles:
         ],
     )
     def test_isometric_lower_examples(self, g, arms, value):
-        assert isometric_path_lower(TUnicyclic(g=g, arms=arms)) == value
-
-    def test_isometric_lower_rejects_t0(self):
-        with pytest.raises(ValueError):
-            isometric_path_lower(TUnicyclic(g=5, arms=()))
+        assert structural._path_lower(arms, g) == value
 
     def test_isometric_lower_sound_on_sweep(self):
         for desc in enumerate_sweep("uni2", 14):
             exact = burning_number_exact(build(desc)).value
-            assert isometric_path_lower(desc) <= exact
+            assert structural._path_lower(desc.arms, desc.g) <= exact
 
 
 class TestGreedyAndBounds:
@@ -773,8 +780,10 @@ class TestGreedyAndBounds:
         res = burning_number_exact(g)
         assert res.value == 4  # one source per component, all radii wasted
 
-    def test_geodesic_forest_bound_exact_on_small_forests(self):
-        # a linear forest is its own longest geodesics, so the bound is b(G)
+    def test_geodesic_forest_bound_exact_on_small_forests(self, monkeypatch):
+        # a linear forest is its own longest geodesics, so the bound is b(G);
+        # the route gives up at once, so it cannot stand in for the term
+        monkeypatch.setattr(solver, "HUB_RULE_STATES", 0)
         forests = [(a1, a2) for a1 in range(1, 40) for a2 in range(1, min(a1, 40 - a1) + 1)]
         forests += [
             (a1, a2, a3)

@@ -17,9 +17,9 @@ from .test_solver import reference_tree_shapes, search_value, t_unicyclic, tree_
 
 
 def structural_value(legs):
-    """Least k at which ``structural.burns`` accepts the spider."""
+    """Least k at which ``structural.hub_cover`` covers the spider."""
     k = structural.lower_bound(legs)
-    while not structural.burns(legs, k):
+    while structural.hub_cover(legs, k) is None:
         k += 1
     return k
 
@@ -31,14 +31,14 @@ def forest_value(parts, covers):
     to k*k. ``covers(k)`` is the cover test for k, shared across forests.
     """
     k = ceil_sqrt(sum(parts))
-    while not covers(k)(parts):
+    while covers(k)(parts) is None:
         k += 1
     return k
 
 
 def cover_tests():
-    """One ``intervals_cover`` test per k, built on first use."""
-    return functools.cache(lambda k: structural.intervals_cover(tuple(range(2 * k - 1, 0, -2))))
+    """One ``assign_intervals`` test per k, built on first use."""
+    return functools.cache(lambda k: structural.assign_intervals(tuple(range(2 * k - 1, 0, -2))))
 
 
 def reference_tree_value(shape):
@@ -114,7 +114,7 @@ def reference_spanning_upper(desc):
     """The former oracle: one deepening over the ceil(g/2) edge-deleted spiders."""
     bounds = {legs: structural.lower_bound(legs) for legs in reference_spanning_shapes(desc)}
     k = min(bounds.values())
-    while not any(structural.burns(legs, k)
+    while not any(structural.hub_cover(legs, k) is not None
                   for legs, lower in bounds.items() if lower <= k):
         k += 1
     return k
@@ -153,7 +153,7 @@ class TestSpiders:
             k, value = structural.lower_bound(legs), None
             while value is None or k <= value + 1:
                 expected = reference_burns(legs, k)
-                assert structural.burns(legs, k) is expected, (legs, k)
+                assert (structural.hub_cover(legs, k) is not None) is expected, (legs, k)
                 if expected and value is None:
                     value = k
                 k += 1
@@ -163,8 +163,8 @@ class TestSpiders:
         for legs, cycle in [*((legs, 0) for legs in spiders(3, 16)), ((4, 3), 9), ((5, 2, 2), 6)]:
             for k in range(1, structural.lower_bound(legs, cycle) + 3):
                 ticks = []
-                answer = structural.burns(legs, k, cycle, lambda: ticks.append(k))
-                assert answer is structural.burns(legs, k, cycle), (legs, cycle, k)
+                answer = structural.hub_cover(legs, k, cycle, lambda: ticks.append(k))
+                assert answer == structural.hub_cover(legs, k, cycle), (legs, cycle, k)
                 assert ticks or k >= structural.lower_bound(legs, cycle), (legs, cycle, k)
 
     def test_tick_abandons_the_decision(self):
@@ -175,13 +175,13 @@ class TestSpiders:
             raise Stop
 
         with pytest.raises(Stop):
-            structural.burns((480, 424, 270, 158, 43), 42, 594, stop)
+            structural.hub_cover((480, 424, 270, 158, 43), 42, 594, stop)
 
     def test_burns_iff_k_reaches_value(self):
         for legs in spiders(3, 20):
             value = structural_value(legs)
-            assert all(structural.burns(legs, k) for k in range(value, value + 3)), legs
-            assert not any(structural.burns(legs, k) for k in range(1, value)), legs
+            assert all(structural.hub_cover(legs, k) is not None for k in range(value, value + 3)), legs
+            assert not any(structural.hub_cover(legs, k) is not None for k in range(1, value)), legs
 
 
 class TestIntervals:
@@ -218,7 +218,7 @@ class TestIntervals:
         ],
     )
     def test_examples(self, parts, sizes, expected):
-        assert structural.intervals_cover(sizes)(parts) is expected
+        assert (structural.assign_intervals(sizes)(parts) is not None) is expected
 
     @given(
         st.integers(min_value=1, max_value=9),
@@ -229,9 +229,10 @@ class TestIntervals:
     def test_one_test_matches_reference_on_every_forest(self, k, r, forests):
         # failures kept from earlier forests must never change a later answer
         sizes = tuple(2 * s + 1 for s in range(k - 1, -1, -1) if s != r)
-        covers = structural.intervals_cover(sizes)
+        assign = structural.assign_intervals(sizes)
         for parts in forests:
-            assert covers(parts) is reference_intervals_cover(parts, sizes), (sizes, parts)
+            covers = assign(parts) is not None
+            assert covers is reference_intervals_cover(parts, sizes), (sizes, parts)
 
     @given(
         st.integers(min_value=1, max_value=9),
@@ -260,23 +261,24 @@ class TestIntervals:
         for k in range(1, 8):
             for r in range(k + 1):
                 sizes = tuple(2 * s + 1 for s in range(k - 1, -1, -1) if s != r)
-                covers = structural.intervals_cover(sizes)
+                assign = structural.assign_intervals(sizes)
                 for parts in reversed(forests):
-                    assert covers(parts) is reference_intervals_cover(parts, sizes), (sizes, parts)
+                    covers = assign(parts) is not None
+                    assert covers is reference_intervals_cover(parts, sizes), (sizes, parts)
 
 
 class TestRoundLimit:
     def test_spider_decided_at_the_limit(self):
         # the cover search goes about MAX_ROUNDS frames deep
-        assert structural.burns((100000, 80000, 70000), MAX_ROUNDS)
+        assert structural.hub_cover((100000, 80000, 70000), MAX_ROUNDS) is not None
 
     def test_spider_above_the_limit_refused(self):
         with pytest.raises(ValueError, match=f"at most {MAX_ROUNDS} rounds"):
-            structural.burns((100000, 80000, 70000), MAX_ROUNDS + 1)
+            structural.hub_cover((100000, 80000, 70000), MAX_ROUNDS + 1)
 
     def test_path_needs_no_search(self):
-        assert structural.burns((10**6 - 1,), 1000)
-        assert not structural.burns((10**6,), 1000)
+        assert structural.hub_cover((10**6 - 1,), 1000) is not None
+        assert structural.hub_cover((10**6,), 1000) is None
 
     @pytest.mark.parametrize(
         "spec,value",
@@ -343,8 +345,8 @@ class TestSpanningOracle:
         desc = families.parse_spec(spec)
         arms = getattr(desc, "arms", ())
         value = search_value(build(desc))
-        assert not any(structural.burns(arms, k, desc.g) for k in range(1, value)), spec
-        assert all(structural.burns(arms, k, desc.g) for k in range(value, value + 3)), spec
+        assert not any(structural.hub_cover(arms, k, desc.g) is not None for k in range(1, value)), spec
+        assert all(structural.hub_cover(arms, k, desc.g) is not None for k in range(value, value + 3)), spec
 
     def test_matches_reference_tree_values(self):
         descs = itertools.chain(enumerate_sweep("uni1", 40), enumerate_sweep("uni2", 26))
