@@ -1,12 +1,13 @@
 """Method routing: pick a closed form or table when one applies.
 
 ``method="auto"`` recognizes the graph's family and answers by its
-constant-time evaluator: the path, cycle and linear-forest formulas, the
-one- and two-arm unicyclic tables (total, so they never search), or the
-degree criterion. Families without one (linear forests with four or more
-components, unicyclic graphs with three or more arms, generalized stars
-beyond the degree criterion, and everything unrecognized) go to the exact
-solver, the only route the node budget limits. ``method="formula"``
+constant-time evaluator: the path, cycle and linear-forest formulas, or
+the one- and two-arm unicyclic tables (total, so they never search). The
+degree criterion (b = 2 iff some vertex has degree n-2 or more) applies
+to every family without an evaluator of its own: linear forests with four
+or more components, unicyclic graphs with three or more arms, generalized
+stars and everything unrecognized. What it does not settle goes to the
+exact solver, the only route the node budget limits. ``method="formula"``
 raises NoClosedForm for those instead, and ``method="exact"`` always
 searches.
 """
@@ -51,13 +52,12 @@ def _formula_route(g: Graph, family: FamilyDescriptor) -> Optional[BurnResult]:
             return _exact_value(formulas.b_two_paths(*parts), "formula-forest2")
         if len(parts) == 3:
             return _exact_value(formulas.b_three_paths(*parts), "formula-forest3")
-        return None
     if isinstance(family, TUnicyclic):
         if family.t == 1:
             return tables.b_unicyclic_t1(family.g, family.arms[0])
         if family.t == 2:
             return tables.b_unicyclic_t2(family.g, *family.arms)
-        return None
+    # every family without an evaluator of its own
     by_degree = formulas.b2_by_degree(g)
     if by_degree is not None:
         return _exact_value(by_degree, tables.DEGREE_B2)

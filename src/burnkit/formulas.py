@@ -80,10 +80,10 @@ def forest_exceptional(parts: tuple[int, ...]) -> bool:
     deficit is at most ``SLACK`` of (a2, a3) or the triple is in ``J5`` or
     is (11, 11, 2).
     """
-    return _exceptional(parts, ceil_sqrt(sum(parts)))
+    return deficit_exceptional(parts, ceil_sqrt(sum(parts)))
 
 
-def _exceptional(parts: tuple[int, ...], t: int) -> bool:
+def deficit_exceptional(parts: tuple[int, ...], t: int) -> bool:
     """:func:`forest_exceptional` given t = ceil(sqrt(sum(parts)))."""
     deficit = t * t - sum(parts)
     if deficit == 0 and parts[-1] == 2:
@@ -102,7 +102,7 @@ def b_two_paths(a1: int, a2: int) -> int:
     if a1 < 1 or a2 < 1:
         raise ValueError(f"path orders must be >= 1, got ({a1}, {a2})")
     t = ceil_sqrt(a1 + a2)
-    return t + (1 if _exceptional((max(a1, a2), min(a1, a2)), t) else 0)
+    return t + (1 if deficit_exceptional((max(a1, a2), min(a1, a2)), t) else 0)
 
 
 def b_three_paths(a1: int, a2: int, a3: int) -> int:
@@ -110,7 +110,7 @@ def b_three_paths(a1: int, a2: int, a3: int) -> int:
     if min(a1, a2, a3) < 1:
         raise ValueError(f"path orders must be >= 1, got ({a1}, {a2}, {a3})")
     t = ceil_sqrt(a1 + a2 + a3)
-    return t + (1 if _exceptional(tuple(sorted((a1, a2, a3), reverse=True)), t) else 0)
+    return t + (1 if deficit_exceptional(tuple(sorted((a1, a2, a3), reverse=True)), t) else 0)
 
 
 def b2_by_degree(g: Graph) -> Optional[int]:

@@ -35,15 +35,24 @@ and never searches. For n >= 6 (one arm) or n >= 7 (two arms), so q >= 2:
   - 2q <= g <= q^2: a1 >= q^2 - floor(g/2) forces
     a2 <= r - ceil(g/2) <= r - q, so both rows reduce to a2 <= r-q.
   - g > q^2: no q row applies and the q+1 row g >= q^2+1 holds.
+
+Each lookup takes one integer square root, q = isqrt(n-1), and reads r,
+both bounds and every row off it. Since r >= 1, the upper bound
+ceil(sqrt(n)) is q+1. The lower bound is the counting bound
+``counting_lower(n, t)``: q rounds at a hub with t arms reach at most
+q^2 + t(q-1) vertices, and q-1 rounds fewer than n, so it is q+1 exactly
+when r > t(q-1), which is the first q+1 row (r >= q for one arm,
+r >= 2q-1 for two). Only the residual-forest test takes a second root,
+that of its forest's order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Iterable, Optional, TextIO, Union
 
-from .formulas import forest_exceptional, t_unicyclic_bounds
-from .graphs import qr_decompose
+from .formulas import deficit_exceptional, t_unicyclic_bounds
 from .solver import BurnResult
 
 TABLE_T1 = "table-t1"
@@ -56,11 +65,12 @@ def residual_exceptional(q: int, g: int, *arms: int) -> bool:
 
     A fire of radius q-1 at the hub burns 2q-1 cycle vertices and q-1
     vertices of each arm, leaving the linear forest (g-2q+1, a-q+1 per
-    arm). Its parts, sorted descending, go to the forest exception test;
-    a forest with an empty part is never exceptional.
+    arm). Its parts, sorted descending, go to the forest exception test
+    with t = ceil(sqrt(total)); a forest with an empty part is never
+    exceptional.
     """
     parts = tuple(sorted((g - 2 * q + 1, *(a - q + 1 for a in arms)), reverse=True))
-    return parts[-1] >= 1 and forest_exceptional(parts)
+    return parts[-1] >= 1 and deficit_exceptional(parts, isqrt(sum(parts) - 1) + 1)
 
 
 def exceptional(q: int, r: int, g: int, a1: int, a2: int) -> bool:
@@ -88,9 +98,8 @@ def exceptional(q: int, r: int, g: int, a1: int, a2: int) -> bool:
     )
 
 
-def _result(value: int, method: str, n: int, t: int) -> BurnResult:
-    lower, upper = t_unicyclic_bounds(n, t)
-    return BurnResult(value=value, method=method, lower_bound=lower, upper_bound=upper)
+def _degree_b2(n: int, t: int) -> BurnResult:
+    return BurnResult(2, DEGREE_B2, *t_unicyclic_bounds(n, t))
 
 
 def b_unicyclic_t1(g: int, a: int, budget: Optional[int] = None) -> BurnResult:
@@ -101,18 +110,19 @@ def b_unicyclic_t1(g: int, a: int, budget: Optional[int] = None) -> BurnResult:
     or g <= 2r, or the pair is exceptional (its residual forest
     (g-2q+1, a-q+1) is an exceptional two-path forest), and q otherwise.
     ``budget`` is accepted for callers that pass a search budget and is
-    unused: the lookup never searches.
+    unused: the lookup never searches. It stays while the benchmark's
+    classify workload passes it.
     """
     if g < 3 or a < 1:
         raise ValueError(f"need g >= 3 and a >= 1, got (g={g}, a={a})")
     n = g + a
     if n <= 5:
-        return _result(2, DEGREE_B2, n, 1)
-    qr = qr_decompose(n)
-    q, r = qr.q, qr.r
-    exceptional = residual_exceptional(q, g, a)
-    plus = (q <= r <= 2 * q + 1) or g >= q * q + 1 or g <= 2 * r or exceptional
-    return _result(q + 1 if plus else q, TABLE_T1, n, 1)
+        return _degree_b2(n, 1)
+    q = isqrt(n - 1)
+    r = n - q * q
+    lower = q + 1 if r >= q else q
+    plus = lower > q or g >= q * q + 1 or g <= 2 * r or residual_exceptional(q, g, a)
+    return BurnResult(q + 1 if plus else q, TABLE_T1, lower, q + 1)
 
 
 def b_unicyclic_t2(g: int, a1: int, a2: int, budget: Optional[int] = None) -> BurnResult:
@@ -123,25 +133,27 @@ def b_unicyclic_t2(g: int, a1: int, a2: int, budget: Optional[int] = None) -> Bu
     g >= q^2+1, or a1 >= q^2 - floor(g/2), or 2q <= g <= q^2 with
     a2 <= r-q, or the triple is ``exceptional``, and q otherwise.
     ``budget`` is accepted for callers that pass a search budget and is
-    unused: the lookup never searches.
+    unused: the lookup never searches. It stays while the benchmark's
+    classify workload passes it.
     """
     a1, a2 = max(a1, a2), min(a1, a2)
     if g < 3 or a2 < 1:
         raise ValueError(f"need g >= 3 and arms >= 1, got (g={g}, a1={a1}, a2={a2})")
     n = g + a1 + a2
     if n <= 6:
-        return _result(2, DEGREE_B2, n, 2)
-    qr = qr_decompose(n)
-    q, r = qr.q, qr.r
+        return _degree_b2(n, 2)
+    q = isqrt(n - 1)
+    r = n - q * q
+    lower = q + 1 if r >= 2 * q - 1 else q
     plus = (
-        r >= 2 * q - 1
+        lower > q
         or 3 <= g <= r
         or g >= q * q + 1
         or a1 >= q * q - g // 2
         or (2 * q <= g <= q * q and a2 <= r - q)
         or exceptional(q, r, g, a1, a2)
     )
-    return _result(q + 1 if plus else q, TABLE_T2, n, 2)
+    return BurnResult(q + 1 if plus else q, TABLE_T2, lower, q + 1)
 
 
 # --------------------------------------------------------------------------

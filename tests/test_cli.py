@@ -30,6 +30,8 @@ class TestComputeRouting:
             ("uni:7;4", "table-t1"),
             ("uni:8;5,4", "table-t2"),
             ("star:1,1,1,1", "degree-b2"),
+            ("uni:3;1,1,1", "degree-b2"),
+            ("uni:4;1,1,1", "degree-b2"),
         ],
     )
     def test_auto_methods(self, spec, method):
@@ -43,6 +45,17 @@ class TestComputeRouting:
     def test_formula_raises_without_closed_form(self):
         with pytest.raises(NoClosedForm):
             compute(build("star:4,3,2"), method="formula")
+
+    def test_degree_criterion_beyond_two_arms(self):
+        # the hub of uni:3;1,1,1 has degree 5 = n - 2; uni:3;2,2,2 has no
+        # vertex of degree n - 2 or more and no table
+        for spec in ("uni:3;1,1,1", "uni:4;1,1,1"):
+            g = build(spec)
+            res = compute(g, method="formula")
+            assert (res.value, res.method) == (2, "degree-b2")
+            assert compute(g, "exact").value == 2
+        with pytest.raises(NoClosedForm):
+            compute(build("uni:3;2,2,2"), method="formula")
 
     def test_formula_and_exact_agree(self):
         for spec in ("path:17", "cycle:12", "forest:7,2", "uni:7;4", "uni:9;10,2"):

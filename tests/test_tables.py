@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from burnkit import families, solver
 from burnkit.families import build, enumerate_sweep
-from burnkit.formulas import t_unicyclic_bounds
+from burnkit.formulas import forest_exceptional, t_unicyclic_bounds
 from burnkit.graphs import qr_decompose
 from burnkit.intmath import ceil_sqrt
-from burnkit.solver import burning_number_exact, unicyclic_spanning_upper
+from burnkit.solver import BurnResult, burning_number_exact, unicyclic_spanning_upper
 from burnkit.tables import (
     DEGREE_B2,
     TABLE_T1,
@@ -129,6 +129,93 @@ class TestTotality:
         lower, upper = t_unicyclic_bounds(n, t)
         assert lower <= res.value <= upper
         assert (res.lower_bound, res.upper_bound) == (lower, upper)
+
+
+def reference_residual(q, g, *arms):
+    """The residual-forest test as it was, through ``forest_exceptional``."""
+    parts = tuple(sorted((g - 2 * q + 1, *(a - q + 1 for a in arms)), reverse=True))
+    return parts[-1] >= 1 and forest_exceptional(parts)
+
+
+def reference_exceptional(q, r, g, a1, a2):
+    """``exceptional`` as it was, through ``reference_residual``."""
+    if (g, a1, a2) in (
+        (2 * q - 2, q * q - q - 2, q + 1),
+        (2 * q - 1, q * q - q - 2, q + 1),
+        (q * q - 7, q + 2, q + 1),
+        (2 * q + 1, q * q - q - 6, q + 1),
+        (2 * q + 1, q * q - q - 7, q + 2),
+    ):
+        return True
+    return (a2 == r - q + 1 and reference_residual(q, g, a1)) or (
+        r >= 2 * q - 3 and reference_residual(q, g, a1, a2)
+    )
+
+
+def _reference_result(value, method, n, t):
+    lower, upper = t_unicyclic_bounds(n, t)
+    return BurnResult(value=value, method=method, lower_bound=lower, upper_bound=upper)
+
+
+def reference_lookup_t1(g, a):
+    """The one-arm lookup by ``qr_decompose`` and ``t_unicyclic_bounds``."""
+    n = g + a
+    if n <= 5:
+        return _reference_result(2, DEGREE_B2, n, 1)
+    qr = qr_decompose(n)
+    q, r = qr.q, qr.r
+    plus = (q <= r <= 2 * q + 1) or g >= q * q + 1 or g <= 2 * r or reference_residual(q, g, a)
+    return _reference_result(q + 1 if plus else q, TABLE_T1, n, 1)
+
+
+def reference_lookup_t2(g, a1, a2):
+    """The two-arm lookup by ``qr_decompose`` and ``t_unicyclic_bounds``."""
+    a1, a2 = max(a1, a2), min(a1, a2)
+    n = g + a1 + a2
+    if n <= 6:
+        return _reference_result(2, DEGREE_B2, n, 2)
+    qr = qr_decompose(n)
+    q, r = qr.q, qr.r
+    plus = (
+        r >= 2 * q - 1
+        or 3 <= g <= r
+        or g >= q * q + 1
+        or a1 >= q * q - g // 2
+        or (2 * q <= g <= q * q and a2 <= r - q)
+        or reference_exceptional(q, r, g, a1, a2)
+    )
+    return _reference_result(q + 1 if plus else q, TABLE_T2, n, 2)
+
+
+REFERENCE_LOOKUPS = {
+    1: (b_unicyclic_t1, reference_lookup_t1),
+    2: (b_unicyclic_t2, reference_lookup_t2),
+}
+
+
+class TestReferenceEquality:
+    """Each lookup returns the whole BurnResult (value, method, both bounds,
+    no certificate) of the lookup that decomposed n by ``qr_decompose`` and
+    took its bounds from ``t_unicyclic_bounds``."""
+
+    def test_one_arm_orders_to_400(self):
+        for n in range(4, 401):
+            for g in range(3, n):
+                assert b_unicyclic_t1(g, n - g) == reference_lookup_t1(g, n - g), (g, n - g)
+
+    def test_two_arm_orders_to_90(self):
+        for n in range(5, 91):
+            for g in range(3, n - 1):
+                for a2 in range(1, (n - g) // 2 + 1):
+                    a1 = n - g - a2
+                    res = b_unicyclic_t2(g, a1, a2)
+                    assert res == reference_lookup_t2(g, a1, a2), (g, a1, a2)
+
+    @given(unicyclic_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_orders_to_10_12(self, instance):
+        lookup, reference = REFERENCE_LOOKUPS[len(instance) - 1]
+        assert lookup(*instance) == reference(*instance)
 
 
 class TestFrozenEquivalence:
