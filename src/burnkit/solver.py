@@ -7,11 +7,13 @@ rigorous lower bound. Each level is decided by a search for the covering
 half alone: b(G) <= k iff V(G) is covered by closed balls of radii
 k-1, ..., 0 whose centers are free (no distance condition, repeats
 allowed). The first level with a cover is therefore b(G), and the
-exhausted levels below it are the optimality proof. When the lower bound
-already meets the greedy upper bound, the greedy sequence is the
-certificate and no level is searched. ``_bounds`` computes both bounds
-and is the one list of the lower bound's terms; ``find_sequence`` uses it
-only when its budget runs out.
+exhausted levels below it are the optimality proof. One loop (``_deepen``)
+deepens every such decision: the structural route's, the ball search's, the
+unicyclic oracle's and the geodesic-forest term of ``_bounds``, the one
+list of the lower bound's terms. ``_known`` gives what is known before the
+search: the route's answer, or that bound and the greedy sequence. When
+they meet, the sequence is the certificate and no level is searched;
+``find_sequence`` calls ``_known`` only when its budget runs out.
 
 Before any ball is grown, the structural route (``_route``) takes the
 graphs that ``structural`` decides exactly: connected graphs with at most
@@ -72,12 +74,11 @@ the first cover found under those rules, not the globally lexicographic
 minimum among all optima.
 
 The unicyclic oracle (``unicyclic_spanning_upper``) takes only cycles and
-t-unicyclic graphs and decides them by ``structural``'s one-hub rule with
-the cycle length, one decision per k, so it builds no tree and shares no
-code with the ball-cover search. It does share that rule with the
-structural route, so the rule is checked against the search in the
-tests, through the unbudgeted ``find_sequence``, which never runs the
-route.
+t-unicyclic graphs and deepens ``structural``'s one-hub rule with the
+cycle length, so it builds no tree and shares only the loop with the
+ball-cover search. It shares the rule with the structural route, so the
+tests check the rule against the search through the unbudgeted
+``find_sequence``, which never runs the route.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import structural
 from .graphs import (
@@ -130,7 +131,7 @@ MAX_EXACT_VERTICES = 2_000
 HUB_RULE_STATES = 20_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BurnResult:
     """A burning-number value plus how it was obtained.
 
@@ -159,7 +160,7 @@ class Inconclusive(Exception):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SequenceCheck:
     """Outcome of checking the two burning-sequence conditions.
 
@@ -309,6 +310,28 @@ class _Budget:
             self.remaining -= 1
             if self.remaining < 0:
                 raise _BudgetExhausted
+
+
+def _deepen(k: int, level: Callable[[int], Optional[list]]) -> tuple[int, Optional[list]]:
+    """The first level from ``k`` up at which ``level`` finds a cover, and that
+    cover; or, when ``level`` raises ``_BudgetExhausted``, the level it was
+    deciding and None. Either way every level below the one returned is refuted."""
+    try:
+        while (cover := level(k)) is None:
+            k += 1
+    except _BudgetExhausted:
+        return k, None
+    return k, cover
+
+
+def _certificate(g: Graph, centers: list[Optional[int]], order: Sequence[int]) -> tuple[int, ...]:
+    """The sequence ``_burn`` makes of a cover at the first feasible level
+    k = len(centers), swapping in unlit vertices from ``order``."""
+    seq, _ = _burn(g, centers, order)
+    if len(seq) != len(centers):
+        # every level below k is refuted, so g cannot burn sooner
+        raise AssertionError(f"cover at the first feasible level {len(centers)} gave {seq}")
+    return seq
 
 
 class _Prepared:
@@ -579,12 +602,11 @@ def find_sequence(
     no length-k burning sequence. A cover found at level k becomes a
     sequence by ``_burn`` with the candidate order; when it comes out
     shorter, g burns in fewer rounds and ``_search`` looks for a strict
-    length-k sequence. When the node budget runs out first, the
-    bounds ``burning_number_exact`` reports are computed: the structural
-    route's value and certificate, or the lower bound of ``_bounds`` and
-    the greedy sequence. A sequence among them of length exactly k is
-    returned; below the lower bound None is still a proof, and otherwise
-    Inconclusive carries both bounds.
+    length-k sequence. When the node budget runs out first, ``_known``
+    gives what ``burning_number_exact`` knows before its search: a lower
+    bound and the route's certificate or the greedy sequence. That sequence
+    is returned when its length is k; below the lower bound None is still a
+    proof, and otherwise Inconclusive carries both bounds.
     """
     if g.vertex_count < 1:
         raise ValueError("graph must have at least one vertex")
@@ -604,10 +626,7 @@ def find_sequence(
         # may not exist at all
         return _search(prep, k, state)
     except _BudgetExhausted:
-        pass
-    lower, known = _route(g)
-    if known is None:
-        lower, known = _bounds(prep, connected_components(g), lower)
+        lower, known, _ = _known(g, prep)
     if len(known) == k:
         return known
     if k < lower:
@@ -686,8 +705,7 @@ def _bounds(
         lower = max(lower, counting_lower(n, degree - 2))
     if 2 <= len(components) <= 3:
         parts = tuple(1 + max(prep.ecc[v] for v in comp) for comp in components)
-        while structural.forest_cover(parts, lower) is None:
-            lower += 1
+        lower, _ = _deepen(lower, lambda k: structural.forest_cover(parts, k))
     greedy = _greedy_upper(prep)
     while lower < len(greedy):
         prep.extend(lower - 1)
@@ -714,20 +732,20 @@ def _route(g: Graph) -> tuple[int, Optional[tuple[int, ...]]]:
     each path; no components pass is run. On a one-hub graph k deepens
     from ``structural.lower_bound`` with ``structural.hub_cover``, on a
     linear forest from the larger of its number of parts and ceil(sqrt(n))
-    with ``structural.forest_cover``. Both decide b(G) <= k exactly and
-    return the cover that proves it, so the first k with a cover is b(G).
-    Its centers, (walk, position), map to the walk's vertex ids, and
-    ``_burn`` turns them into the certificate, swapping in unlit vertices
-    in walk order: the hub, then each leg, then the cycle, or each path in
-    turn. No distance is computed. Deciding those covers is NP-complete, so
-    the route gives up after ``HUB_RULE_STATES`` interval-cover states, or
-    above ``MAX_ROUNDS``, and then returns the first level it did not
-    refute. Any other graph gets the floor 1.
+    with ``structural.forest_cover``; both decide b(G) <= k exactly and
+    return the cover behind a yes, whose centers, (walk, position), map to
+    vertex ids. ``_burn`` turns them into the certificate, swapping in
+    unlit vertices in walk order: the hub, then each leg, then the cycle,
+    or each path in turn. No distance is computed. Deciding those covers is
+    NP-complete, so the route gives up after ``HUB_RULE_STATES``
+    interval-cover states, or above ``MAX_ROUNDS``, and then returns the
+    first level it did not refute. Any other graph gets the floor 1.
     """
     walked = family_walks(g)
     if walked is None:
         return 1, None
     hub, legs, ring = walked
+    tick = _Budget(HUB_RULE_STATES).tick
     if hub is not None:
         # every walk starts at the hub; the cycle's, possibly empty, is last
         walks = [[hub, *walk] for walk in (*legs, ring)]
@@ -735,106 +753,89 @@ def _route(g: Graph) -> tuple[int, Optional[tuple[int, ...]]]:
         lengths = tuple(map(len, legs))
         cycle = len(ring) + 1 if ring else 0
         k = structural.lower_bound(lengths, cycle)
-        decide = lambda k, tick: structural.hub_cover(lengths, k, cycle, tick)
+        decide = lambda k: structural.hub_cover(lengths, k, cycle, tick)
     else:
         walks = legs  # each path from an end
         order = list(itertools.chain(*walks))
         parts = tuple(map(len, walks))
         k = max(len(parts), ceil_sqrt(g.vertex_count))
-        decide = lambda k, tick: structural.forest_cover(parts, k, tick)
-    tick = _Budget(HUB_RULE_STATES).tick
-    try:
-        while k <= MAX_ROUNDS:
-            centers = decide(k, tick)
-            if centers is not None:
-                spots = [None if c is None else walks[c[0]][c[1]] for c in centers]
-                seq, _ = _burn(g, spots, order)
-                if len(seq) != k:
-                    # every level below k is refuted, so g cannot burn sooner
-                    raise AssertionError(f"cover at the first feasible level {k} gave {seq}")
-                return k, seq
-            k += 1
-    except _BudgetExhausted:
-        pass  # the levels refuted so far stand; the search decides the rest
-    return k, None
+        decide = lambda k: structural.forest_cover(parts, k, tick)
+
+    def level(k: int) -> Optional[list[Optional[int]]]:
+        if k > MAX_ROUNDS:
+            raise _BudgetExhausted  # the search decides the rest
+        centers = decide(k)
+        if centers is None:
+            return None
+        return [None if c is None else walks[c[0]][c[1]] for c in centers]
+
+    k, spots = _deepen(k, level)
+    return k, None if spots is None else _certificate(g, spots, order)
+
+
+def _known(
+    g: Graph, prep: Optional[_Prepared] = None
+) -> tuple[int, tuple[int, ...], Optional[_Prepared]]:
+    """A lower bound on b(G), a burning sequence, whose length is an upper
+    bound, and the search's preparation, before any level is searched: the
+    route's value and certificate when it answers, else the bounds of
+    ``_bounds`` from the route's floor, on ``prep`` or on a new preparation
+    (on a routed graph ``prep`` comes back as given)."""
+    floor, routed = _route(g)
+    if routed is not None:
+        return floor, routed, prep
+    components = connected_components(g)
+    if prep is None:
+        _check_rounds(len(components))  # before any ball is grown
+        prep = _Prepared(g, max_radius=0)
+    lower, greedy = _bounds(prep, components, floor)
+    return lower, greedy, prep
 
 
 def burning_number_exact(g: Graph, budget: Optional[int] = None) -> BurnResult:
     """Minimum k admitting a valid burning sequence, with certificate.
 
-    The structural route answers one-hub graphs and linear forests first.
-    Otherwise, iterative deepening from the lower bound of ``_bounds``,
-    which lists its terms; every level below the returned value is
-    exhausted, which is the optimality proof. When the lower bound meets
-    the greedy upper bound, the greedy sequence is the certificate and no
-    level is searched; so it is when the node budget runs out at the greedy
-    length, since every level below it is refuted by then.
-    Raises Inconclusive when the node budget runs out before the value is
-    pinned down; the exception carries bounds that are correct regardless.
+    ``_known`` gives a lower bound and a known sequence: the structural
+    route's value and certificate on one-hub graphs and linear forests, or
+    the bound of ``_bounds``, which lists its terms, and the greedy
+    sequence. When they meet, the sequence is the certificate. Otherwise
+    the ball search deepens from the bound; every level below the returned
+    value is exhausted, which is the optimality proof. A node budget that
+    runs out at the greedy length leaves the greedy sequence as the answer
+    (every level below is refuted), and one that runs out below raises
+    Inconclusive, whose bounds are correct regardless.
     """
     if g.vertex_count < 1:
         raise ValueError("graph must have at least one vertex")
 
     _check_vertices(g.vertex_count)
-    lower, routed = _route(g)
-    if routed is not None:
-        return BurnResult(
-            value=lower,
-            method=EXACT,
-            lower_bound=lower,
-            upper_bound=lower,
-            certificate=routed,
-        )
-    components = connected_components(g)
-    _check_rounds(len(components))  # before any ball is grown
-    prep = _Prepared(g, max_radius=0)
-    lower, upper_seq = _bounds(prep, components, lower)
-    upper = len(upper_seq)
-    greedy = BurnResult(
-        value=upper,
-        method=EXACT,
-        lower_bound=lower,
-        upper_bound=upper,
-        certificate=upper_seq,
-    )
-    if lower == upper:
-        _check_rounds(upper)
-        return greedy
+    lower, known, prep = _known(g)
+    value, certificate = len(known), known
+    if lower < value:
+        state = _Budget(budget)
 
-    budget_state = _Budget(budget)
-    k = lower
-    try:
-        while True:
+        def level(k: int) -> Optional[list[Optional[int]]]:
             _check_rounds(k)
             prep.extend(k - 1)
-            centers = _cover(prep, k, budget_state)
-            if centers is None:
-                if k >= upper:
-                    raise AssertionError("complete search missed the greedy witness")
-                k += 1
-                continue
-            seq, _ = _burn(g, centers, prep.order)
-            if len(seq) != k:
-                # every level below k is refuted, so g cannot burn sooner
-                raise AssertionError(f"cover at the first feasible level {k} gave {seq}")
-            return BurnResult(
-                value=k,
-                method=EXACT,
-                lower_bound=lower,
-                upper_bound=upper,
-                certificate=seq,
-            )
-    except _BudgetExhausted:
-        if k < upper:
-            raise Inconclusive(k, upper) from None
-        return greedy  # every level below the greedy length is refuted
+            centers = _cover(prep, k, state)
+            if centers is None and k >= len(known):
+                raise AssertionError("complete search missed the greedy witness")
+            return centers
+
+        k, centers = _deepen(lower, level)
+        if centers is not None:
+            value, certificate = k, _certificate(g, centers, prep.order)
+        elif k < value:
+            raise Inconclusive(k, value)
+    _check_rounds(value)
+    return BurnResult(value, EXACT, lower, len(known), certificate)
 
 
 # --------------------------------------------------------------------------
 # Rooted tree partitions
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TreePart:
     """One rooted tree of a partition: root, vertex set, parent edges."""
 
@@ -896,8 +897,8 @@ def extract_partition(g: Graph, sources: tuple[int, ...]) -> list[TreePart]:
 def unicyclic_spanning_upper(g: Graph) -> int:
     """b(G) of a cycle or a t-unicyclic graph by the one-hub rule.
 
-    k deepens from ``structural.lower_bound(arms, g)`` to the first k at
-    which ``structural.hub_cover(arms, k, g)`` finds a cover. That is the
+    ``_deepen`` climbs from ``structural.lower_bound(arms, g)`` to the first
+    k at which ``structural.hub_cover(arms, k, g)`` finds a cover. That is the
     minimum of b(T) over G's spanning trees T, its g edge-deleted spiders
     (proof in the ``structural`` docstring), which is b(G): a second
     oracle, not merely an upper bound, independent of the ball-cover search
@@ -911,7 +912,5 @@ def unicyclic_spanning_upper(g: Graph) -> int:
             f"spanning-tree oracle needs a cycle or a t-unicyclic graph, got {desc}"
         )
     arms = getattr(desc, "arms", ())
-    k = structural.lower_bound(arms, desc.g)
-    while structural.hub_cover(arms, k, desc.g) is None:
-        k += 1
-    return k
+    start = structural.lower_bound(arms, desc.g)
+    return _deepen(start, lambda k: structural.hub_cover(arms, k, desc.g))[0]

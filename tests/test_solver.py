@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import itertools
+import pickle
 import random
 import time
 import tracemalloc
@@ -281,6 +283,29 @@ class TestExact:
         with pytest.raises(Inconclusive) as exc:
             find_sequence(g, 11, budget=3)
         assert (exc.value.lower_bound, exc.value.upper_bound) == (10, 10)
+
+    def test_budgeted_find_sequence_on_an_unrouted_graph(self):
+        # the 8x8 grid has bounds [5, 6]: at the greedy length the greedy
+        # sequence is the answer, at the lower bound the search could not
+        # tell, and below it None is a proof
+        g = grid_graph(8, 8)
+        found = find_sequence(g, 6, budget=3)
+        assert found == (27, 63, 7, 56, 0, 1) == _greedy_upper(_Prepared(g, max_radius=0))
+        assert verify_sequence(g, found)
+        with pytest.raises(Inconclusive) as exc:
+            find_sequence(g, 5, budget=3)
+        assert (exc.value.lower_bound, exc.value.upper_bound) == (5, 6)
+        assert find_sequence(g, 4, budget=3) is None
+
+    def test_results_pickle_and_stay_frozen(self):
+        g = build("path:3")
+        results = [burning_number_exact(g), check_sequence(g, (1,)), *extract_partition(g, (1, 0))]
+        for res in results:
+            assert pickle.loads(pickle.dumps(res)) == res
+            name = dataclasses.fields(res)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(res, name, None)
+            assert not hasattr(res, "__dict__")  # slots, no instance dict
 
 
 def grid_graph(rows, cols, perm=None):
@@ -1368,3 +1393,182 @@ class TestCertificates:
             rows.append((format_spec(desc), burning_number_exact(build(desc)).certificate))
         assert len(rows) == 1265
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.DIGEST
+
+
+def reference_route(g):
+    """``_route`` with its own deepening loop and certificate check."""
+    walked = graphs.family_walks(g)
+    if walked is None:
+        return 1, None
+    hub, legs, ring = walked
+    if hub is not None:
+        walks = [[hub, *walk] for walk in (*legs, ring)]
+        order = [hub, *itertools.chain(*legs, ring)]
+        lengths = tuple(map(len, legs))
+        cycle = len(ring) + 1 if ring else 0
+        k = structural.lower_bound(lengths, cycle)
+        decide = lambda k, tick: structural.hub_cover(lengths, k, cycle, tick)
+    else:
+        walks = legs
+        order = list(itertools.chain(*walks))
+        parts = tuple(map(len, walks))
+        k = max(len(parts), ceil_sqrt(g.vertex_count))
+        decide = lambda k, tick: structural.forest_cover(parts, k, tick)
+    tick = _Budget(solver.HUB_RULE_STATES).tick
+    try:
+        while k <= MAX_ROUNDS:
+            centers = decide(k, tick)
+            if centers is not None:
+                spots = [None if c is None else walks[c[0]][c[1]] for c in centers]
+                seq, _ = _burn(g, spots, order)
+                if len(seq) != k:
+                    raise AssertionError(f"cover at the first feasible level {k} gave {seq}")
+                return k, seq
+            k += 1
+    except solver._BudgetExhausted:
+        pass
+    return k, None
+
+
+def reference_exact(g, budget=None):
+    """``burning_number_exact`` with the route, the bounds and the ball
+    search written out one after the other, each with its own loop."""
+    if g.vertex_count < 1:
+        raise ValueError("graph must have at least one vertex")
+    solver._check_vertices(g.vertex_count)
+    lower, routed = reference_route(g)
+    if routed is not None:
+        return solver.BurnResult(lower, "exact", lower, lower, routed)
+    components = graphs.connected_components(g)
+    solver._check_rounds(len(components))
+    prep = _Prepared(g, max_radius=0)
+    lower, upper_seq = _bounds(prep, components, lower)
+    upper = len(upper_seq)
+    greedy = solver.BurnResult(upper, "exact", lower, upper, upper_seq)
+    if lower == upper:
+        solver._check_rounds(upper)
+        return greedy
+    state = _Budget(budget)
+    k = lower
+    try:
+        while True:
+            solver._check_rounds(k)
+            prep.extend(k - 1)
+            centers = _cover(prep, k, state)
+            if centers is None:
+                if k >= upper:
+                    raise AssertionError("complete search missed the greedy witness")
+                k += 1
+                continue
+            seq, _ = _burn(g, centers, prep.order)
+            if len(seq) != k:
+                raise AssertionError(f"cover at the first feasible level {k} gave {seq}")
+            return solver.BurnResult(k, "exact", lower, upper, seq)
+    except solver._BudgetExhausted:
+        if k < upper:
+            raise Inconclusive(k, upper) from None
+        return greedy
+
+
+def reference_find_sequence(g, k, budget=None):
+    """``find_sequence`` whose budget fallback runs the route and then the
+    bounds by hand."""
+    if g.vertex_count < 1:
+        raise ValueError("graph must have at least one vertex")
+    if k < 1:
+        raise ValueError("sequence length must be >= 1")
+    solver._check_rounds(k)
+    prep = _Prepared(g, max_radius=k - 1)
+    state = _Budget(budget)
+    try:
+        centers = _cover(prep, k, state)
+        if centers is None:
+            return None
+        seq, _ = _burn(g, centers, prep.order)
+        if len(seq) == k:
+            return seq
+        return solver._search(prep, k, state)
+    except solver._BudgetExhausted:
+        pass
+    lower, known = reference_route(g)
+    if known is None:
+        lower, known = _bounds(prep, graphs.connected_components(g), lower)
+    if len(known) == k:
+        return known
+    if k < lower:
+        return None
+    raise Inconclusive(lower, len(known))
+
+
+def outcome(call, *args, **kwargs):
+    """The result's repr, the bounds of an Inconclusive, or a ValueError's
+    message."""
+    try:
+        return repr(call(*args, **kwargs))
+    except Inconclusive as exc:
+        return f"Inconclusive({exc.lower_bound}, {exc.upper_bound})"
+    except ValueError as exc:
+        return f"ValueError({exc})"
+
+
+def deepening_graphs():
+    """Routed and searched graphs of every kind the exact entry points
+    tell apart: sweeps, spiders, grids, a complete graph, isolated
+    vertices, random graphs and random trees."""
+    for family_class in SWEEP_CLASSES:
+        for desc in enumerate_sweep(family_class, 9):
+            yield format_spec(desc), build(desc)
+    stars = [(2, 2, 2), (3, 3, 3), (9, 9, 9, 9), (8, 1, 1), (5, 4, 3, 2, 1), (6, 6, 1)]
+    # with 10 route states, the route refutes a level above every other
+    # term of the lower bound on these before it gives up
+    stars += [(3, 3, 3, 2), (4, 4, 2, 2, 2, 2), (7, 6, 5, 1)]
+    for desc in [*map(GeneralizedStar, stars), TUnicyclic(24, (16, 6)), TUnicyclic(10, (1, 1))]:
+        yield format_spec(desc), build(desc)
+    for rows in range(1, 9):
+        for cols in range(rows, 9):
+            yield f"grid:{rows}x{cols}", grid_graph(rows, cols)
+    yield "K4", Graph(4, list(itertools.combinations(range(4), 2)))
+    yield "empty:7", Graph(7)
+    rng = random.Random(11)
+    for index in range(40):
+        n, p = rng.randint(1, 12), rng.random() / 2
+        pairs = itertools.combinations(range(n), 2)
+        yield f"random#{index}", Graph(n, [pair for pair in pairs if rng.random() < p])
+    for index in range(40):
+        yield f"tree#{index}", random_tree(rng, rng.randint(5, 40))
+
+
+class TestDeepeningReference:
+    """One deepening loop and one pre-search step give every outcome the
+    separate loops gave: values, bounds, certificates, Inconclusive bounds
+    and refusals, at every budget and at levels around the value."""
+
+    BUDGETS = (None, 1, 3, 50, 4000, 5002)
+
+    def outcomes(self, exact, find, route):
+        rows = []
+        for name, g in deepening_graphs():
+            rows.append((name, outcome(route, g)))
+            for budget in self.BUDGETS:
+                rows.append((name, budget, outcome(exact, g, budget=budget)))
+            res = exact(g)
+            for k in range(max(res.lower_bound - 1, 1), res.upper_bound + 2):
+                for budget in (None, 1, 3):
+                    rows.append((name, k, budget, outcome(find, g, k, budget=budget)))
+        return rows
+
+    # with fewer route states more one-hub graphs and forests are searched,
+    # and the wider gap between the bounds adds find_sequence levels
+    @pytest.mark.parametrize(
+        "states,count", [(solver.HUB_RULE_STATES, 3828), (10, 3837), (0, 3984)]
+    )
+    def test_outcomes_match_the_reference(self, states, count, monkeypatch):
+        monkeypatch.setattr(solver, "HUB_RULE_STATES", states)
+        got = self.outcomes(burning_number_exact, find_sequence, solver._route)
+        expected = self.outcomes(reference_exact, reference_find_sequence, reference_route)
+        assert len(expected) == count
+        for row, ref in zip(got, expected):
+            assert row == ref
+        assert len(got) == count
+        # values, certificates, Inconclusive bounds and proofs of no sequence
+        assert {"BurnResult", "Inconclusive", "None"} <= {row[-1].split("(")[0] for row in got}
