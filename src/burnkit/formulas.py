@@ -6,6 +6,13 @@ described exception families, where one extra round is needed. Everything
 is integer arithmetic: the exception test computes the deficit t*t - total
 once and compares it with the level of the two smaller parts in one small
 literal table, ``SLACK``, plus a sporadic catalog.
+
+No exception has a deficit above ``MAX_DEFICIT`` = 3, the largest level in
+``SLACK``; the sporadic triples all have deficit 0 or 1. The pre-test
+``may_be_exceptional`` compares the deficit with that bound on (total, t),
+so a query further below the next square answers ceil(sqrt(total))
+without building or sorting a parts tuple; only the queries it lets
+through reach the exact test, ``deficit_exceptional``.
 """
 
 from __future__ import annotations
@@ -55,6 +62,16 @@ J5 = frozenset(
     }
 )
 
+# The three-path exceptions that no deficit level gives: J5 and (11, 11, 2).
+SPORADIC = J5 | {(11, 11, 2)}
+
+# The bound of the pre-test, derived from the catalogs: no exception has a
+# larger deficit, whether it comes from the (t*t - 2, 2) family (deficit 0),
+# a SLACK level or a sporadic triple.
+MAX_DEFICIT = max(
+    0, *SLACK.values(), *(ceil_sqrt(sum(parts)) ** 2 - sum(parts) for parts in SPORADIC)
+)
+
 
 def b_path(n: int) -> int:
     """Burning number of the n-vertex path: ceil(sqrt(n))."""
@@ -90,7 +107,14 @@ def deficit_exceptional(parts: tuple[int, ...], t: int) -> bool:
         return True
     if len(parts) == 2:
         return False
-    return deficit <= SLACK.get(parts[1:], -1) or parts in J5 or parts == (11, 11, 2)
+    return deficit <= SLACK.get(parts[1:], -1) or parts in SPORADIC
+
+
+def may_be_exceptional(total: int, t: int) -> bool:
+    """False only if no forest of two or three parts summing to ``total`` is
+    exceptional, given t = ceil(sqrt(total)): its deficit t*t - total is
+    above ``MAX_DEFICIT``."""
+    return t * t - total <= MAX_DEFICIT
 
 
 def b_two_paths(a1: int, a2: int) -> int:
@@ -101,16 +125,24 @@ def b_two_paths(a1: int, a2: int) -> int:
     """
     if a1 < 1 or a2 < 1:
         raise ValueError(f"path orders must be >= 1, got ({a1}, {a2})")
-    t = ceil_sqrt(a1 + a2)
-    return t + (1 if deficit_exceptional((max(a1, a2), min(a1, a2)), t) else 0)
+    total = a1 + a2
+    t = ceil_sqrt(total)
+    if may_be_exceptional(total, t) and deficit_exceptional((max(a1, a2), min(a1, a2)), t):
+        return t + 1
+    return t
 
 
 def b_three_paths(a1: int, a2: int, a3: int) -> int:
     """Burning number of the union of three paths."""
     if min(a1, a2, a3) < 1:
         raise ValueError(f"path orders must be >= 1, got ({a1}, {a2}, {a3})")
-    t = ceil_sqrt(a1 + a2 + a3)
-    return t + (1 if deficit_exceptional(tuple(sorted((a1, a2, a3), reverse=True)), t) else 0)
+    total = a1 + a2 + a3
+    t = ceil_sqrt(total)
+    if may_be_exceptional(total, t) and deficit_exceptional(
+        tuple(sorted((a1, a2, a3), reverse=True)), t
+    ):
+        return t + 1
+    return t
 
 
 def b2_by_degree(g: Graph) -> Optional[int]:

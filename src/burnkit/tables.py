@@ -16,7 +16,8 @@ leave an exceptional two-path forest while the second arm has length
 r-q+1, the triples of order q^2+r with r >= 2q-3 whose residual forest is
 an exceptional three-path forest, and five literal triples (two on short
 cycles, g <= 2q-1) that no such rule gives without also flagging triples
-that burn in q rounds.
+that burn in q rounds. Every literal has a2 = q+1 or q+2, and only such
+triples are compared with them.
 
 Every lookup returns a BurnResult carrying the bound sandwich. The value
 is q+1 exactly when a q+1 row or an exception holds, and q otherwise: the
@@ -43,7 +44,10 @@ ceil(sqrt(n)) is q+1. The lower bound is the counting bound
 q^2 + t(q-1) vertices, and q-1 rounds fewer than n, so it is q+1 exactly
 when r > t(q-1), which is the first q+1 row (r >= q for one arm,
 r >= 2q-1 for two). Only the residual-forest test takes a second root,
-that of its forest's order.
+that of its forest's total g + sum(arms) - 2q + 1 - t(q-1), read off the
+arguments. The forest is built and sorted only when the linear-forest
+pre-test ``formulas.may_be_exceptional`` on that total holds, that is,
+when the total is at most 3 below a square.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Iterable, Optional, TextIO, Union
 
-from .formulas import deficit_exceptional, t_unicyclic_bounds
+from .formulas import deficit_exceptional, may_be_exceptional, t_unicyclic_bounds
 from .solver import BurnResult
 
 TABLE_T1 = "table-t1"
@@ -65,12 +69,21 @@ def residual_exceptional(q: int, g: int, *arms: int) -> bool:
 
     A fire of radius q-1 at the hub burns 2q-1 cycle vertices and q-1
     vertices of each arm, leaving the linear forest (g-2q+1, a-q+1 per
-    arm). Its parts, sorted descending, go to the forest exception test
-    with t = ceil(sqrt(total)); a forest with an empty part is never
-    exceptional.
+    arm) of total g + sum(arms) - 2q + 1 - t(q-1) for t arms. The
+    pre-test ``may_be_exceptional`` on that total and its root
+    t = ceil(sqrt(total)) rejects a forest whose total lies more than
+    ``MAX_DEFICIT`` below a square; only the others are built, sorted
+    descending and given to the exact test. A forest with an empty part
+    is never exceptional.
     """
+    total = g + sum(arms) - 2 * q + 1 - len(arms) * (q - 1)
+    if total < 1:
+        return False
+    t = isqrt(total - 1) + 1
+    if not may_be_exceptional(total, t):
+        return False
     parts = tuple(sorted((g - 2 * q + 1, *(a - q + 1 for a in arms)), reverse=True))
-    return parts[-1] >= 1 and deficit_exceptional(parts, isqrt(sum(parts) - 1) + 1)
+    return parts[-1] >= 1 and deficit_exceptional(parts, t)
 
 
 def exceptional(q: int, r: int, g: int, a1: int, a2: int) -> bool:
@@ -83,9 +96,10 @@ def exceptional(q: int, r: int, g: int, a1: int, a2: int) -> bool:
     the first arm leave an exceptional two-path forest and the second arm
     has length r-q+1, or r >= 2q-3 and the cycle and both arms leave an
     exceptional three-path forest. A queried triple is always valid and
-    sorted, so no literal needs a validity filter.
+    sorted, so no literal needs a validity filter. Every literal has
+    a2 = q+1 or q+2, so only those queries build the literal tuple.
     """
-    if (g, a1, a2) in (
+    if q + 1 <= a2 <= q + 2 and (g, a1, a2) in (
         (2 * q - 2, q * q - q - 2, q + 1),
         (2 * q - 1, q * q - q - 2, q + 1),
         (q * q - 7, q + 2, q + 1),

@@ -1,13 +1,17 @@
+import itertools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from burnkit import formulas
 from burnkit.families import build, enumerate_sweep
 from burnkit.formulas import (
     J5,
+    MAX_DEFICIT,
     SLACK,
+    SPORADIC,
     b2_by_degree,
     b_cycle,
     b_path,
@@ -208,6 +212,87 @@ class TestForestExceptional:
                 parts = (a1, *tail)
                 if a1 >= tail[0]:
                     assert forest_exceptional(parts) is reference_exceptional(parts), parts
+
+
+def reference_b_two_paths(a1, a2):
+    """``b_two_paths`` as it was: the sorted parts through the exact test."""
+    t = math.isqrt(a1 + a2 - 1) + 1
+    return t + (1 if forest_exceptional((max(a1, a2), min(a1, a2))) else 0)
+
+
+def reference_b_three_paths(a1, a2, a3):
+    """``b_three_paths`` as it was: the sorted parts through the exact test."""
+    t = math.isqrt(a1 + a2 + a3 - 1) + 1
+    return t + (1 if forest_exceptional(tuple(sorted((a1, a2, a3), reverse=True))) else 0)
+
+
+def assert_formulas_match_reference(parts):
+    # every order of the arguments, since both formulas sort their own
+    formula, reference = {
+        2: (b_two_paths, reference_b_two_paths),
+        3: (b_three_paths, reference_b_three_paths),
+    }[len(parts)]
+    for order in set(itertools.permutations(parts)):
+        assert formula(*order) == reference(*order), order
+
+
+class TestPreTestReference:
+    # b_two_paths and b_three_paths skip the exact test when the deficit is
+    # above MAX_DEFICIT; these compare them with the formulas that always
+    # ran it
+
+    def test_bound_derives_from_the_catalogs(self):
+        assert MAX_DEFICIT == max(SLACK.values()) == 3
+        assert SPORADIC == J5 | {(11, 11, 2)}
+        # every sporadic triple sits at most one below a square, so no
+        # bound on the total is needed beside the deficit's
+        deficits = {(math.isqrt(sum(p) - 1) + 1) ** 2 - sum(p) for p in SPORADIC}
+        assert deficits == {0, 1}
+
+    def test_every_forest_to_total_120(self):
+        for parts in itertools.chain(two_path_forests(120), three_path_forests(120)):
+            assert_formulas_match_reference(parts)
+
+    @pytest.mark.parametrize("t", [10, 99, 1000, 31623])
+    def test_deficits_0_to_6_at_every_tail(self, t):
+        for d in range(7):
+            assert_formulas_match_reference((t * t - d - 2, 2))
+            for tail in SLACK:
+                assert_formulas_match_reference((t * t - d - sum(tail), *tail))
+
+    def test_exact_test_runs_only_up_to_max_deficit(self, monkeypatch):
+        # deterministic count of the slow path: a change that drops the
+        # pre-test fails here, not only in the benchmark
+        calls = []
+        exact = formulas.deficit_exceptional
+
+        def counted(parts, t):
+            calls.append(t * t - sum(parts))
+            return exact(parts, t)
+
+        monkeypatch.setattr(formulas, "deficit_exceptional", counted)
+        for t in (10, 1000):
+            for d in range(7):
+                b_two_paths(t * t - d - 2, 2)
+                for tail in SLACK:
+                    b_three_paths(t * t - d - sum(tail), *tail)
+        assert sorted(set(calls)) == [0, 1, 2, 3]
+        assert len(calls) == 2 * 4 * (1 + len(SLACK))
+
+    @given(
+        st.lists(st.integers(min_value=1, max_value=10**12), min_size=2, max_size=3),
+        st.integers(min_value=0, max_value=6),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_forests_to_10_12(self, parts, d, near_square):
+        # a drawn forest, or its largest part moved so the total sits d
+        # below the next square
+        if near_square:
+            rest = sum(parts) - max(parts)
+            t = math.isqrt(sum(parts)) + 1
+            parts = [max(1, t * t - d - rest), *sorted(parts)[:-1]]
+        assert_formulas_match_reference(tuple(parts))
 
 
 class TestDegreeCriterion:

@@ -1,11 +1,13 @@
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import pickle
 import random
 import time
 import tracemalloc
 from bisect import bisect_left
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,7 @@ from burnkit import solver, structural
 from burnkit.solver import (
     MAX_EXACT_VERTICES,
     MAX_ROUNDS,
+    BurnResult,
     Inconclusive,
     SequenceCheck,
     _Budget,
@@ -306,6 +309,88 @@ class TestExact:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(res, name, None)
             assert not hasattr(res, "__dict__")  # slots, no instance dict
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class ReferenceBurnResult:
+    """``BurnResult`` with the generated ``__init__``; the annotations are
+    strings, as solver.py's are under postponed evaluation."""
+
+    value: "int"
+    method: "str"
+    lower_bound: "int"
+    upper_bound: "int"
+    certificate: "Optional[tuple[int, ...]]" = None
+
+
+class TestBurnResultContract:
+    # BurnResult writes its slots in its own __init__; everything a caller
+    # can observe must stay that of the generated dataclass
+    ARGS = [
+        ((3, "exact", 2, 4), {}),
+        ((3, "exact", 2, 4, (0, 5, 1)), {}),
+        ((3, "table-t1"), {"lower_bound": 3, "upper_bound": 4}),
+        ((), {"value": 2, "method": "degree-b2", "lower_bound": 2, "upper_bound": 2}),
+        ((), {"certificate": None, "upper_bound": 9, "value": 9, "lower_bound": 8, "method": "x"}),
+    ]
+
+    @staticmethod
+    def pairs():
+        for args, kwargs in TestBurnResultContract.ARGS:
+            yield BurnResult(*args, **kwargs), ReferenceBurnResult(*args, **kwargs)
+
+    def test_construction_repr_equality_and_hash(self):
+        for res, ref in self.pairs():
+            assert dataclasses.astuple(res) == dataclasses.astuple(ref)
+            assert repr(res) == repr(ref).replace("ReferenceBurnResult", "BurnResult")
+            assert hash(res) == hash(ref)
+            assert res == BurnResult(*dataclasses.astuple(res))
+            assert res != ref  # dataclass equality requires the same class
+            for field in dataclasses.fields(res):
+                changed = dataclasses.replace(res, **{field.name: -1})
+                assert changed != res
+                assert dataclasses.astuple(changed) == dataclasses.astuple(
+                    dataclasses.replace(ref, **{field.name: -1})
+                )
+        assert BurnResult(3, "exact", 2, 4).certificate is None
+        with pytest.raises(TypeError):
+            BurnResult(3, "exact", 2)
+        with pytest.raises(TypeError):
+            BurnResult(3, "exact", 2, 4, None, 7)
+        with pytest.raises(TypeError):
+            BurnResult(3, "exact", 2, 4, nodes=7)
+
+    def test_pickle_fields_asdict_and_signature(self):
+        for res, ref in self.pairs():
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                back = pickle.loads(pickle.dumps(res, protocol))
+                assert back == res and type(back) is BurnResult
+            assert dataclasses.asdict(res) == dataclasses.asdict(ref)
+        described = [(f.name, f.type, f.default, f.init, f.compare, f.hash, f.repr)
+                     for f in dataclasses.fields(ReferenceBurnResult)]
+        assert [(f.name, f.type, f.default, f.init, f.compare, f.hash, f.repr)
+                for f in dataclasses.fields(BurnResult)] == described
+        assert list(inspect.signature(BurnResult).parameters.values()) == list(
+            inspect.signature(ReferenceBurnResult).parameters.values()
+        )
+        assert BurnResult.__match_args__ == ReferenceBurnResult.__match_args__
+
+    def test_frozen_and_slotted(self):
+        for res, ref in self.pairs():
+            for field in dataclasses.fields(res):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(res, field.name, None)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(res, field.name)
+            # a new attribute is refused too, by whatever exception this
+            # Python's generated __setattr__ raises for the reference
+            with pytest.raises(Exception) as ours:
+                res.nodes = 1
+            with pytest.raises(Exception) as theirs:
+                ref.nodes = 1
+            assert ours.type is theirs.type
+            assert not hasattr(res, "__dict__") and not hasattr(ref, "__dict__")
+        assert BurnResult.__slots__ == ReferenceBurnResult.__slots__
 
 
 def grid_graph(rows, cols, perm=None):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from burnkit import families, solver
+from burnkit import families, solver, tables
 from burnkit.families import build, enumerate_sweep
 from burnkit.formulas import forest_exceptional, t_unicyclic_bounds
 from burnkit.graphs import qr_decompose
@@ -216,6 +216,51 @@ class TestReferenceEquality:
     def test_drawn_orders_to_10_12(self, instance):
         lookup, reference = REFERENCE_LOOKUPS[len(instance) - 1]
         assert lookup(*instance) == reference(*instance)
+
+
+def slow_path_queries(q):
+    """One- and two-arm instances of order q^2 + r for r in {1, q, 2q-3,
+    2q-2}: about a hundred evenly spaced cycle lengths plus those at the
+    row boundaries, and for two arms second arms of length 1, r-q+1, q+1,
+    q+2 and half the rest."""
+    queries = []
+    for r in (1, q, 2 * q - 3, 2 * q - 2):
+        n = q * q + r
+        grid = set(range(3, n - 2, n // 97)) | {
+            r, r + 1, 2 * r, 2 * r + 1, 2 * q - 2, 2 * q - 1, 2 * q, 2 * q + 1,
+            q * q - 7, q * q, q * q + 1,
+        }
+        for g in sorted(x for x in grid if 3 <= x <= n - 2):
+            rest = n - g
+            queries.append((g, rest))
+            for a2 in sorted({1, r - q + 1, q + 1, q + 2, rest // 2}):
+                if 1 <= a2 <= rest // 2:
+                    queries.append((g, rest - a2, a2))
+    return queries
+
+
+class TestSlowPathCount:
+    # The residual-forest pre-test keeps one-arm lookups whose residual
+    # total is far below a square away from the exact forest test (every
+    # two-arm residual sits at deficit 0 or 1, so those all reach it). The
+    # count is deterministic, so a change that drops or weakens the pre-test
+    # fails here and not only in the benchmark: without it the same queries
+    # made 1,003 calls.
+    def test_exact_forest_tests_at_q_1000(self, monkeypatch):
+        calls = []
+        exact = tables.deficit_exceptional
+
+        def counted(parts, t):
+            calls.append(parts)
+            return exact(parts, t)
+
+        monkeypatch.setattr(tables, "deficit_exceptional", counted)
+        queries = slow_path_queries(1000)
+        for instance in queries:
+            lookup, reference = REFERENCE_LOOKUPS[len(instance) - 1]
+            assert lookup(*instance) == reference(*instance), instance
+        assert len(queries) == 2308
+        assert len(calls) == 905
 
 
 class TestFrozenEquivalence:
