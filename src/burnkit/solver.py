@@ -26,8 +26,10 @@ or the interval cover, and the cover at the first accepted k, on walk
 coordinates, becomes the certificate. A routed result has lower bound,
 value and upper bound equal and spends no search nodes. The covers are
 NP-complete to decide, so the route gives up after ``HUB_RULE_STATES``
-interval-cover states; the levels it refuted by then are a floor for the
-ball search.
+ticks (interval-cover states, and radii or placements of the hub's ball
+that an arithmetic pre-test rejects); the levels it refuted by then are a
+floor for the ball search. The route takes graphs of any order; only the
+ball search refuses graphs of more than ``MAX_EXACT_VERTICES`` vertices.
 
 Cover search (``_cover``); its state is the uncovered-vertex mask and the
 unused-radii mask, and every cut keeps it complete:
@@ -87,7 +89,7 @@ import itertools
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
@@ -117,21 +119,49 @@ EXACT = "exact"
 MAX_EXACT_VERTICES = 2_000
 
 # The structural route, on one-hub graphs and on linear forests, gives up
-# after this many interval-cover states, counted over all its levels; each
-# state may stay in the cover's failed set. Giving up took 0.02 s and a 0.6 MB
-# tracemalloc peak on uni:594;480,424,270,158,43 at k = 42, a level that
-# without a limit filled a 512 MB address space in 39 s, and at most
-# 0.32 s and 1.1 MB on 300 random spiders and t-unicyclic graphs of order
-# up to 2,000 with 3 to 600 legs (2-core x86-64, CPython 3.11). Deciding
-# every level up to the value, the route needs at most 76 states on all
-# spiders and t-unicyclic graphs to order 20, the uni1 and uni2 sweeps to
-# orders 60 and 46, the forest3 sweep to order 40 and all linear forests
-# to order 18, at most 285 on spiders with three to six legs to order 40,
-# and at most 57 on the benchmark's one-hub graphs and forests.
+# after this many ticks of its deciders, counted over all its levels: one
+# per interval-cover state, which may stay in the cover's failed set, and
+# one per radius or placement of the hub's ball that an arithmetic pre-test
+# rejects. On 300 random spiders and t-unicyclic graphs of order up to
+# 2,000 with 3 to 600 legs it gave up on 38 and took at most 0.04 s and a
+# 0.5 MB tracemalloc peak; on star:1,2,...,500 (125,251 vertices) it gives
+# up in 0.03 s, and on random spiders of about 10^6 vertices with 10^4 to
+# 10^5 legs it answers or gives up in at most 0.7 s (2-core x86-64, CPython
+# 3.11). It decides uni:594;480,424,270,158,43 (43) in 280 ticks, though
+# its level k = 42 filled a 512 MB address space in 39 s under a sum test
+# alone, and uni:3;20000,20000,20000 (245) in 18,026. Deciding every level
+# up to the value, the route needs at most 59 ticks on all spiders and
+# t-unicyclic graphs to order 20, the uni1 and uni2 sweeps to orders 60 and
+# 46, the forest3 sweep to order 40 and all linear forests to order 18, at
+# most 115 on spiders with three to six legs to order 40, and at most 35 on
+# the benchmark's one-hub graphs and forests.
 HUB_RULE_STATES = 20_000
 
 
-@dataclass(frozen=True, slots=True)
+def _refuse_set(self: object, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delete(self: object, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _frozen(cls: type) -> type:
+    """``cls`` as a frozen, slotted dataclass whose instances refuse every
+    attribute set or delete with ``FrozenInstanceError``.
+
+    The generated methods raise it for a field, but for any other name
+    they call ``super()`` on the class that ``slots=True`` replaced, which
+    raises ``TypeError`` instead (a CPython dataclasses issue, seen on
+    3.11).
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__setattr__ = _refuse_set
+    cls.__delattr__ = _refuse_delete
+    return cls
+
+
+@_frozen
 class BurnResult:
     """A burning-number value plus how it was obtained.
 
@@ -160,8 +190,8 @@ class BurnResult:
         # object.__setattr__, which looks the name up on the type each time;
         # the slot descriptors' own setters store the same values directly
         # (0.57 against 0.90 us per construction, CPython 3.11, 2-core
-        # x86-64). Fields, defaults, repr, equality, hashing, pickling and
-        # frozenness stay the dataclass's, as generated.
+        # x86-64). Fields, defaults, repr, equality, hashing and pickling
+        # stay the dataclass's, as generated.
         _set_value(self, value)
         _set_method(self, method)
         _set_lower_bound(self, lower_bound)
@@ -185,7 +215,7 @@ class Inconclusive(Exception):
         )
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class SequenceCheck:
     """Outcome of checking the two burning-sequence conditions.
 
@@ -762,9 +792,10 @@ def _route(g: Graph) -> tuple[int, Optional[tuple[int, ...]]]:
     vertex ids. ``_burn`` turns them into the certificate, swapping in
     unlit vertices in walk order: the hub, then each leg, then the cycle,
     or each path in turn. No distance is computed. Deciding those covers is
-    NP-complete, so the route gives up after ``HUB_RULE_STATES``
-    interval-cover states, or above ``MAX_ROUNDS``, and then returns the
-    first level it did not refute. Any other graph gets the floor 1.
+    NP-complete, so the route gives up after ``HUB_RULE_STATES`` ticks of
+    the deciders (``structural`` docstring), or above ``MAX_ROUNDS``, and
+    then returns the first level it did not refute. Any other graph gets
+    the floor 1.
     """
     walked = family_walks(g)
     if walked is None:
@@ -833,7 +864,6 @@ def burning_number_exact(g: Graph, budget: Optional[int] = None) -> BurnResult:
     if g.vertex_count < 1:
         raise ValueError("graph must have at least one vertex")
 
-    _check_vertices(g.vertex_count)
     lower, known, prep = _known(g)
     value, certificate = len(known), known
     if lower < value:
@@ -860,7 +890,7 @@ def burning_number_exact(g: Graph, budget: Optional[int] = None) -> BurnResult:
 # Rooted tree partitions
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class TreePart:
     """One rooted tree of a partition: root, vertex set, parent edges."""
 

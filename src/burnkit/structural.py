@@ -23,10 +23,28 @@ spiders G less one cycle edge. Each edge-deleted spider's hub part leaves
 two cycle suffixes, at least g-2c-1 vertices in all, that the deleted edge
 joins in G, and intervals covering the suffixes also cover the joined
 path; cutting the cycle path at an interval boundary gives an edge-deleted
-spider. Burning linear forests is NP-complete (Bessy et al. 2017);
-``hub_cover`` builds one ``assign_intervals`` test per r, which keeps only
-failed states (a success ends the call) and recurses one frame per size,
-so it takes at most ``MAX_ROUNDS`` rounds.
+spider.
+
+Burning linear forests is NP-complete (Bessy et al. 2017), so the deciders
+count before they search. The other intervals hold k^2 - (2r+1) vertices
+(their room), and a ball of radius r holds the hub and at most r vertices
+along each of the t legs and each way round the cycle. ``hub_cover``
+skips a radius r when n - 1 - (t + 2[g > 0])r exceeds the room, and a
+placement (r, x) when its positive residual parts sum to more than the
+room, before any residual is built: it reads that sum off the legs,
+sorted once per call, in O(log t). It builds the ``assign_intervals``
+test of a radius once a placement passes, and tries it on every placement
+that passes. That test cuts its states by count, sum and fast success,
+and its root state by a subset-sum waste bound (all listed in its
+docstring), keeps only failed states (a success ends the call) and
+recurses one frame per size, so it takes at most ``MAX_ROUNDS`` rounds.
+Every cut drops only what holds no cover, and
+fast success takes the branch the search takes first, so each decider
+finds the cover a search without the cuts finds first. A ``tick`` given
+to a decider is called once per interval-cover state and once per radius
+or placement the arithmetic rejects; whatever it raises abandons the
+decision, so a caller bounds the time and the memory of every decision by
+raising after a number of calls.
 
 Each decider returns the cover behind a yes, not just the yes:
 ``assign_intervals`` the sizes it laid on each path, and ``hub_cover``
@@ -36,6 +54,8 @@ graph's walks (``Cover``), which the solver turns into a certificate.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from functools import reduce
 from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
@@ -53,26 +73,67 @@ def assign_intervals(
     path. The returned function maps the path orders to the sizes placed
     on each path, in the order given (none on a path of order 0 or less),
     or to None when no cover exists. Sizes are assigned largest first to
-    the demands still open, and a state (index, sorted demands) fails at
-    once when the sizes left sum to less than the demand or when it failed
-    in an earlier call. ``tick``, when given, is called once per state
-    visited; whatever it raises abandons the test, so a caller bounds the
-    time and the memory of the failed states by raising after a number of
-    calls.
+    the demands still open. A state (index i, sorted demands) is cut
+    before it branches:
+
+      * count: each open demand needs a size of its own, so it fails when
+        more demands are open than sizes are left;
+      * sum: it fails when the sizes left sum to less than the demands;
+      * fast success: when each of the next m sizes is at least the
+        largest of the m open demands, giving them out in order closes
+        every demand, and that is the branch the search takes first;
+      * memo: it fails when it failed in an earlier call of the function;
+      * waste, at the root state only: the sizes a demand d gets sum to
+        at least d plus its least overhang, the lowest set bit of
+        reach >> d, where reach has bit s set iff some subset of sizes
+        sums to s. Overhangs and unused sizes make up the slack (sizes
+        minus the demands), so the state fails when the least overhangs
+        sum to more than the slack. The test runs only while the slack is
+        below the number of open demands; reach is built on its first run
+        and kept.
+
+    The other cuts drop only states without a cover, and fast success
+    takes the branch the search takes first, so the cover found is the one
+    a search without the cuts finds first. ``tick``, when given, is called
+    once per state visited; whatever it raises abandons the test, so a
+    caller bounds the time and the memory of the failed states by raising
+    after a number of calls.
     """
+    count = len(sizes)
     # left[i]: total of sizes[i:]
     left = list(accumulate(reversed(sizes), initial=0))[::-1]
     failed: set[tuple[int, tuple[int, ...]]] = set()
     # on success, the open demand each size went to, last size first
     chosen: list[int] = []
+    reach = 0  # the subset sums of sizes as a bitset, built on first use
 
     def rec(i: int, demands: tuple[int, ...]) -> bool:
+        nonlocal reach
         if tick is not None:
             tick()
         if not demands:
             return True
-        if left[i] < sum(demands) or (i, demands) in failed:
+        m = len(demands)
+        if i + m > count:
             return False
+        slack = left[i] - sum(demands)
+        if slack < 0:
+            return False
+        if sizes[i + m - 1] >= demands[0]:
+            # size i + j closes demand j; the search would take it first
+            chosen.extend(reversed(demands))
+            return True
+        if (i, demands) in failed:
+            return False
+        if i == 0 and slack < m:
+            if not reach:
+                reach = reduce(lambda sums, s: sums | sums << s, sizes, 1)
+            waste = 0
+            for d in demands:
+                beyond = reach >> d
+                waste += (beyond & -beyond).bit_length() - 1
+                if waste > slack:
+                    return False
         # using a size never hurts, so skipping it is never needed;
         # equal demands are interchangeable, so each value is tried once
         for j, d in enumerate(demands):
@@ -84,7 +145,7 @@ def assign_intervals(
 
     def assign(parts: Sequence[int]) -> Optional[list[list[int]]]:
         chosen.clear()
-        if not rec(0, tuple(sorted((p for p in parts if p > 0), reverse=True))):
+        if not rec(0, tuple(sorted([p for p in parts if p > 0], reverse=True))):
             return None
         # equal open demands are interchangeable, so the first path with
         # the chosen open demand takes the size
@@ -144,9 +205,9 @@ def _place(centers: Cover, sizes: list[int], walk: int, first: int, last: int) -
         first += size
 
 
-def _sizes(k: int, skip: int = -1) -> tuple[int, ...]:
-    """Interval sizes 2s+1 for s = k-1, ..., 0, without radius ``skip``."""
-    return tuple(2 * s + 1 for s in range(k - 1, -1, -1) if s != skip)
+def _sizes(k: int) -> tuple[int, ...]:
+    """Interval sizes 2s+1 for s = k-1, ..., 0."""
+    return tuple(range(2 * k - 1, 0, -2))
 
 
 def forest_cover(
@@ -183,7 +244,11 @@ def hub_cover(
     from the end of leg 0 through the hub. Any other search raises
     ValueError for k above ``MAX_ROUNDS``; its cover is the hub's ball
     (r, x) and the intervals that ``assign_intervals`` lays on the
-    residual forest. ``tick`` goes to every ``assign_intervals`` test.
+    residual forest. Radii go from k-1 down and placements from the hub
+    out; the radius and placement pre-tests (module docstring) skip only
+    those without a cover, so the first cover found is the one a search
+    without them finds. ``tick`` goes to every ``assign_intervals`` test
+    and is called once more per radius or placement a pre-test skips.
     """
     n = max(cycle, 1) + sum(legs)
     centers: Cover = [None] * k
@@ -198,29 +263,58 @@ def hub_cover(
             centers[k - 1 - size // 2] = (0, end - p) if p <= end else (beyond, p - end)
             first += size
         return centers
-    if len(legs) + (2 if cycle else 0) <= 2:
+    spokes = len(legs) + (2 if cycle else 0)
+    if spokes <= 2:
         return None
     if k > MAX_ROUNDS:
         raise ValueError(f"one-hub decision supports at most {MAX_ROUNDS} rounds, got {k}")
     distinct = sorted(set(legs), reverse=True)
+    ascending = sorted(legs)
+    below = list(accumulate(ascending, initial=0))  # below[i]: the i shortest legs' total
+    every = _sizes(k)
     for r in range(k - 1, -1, -1):
-        assign = assign_intervals(_sizes(k, r), tick)
-        for d in range(r + 1):
+        # the other intervals hold k^2 - (2r+1) vertices, and a ball of
+        # radius r holds the hub and at most r vertices along each spoke
+        room = k * k - 2 * r - 1
+        if n - 1 - spokes * r > room:
+            if tick is not None:
+                tick()
+            continue
+        assign = None
+        for d in range(min(r, distinct[0]) + 1):
+            c = r - d  # how far the ball reaches along the other walks
+            # the positive residual parts, before leg a is singled out: each
+            # leg longer than c loses c vertices
+            short = bisect_right(ascending, c)
+            uncut = below[-1] - below[short] - c * (len(legs) - short)
+            if cycle > 2 * c:
+                uncut += cycle - 2 * c - 1
             for a in distinct if d else distinct[:1]:
                 if a < d:
                     break
+                rest = uncut
+                if a > c:  # leg a loses d + r vertices, not c
+                    rest -= a - c
+                    if a > d + r:
+                        rest += a - d - r
+                if rest > room:
+                    if tick is not None:
+                        tick()
+                    continue
+                if assign is None:
+                    assign = assign_intervals(every[: k - 1 - r] + every[k - r :], tick)
                 j = legs.index(a)
-                residual = [b - (r - d) for b in legs]
+                residual = [b - c for b in legs]
                 residual[j] = a - d - r
                 # the cycle path; without a cycle it is negative and ignored
-                residual.append(cycle - 2 * (r - d) - 1)
+                residual.append(cycle - 2 * c - 1)
                 placed = assign(residual)
                 if placed is not None:
                     centers[k - 1 - r] = (j, d)
                     # each remainder starts past the hub's ball: a leg's at
-                    # its cut, the cycle path at c = r - d
+                    # its cut, the cycle path at c
                     for walk, sizes in enumerate(placed):
-                        cut = legs[walk] - residual[walk] if walk < len(legs) else r - d
+                        cut = legs[walk] - residual[walk] if walk < len(legs) else c
                         _place(centers, sizes, walk, cut + 1, cut + residual[walk])
                     return centers
     return None

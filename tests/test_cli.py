@@ -10,7 +10,7 @@ from burnkit.families import build
 from burnkit.graphs import write_graph
 from burnkit.solver import verify_sequence
 
-from .test_solver import grid_graph
+from .test_solver import grid_graph, two_branch_tree
 
 
 def write_family(tmp_path, spec, name="g.txt"):
@@ -160,16 +160,28 @@ class TestCmdCompute:
         assert captured.out == "" and captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
-    def test_exact_search_above_vertex_limit_is_input_error(self, capsys, monkeypatch):
-        # three arms route to the exact search, which refuses 60,003 vertices
+    def test_exact_search_above_vertex_limit_is_input_error(self, tmp_path, capsys, monkeypatch):
+        # a tree with two branch vertices reaches the exact search, which
+        # refuses 2,001 vertices
         def fail(*args, **kwargs):
             raise AssertionError("balls grown beyond the vertex limit")
 
         monkeypatch.setattr(solver, "_grow_balls", fail)
-        assert main(["compute", "--family", "uni:3;20000,20000,20000"]) == 2
+        path = tmp_path / "tree.txt"
+        write_graph(two_branch_tree(solver.MAX_EXACT_VERTICES + 1), str(path))
+        assert main(["compute", "--file", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1 and "at most" in captured.err
+
+    @pytest.mark.parametrize(
+        "spec,value", [("path:3000", 55), ("uni:3;20000,20000,20000", 245)]
+    )
+    def test_routed_certificate_above_vertex_limit(self, spec, value, capsys):
+        assert main(["compute", "--family", spec, "--certificate", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["value"] == doc["lower"] == doc["upper"] == value
+        assert verify_sequence(build(spec), tuple(doc["certificate"]))
 
     def test_requires_exactly_one_source(self, capsys):
         with pytest.raises(SystemExit) as exc:

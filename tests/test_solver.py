@@ -232,16 +232,33 @@ class TestExact:
             burning_number_exact(g)
 
     def test_vertex_limit(self, monkeypatch):
-        # one vertex above the limit is refused before any ball is grown
+        # one vertex above the limit is refused before any ball is grown,
+        # on a tree the structural route does not take
         def fail(*args, **kwargs):
             raise AssertionError("balls grown beyond the vertex limit")
 
         monkeypatch.setattr(solver, "_grow_balls", fail)
-        g = build(f"path:{MAX_EXACT_VERTICES + 1}")
+        g = two_branch_tree(MAX_EXACT_VERTICES + 1)
         with pytest.raises(ValueError, match=f"at most {MAX_EXACT_VERTICES} vertices"):
             burning_number_exact(g)
         with pytest.raises(ValueError, match=f"at most {MAX_EXACT_VERTICES} vertices"):
             find_sequence(g, 3)
+
+    @pytest.mark.parametrize(
+        "spec,value",
+        [("path:3000", 55), ("forest:900,700,500,300", 49), ("uni:3;20000,20000,20000", 245)],
+    )
+    def test_route_answers_above_the_vertex_limit(self, spec, value, monkeypatch):
+        # the vertex limit guards the ball search, which a routed graph
+        # never reaches
+        def fail(*args, **kwargs):
+            raise AssertionError("balls grown for a routed graph")
+
+        monkeypatch.setattr(solver, "_grow_balls", fail)
+        g = build(spec)
+        res = burning_number_exact(g)
+        assert res.value == res.lower_bound == res.upper_bound == value
+        assert len(res.certificate) == value and check_sequence(g, res.certificate).ok
 
     def test_vertex_limit_is_inclusive(self, monkeypatch):
         class Admitted(Exception):
@@ -305,9 +322,12 @@ class TestExact:
         results = [burning_number_exact(g), check_sequence(g, (1,)), *extract_partition(g, (1, 0))]
         for res in results:
             assert pickle.loads(pickle.dumps(res)) == res
-            name = dataclasses.fields(res)[0].name
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(res, name, None)
+            # a field or any other name, set or deleted
+            for name in (dataclasses.fields(res)[0].name, "nodes"):
+                with pytest.raises(dataclasses.FrozenInstanceError, match=repr(name)):
+                    setattr(res, name, None)
+                with pytest.raises(dataclasses.FrozenInstanceError, match=repr(name)):
+                    delattr(res, name)
             assert not hasattr(res, "__dict__")  # slots, no instance dict
 
 
@@ -382,15 +402,21 @@ class TestBurnResultContract:
                     setattr(res, field.name, None)
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     delattr(res, field.name)
-            # a new attribute is refused too, by whatever exception this
-            # Python's generated __setattr__ raises for the reference
-            with pytest.raises(Exception) as ours:
+            # a new attribute is refused the same way; the reference's
+            # generated methods raise TypeError for it instead
+            with pytest.raises(dataclasses.FrozenInstanceError):
                 res.nodes = 1
-            with pytest.raises(Exception) as theirs:
-                ref.nodes = 1
-            assert ours.type is theirs.type
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del res.nodes
             assert not hasattr(res, "__dict__") and not hasattr(ref, "__dict__")
         assert BurnResult.__slots__ == ReferenceBurnResult.__slots__
+
+
+def two_branch_tree(n):
+    """A path of n - 2 vertices with a leaf on its second and its fourth
+    vertex: a tree with two branch vertices, outside every family."""
+    edges = [(v, v + 1) for v in range(n - 3)] + [(1, n - 2), (3, n - 1)]
+    return Graph(n, edges)
 
 
 def grid_graph(rows, cols, perm=None):
@@ -965,26 +991,44 @@ class TestHubRule:
 
     def test_state_limit_bounds_a_hard_level(self):
         # At k = 42 the counting bound is tight (42^2 + 5 * 41 = 1,969 = n).
-        # Without the state limit, deciding that level filled a 512 MB
-        # address space with failed states in 39 s. The rule gives up, and
-        # the other terms stand.
+        # With a sum test alone, deciding that level filled a 512 MB address
+        # space with failed states in 39 s, and the route gave up there at
+        # its state limit. One placement passes the pre-tests, and the
+        # waste bound refutes it in one state.
         g = build("uni:594;480,424,270,158,43")
-        start = time.perf_counter()
-        with pytest.raises(Inconclusive) as exc:
-            burning_number_exact(g, budget=1)
-        assert time.perf_counter() - start < 30
-        assert (exc.value.lower_bound, exc.value.upper_bound) == (42, 48)
-        # the structural route gives up there, and its floor is the level
         tracemalloc.start()
+        start = time.perf_counter()
         try:
-            floor, certificate = solver._route(g)
+            res = burning_number_exact(g)
+            elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (floor, certificate) == (42, None)
-        assert peak < 4 * 2**20
-        lower, greedy = _bounds(_Prepared(g, max_radius=0), graphs.connected_components(g), floor)
-        assert (lower, len(greedy)) == (42, 48)
+        assert res.value == res.lower_bound == res.upper_bound == 43
+        assert len(res.certificate) == 43 and check_sequence(g, res.certificate).ok
+        assert elapsed < 1 and peak < 4 * 2**20
+        assert unicyclic_spanning_upper(g) == 43
+        # 1,111,447 interval-cover states at k = 24 with a sum test alone
+        assert unicyclic_spanning_upper(build("uni:108;150,150,150,108,25")) == 25
+
+    def test_state_limit_ends_a_level_the_cuts_leave_open(self):
+        # On this 26-leg spider (order 954) the arithmetic refutes k = 22
+        # and 23 without a search, but at k = 24 hub_cover visits 384,167
+        # interval-cover states before its first cover. The route gives up
+        # there at its real state limit, within time and memory bounds.
+        g = build(
+            "star:108,101,86,73,70,66,60,52,49,33,31,31,27,26,20,18,18,17,15,11,11,10,8,5,4,3"
+        )
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            floor, certificate = solver._route(g)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (floor, certificate) == (24, None)
+        assert elapsed < 1 and peak < 4 * 2**20
 
 
 def route_shapes(max_order):

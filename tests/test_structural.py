@@ -120,6 +120,90 @@ def reference_spanning_upper(desc):
     return k
 
 
+def reference_assign_intervals(sizes, tick=None):
+    """``structural.assign_intervals`` before its arithmetic cuts: the sum
+    test and the failed-state memo are its only cuts."""
+    left = list(itertools.accumulate(reversed(sizes), initial=0))[::-1]
+    failed = set()
+    chosen = []
+
+    def rec(i, demands):
+        if tick is not None:
+            tick()
+        if not demands:
+            return True
+        if left[i] < sum(demands) or (i, demands) in failed:
+            return False
+        for j, d in enumerate(demands):
+            if j and d == demands[j - 1]:
+                continue
+            if rec(i + 1, structural._assign(demands, j, sizes[i])):
+                chosen.append(d)
+                return True
+        failed.add((i, demands))
+        return False
+
+    def assign(parts):
+        chosen.clear()
+        if not rec(0, tuple(sorted((p for p in parts if p > 0), reverse=True))):
+            return None
+        open_demand = list(parts)
+        placed = [[] for _ in parts]
+        for size, d in zip(sizes, reversed(chosen)):
+            j = open_demand.index(d)
+            placed[j].append(size)
+            open_demand[j] -= size
+        return placed
+
+    return assign
+
+
+def reference_hub_cover(legs, k, cycle=0, tick=None):
+    """``structural.hub_cover`` before its arithmetic cuts: one reference
+    test per radius, run on every placement of the hub's ball. Graphs that
+    need no search go to ``structural.hub_cover``, which the cuts leave
+    alone there."""
+    spanning_path = len(legs) <= (1 if cycle else 2) and ceil_sqrt(max(cycle, 1) + sum(legs)) <= k
+    if spanning_path or len(legs) + (2 if cycle else 0) <= 2:
+        return structural.hub_cover(legs, k, cycle, tick)
+    centers = [None] * k
+    distinct = sorted(set(legs), reverse=True)
+    for r in range(k - 1, -1, -1):
+        sizes = tuple(2 * s + 1 for s in range(k - 1, -1, -1) if s != r)
+        assign = reference_assign_intervals(sizes, tick)
+        for d in range(r + 1):
+            for a in distinct if d else distinct[:1]:
+                if a < d:
+                    break
+                j = legs.index(a)
+                residual = [b - (r - d) for b in legs]
+                residual[j] = a - d - r
+                residual.append(cycle - 2 * (r - d) - 1)
+                placed = assign(residual)
+                if placed is not None:
+                    centers[k - 1 - r] = (j, d)
+                    for walk, on_walk in enumerate(placed):
+                        cut = legs[walk] - residual[walk] if walk < len(legs) else r - d
+                        structural._place(centers, on_walk, walk, cut + 1, cut + residual[walk])
+                    return centers
+    return None
+
+
+INTERVAL_EXAMPLES = [
+    ((), (), True),
+    ((0, 0), (), True),
+    ((3,), (3,), True),
+    ((4,), (3,), False),
+    ((4,), (3, 1), True),
+    ((2, 2), (3,), False),  # one interval cannot span two paths
+    ((7, 2), (5, 3, 1), False),  # (t*t - 2, 2) needs a round more
+    ((5, 4), (5, 3, 1), True),
+    ((6, 3), (5, 3, 1), True),
+    ((7, 2), (7, 3, 1), True),
+    ((2, 2, 2), (7, 5), False),
+]
+
+
 def spiders(legs_count, max_order):
     for legs in itertools.combinations_with_replacement(range(max_order - 1, 0, -1), legs_count):
         if 1 + sum(legs) <= max_order:
@@ -201,22 +285,7 @@ class TestIntervals:
                     value = forest_value((a1, a2, a3), covers)
                     assert value == b_three_paths(a1, a2, a3), (a1, a2, a3)
 
-    @pytest.mark.parametrize(
-        "parts,sizes,expected",
-        [
-            ((), (), True),
-            ((0, 0), (), True),
-            ((3,), (3,), True),
-            ((4,), (3,), False),
-            ((4,), (3, 1), True),
-            ((2, 2), (3,), False),  # one interval cannot span two paths
-            ((7, 2), (5, 3, 1), False),  # (t*t - 2, 2) needs a round more
-            ((5, 4), (5, 3, 1), True),
-            ((6, 3), (5, 3, 1), True),
-            ((7, 2), (7, 3, 1), True),
-            ((2, 2, 2), (7, 5), False),
-        ],
-    )
+    @pytest.mark.parametrize("parts,sizes,expected", INTERVAL_EXAMPLES)
     def test_examples(self, parts, sizes, expected):
         assert (structural.assign_intervals(sizes)(parts) is not None) is expected
 
@@ -265,6 +334,212 @@ class TestIntervals:
                 for parts in reversed(forests):
                     covers = assign(parts) is not None
                     assert covers is reference_intervals_cover(parts, sizes), (sizes, parts)
+
+
+def assert_same_covers(decide, reference, ks):
+    """``decide(k)`` and ``reference(k)`` give the same cover for each k."""
+    for k in ks:
+        assert decide(k) == reference(k), k
+
+
+class TestCutsKeepTheFirstCover:
+    # the count, sum, fast-success and waste cuts of assign_intervals and
+    # the radius and placement pre-tests of hub_cover drop only what holds
+    # no cover, so every cover found is the reference's, placement for
+    # placement
+
+    def test_two_and_three_paths_match_reference(self):
+        # the forests and levels of TestIntervals, one test per k on each side
+        ours, theirs = cover_tests(), functools.cache(
+            lambda k: reference_assign_intervals(tuple(range(2 * k - 1, 0, -2)))
+        )
+        forests = [(total - a2, a2) for total in range(2, 301) for a2 in range(1, total // 2 + 1)]
+        forests += [
+            (total - a2 - a3, a2, a3)
+            for total in range(3, 161)
+            for a3 in range(1, total // 3 + 1)
+            for a2 in range(a3, (total - a3) // 2 + 1)
+        ]
+        for parts in forests:
+            k = ceil_sqrt(sum(parts))
+            while True:
+                placed = ours(k)(parts)
+                assert placed == theirs(k)(parts), (parts, k)
+                if placed is not None:
+                    break
+                k += 1
+
+    @pytest.mark.parametrize("parts,sizes,expected", INTERVAL_EXAMPLES)
+    def test_examples_match_reference(self, parts, sizes, expected):
+        assert structural.assign_intervals(sizes)(parts) == reference_assign_intervals(sizes)(parts)
+
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=0, max_value=12),
+        st.lists(st.lists(st.integers(min_value=-1, max_value=30), max_size=6), max_size=16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_hypothesis_forests_match_reference(self, k, r, forests):
+        # one test on each side for every forest, so the kept failures agree
+        sizes = tuple(2 * s + 1 for s in range(k - 1, -1, -1) if s != r)
+        ours, theirs = structural.assign_intervals(sizes), reference_assign_intervals(sizes)
+        for parts in forests:
+            assert ours(parts) == theirs(parts), (sizes, parts)
+        for parts in forests:
+            assert structural.forest_cover(parts, k) == reference_forest_cover(parts, k), parts
+
+    @pytest.mark.parametrize("legs_count", [3, 4, 5])
+    def test_spiders_match_reference(self, legs_count):
+        # the spiders and levels of TestSpiders: every k from the lower
+        # bound to one past the value, and from 1 on the smaller ones
+        for legs in spiders(legs_count, 40):
+            value = structural_value(legs)
+            first = 1 if 1 + sum(legs) <= 20 else structural.lower_bound(legs)
+            assert_same_covers(
+                lambda k: structural.hub_cover(legs, k),
+                lambda k: reference_hub_cover(legs, k),
+                range(first, value + 3),
+            )
+
+    def test_paths_and_cycles_match_reference(self):
+        shapes = [((n - 1,), 0) for n in range(2, 41)]
+        shapes += [((4, 3), 9), ((5, 2, 2), 6), ((), 9), ((4,), 6), ((1,), 9), ((4, 1), 6)]
+        shapes += [((10, 2), 9), ((4, 4), 4), ((3, 2, 1), 7), ((480, 424, 270, 158, 43), 594)]
+        for legs, cycle in shapes:
+            lower = structural.lower_bound(legs, cycle)
+            assert_same_covers(
+                lambda k: structural.hub_cover(legs, k, cycle),
+                lambda k: reference_hub_cover(legs, k, cycle),
+                range(max(lower - 2, 1), lower + 3) if sum(legs) < 1000 else [43],
+            )
+
+    @given(
+        st.sampled_from([0, 0, 3, 4, 5, 8, 13, 21, 40, 75]),
+        st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=6),
+        st.integers(min_value=-2, max_value=2),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_hypothesis_one_hub_graphs_match_reference(self, cycle, legs, shift):
+        legs = tuple(sorted(legs, reverse=True))
+        k = max(structural.lower_bound(legs, cycle) + shift, 1)
+        assert structural.hub_cover(legs, k, cycle) == reference_hub_cover(legs, k, cycle)
+
+
+def reference_forest_cover(parts, k):
+    """``structural.forest_cover`` on the reference test."""
+    placed = reference_assign_intervals(tuple(range(2 * k - 1, 0, -2)))(parts)
+    if placed is None:
+        return None
+    centers = [None] * k
+    for j, sizes in enumerate(placed):
+        structural._place(centers, sizes, j, 0, parts[j] - 1)
+    return centers
+
+
+class TestCuts:
+    # each cut on an instance where it, and only it, decides the outcome
+
+    def test_radius_pre_test_builds_no_test(self, monkeypatch):
+        # n - 1 - 3r > 4^2 - 2r - 1 for every r < 4 on the spider (10, 10, 10)
+        built, ticks = [], []
+        monkeypatch.setattr(structural, "assign_intervals", lambda *args: built.append(args))
+        assert structural.hub_cover((10, 10, 10), 4, 0, lambda: ticks.append(1)) is None
+        assert built == [] and len(ticks) == 4  # one tick per radius
+
+    def test_placement_pre_test_builds_no_test(self, monkeypatch):
+        # (5, 4, 1) at k = 3, its counting bound: only r = 2 passes the
+        # radius pre-test, with room 9 - 5 = 4, and three of its placements
+        # (the hub, depth 1 on leg 5 and on leg 4) leave exactly 5 vertices
+        built, ticks = [], []
+        monkeypatch.setattr(structural, "assign_intervals", lambda *args: built.append(args))
+        assert structural.hub_cover((5, 4, 1), 3, 0, lambda: ticks.append(1)) is None
+        # one tick per rejected radius (2) and placement (1 + 3 + 2)
+        assert built == [] and len(ticks) == 8
+        monkeypatch.undo()
+        assert reference_hub_cover((5, 4, 1), 3) is None
+
+    @given(
+        st.sampled_from([0, 0, 3, 4, 7, 12, 25]),
+        st.lists(st.integers(min_value=1, max_value=30), min_size=3, max_size=7),
+        st.integers(min_value=-1, max_value=3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_pre_tests_pass_exactly_the_placements_that_fit(self, cycle, legs, shift):
+        # every placement whose positive residual parts fit in the room of
+        # the other sizes reaches the interval test, and no other; legs in
+        # walk order, not sorted
+        legs = tuple(legs)
+        k = max(structural.lower_bound(legs, cycle) + shift, 1)
+        seen = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                structural,
+                "assign_intervals",
+                lambda sizes, tick=None: lambda parts: seen.append((sizes, tuple(parts))),
+            )
+            assert structural.hub_cover(legs, k, cycle) is None
+        expected = []
+        for r in range(k):
+            sizes = tuple(2 * s + 1 for s in range(k - 1, -1, -1) if s != r)
+            # the hub, then each distinct leg length a at depths 1..min(r, a)
+            placements = [(0, legs[0])] + [
+                (d, a) for a in set(legs) for d in range(1, min(r, a) + 1)
+            ]
+            for d, a in placements:
+                c = r - d
+                residual = [b - c for b in legs] + [cycle - 2 * c - 1]
+                residual[legs.index(a)] = a - d - r
+                if sum(p for p in residual if p > 0) <= k * k - 2 * r - 1:
+                    expected.append((sizes, tuple(residual)))
+        assert sorted(seen) == sorted(expected)
+
+    @pytest.mark.parametrize(
+        "parts,placed,states",
+        [
+            ((5,), [[5]], 1),
+            ((3, 3), [[5], [3]], 1),  # sizes 5 and 3 are each at least 3
+            ((5, 3), [[5], [3]], 2),  # 5 closes 5, then 3 closes 3
+        ],
+    )
+    def test_fast_success_at_equal_sizes(self, parts, placed, states):
+        ticks = []
+        assert structural.assign_intervals((5, 3, 1), lambda: ticks.append(1))(parts) == placed
+        assert len(ticks) == states
+        assert reference_assign_intervals((5, 3, 1))(parts) == placed
+
+    def test_count_refutes_at_the_root(self):
+        ticks = []
+        assert structural.assign_intervals((9, 7), lambda: ticks.append(1))((2, 2, 2)) is None
+        assert len(ticks) == 1
+
+    @pytest.mark.parametrize(
+        "sizes,parts",
+        [
+            # slack 0, 12 = 9 + 3 and 11 = 7 + 3 + 1 are subset sums, but 2
+            # is not: its least overhang is 1
+            ((9, 7, 5, 3, 1), (12, 11, 2)),
+            # the one placement of uni:594;480,424,270,158,43 at k = 42
+            # that passes the placement pre-test, the hub at radius 41; no
+            # two distinct odd sizes sum to 2
+            (tuple(range(81, 0, -2)), (511, 439, 383, 229, 117, 2)),
+        ],
+    )
+    def test_waste_bound_refutes_at_the_root(self, sizes, parts):
+        assert sum(sizes) == sum(parts)
+        ticks = []
+        assert structural.assign_intervals(sizes, lambda: ticks.append(1))(parts) is None
+        assert len(ticks) == 1
+
+    def test_state_limit_still_bounds_the_route(self):
+        # every radius and placement the arithmetic rejects ticks once, so
+        # deciding uni:3;20000,20000,20000 (245 rounds) stays below the
+        # route's state limit
+        legs, cycle, ticks = (20000, 20000, 20000), 3, []
+        k = structural.lower_bound(legs, cycle)
+        while structural.hub_cover(legs, k, cycle, lambda: ticks.append(1)) is None:
+            k += 1
+        assert k == 245
+        assert len(ticks) == 18_026 <= solver.HUB_RULE_STATES
 
 
 class TestRoundLimit:
