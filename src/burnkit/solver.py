@@ -91,7 +91,7 @@ import operator
 from bisect import bisect_left
 from dataclasses import FrozenInstanceError, dataclass, field, fields
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import structural
 from .graphs import (
@@ -724,6 +724,24 @@ def _greedy_upper(prep: _Prepared) -> tuple[int, ...]:
             return tuple(seq)
 
 
+def _holds(layers: Iterable[list[int]], subset: int, size: int) -> bool:
+    """Whether the best ball of each layer, counted on ``subset``, holds
+    ``size`` vertices of it between them; stops once they do."""
+    held = 0
+    for layer in layers:
+        held += max(map(int.bit_count, map(subset.__and__, layer)))
+        if held >= size:
+            return True
+    return False
+
+
+def _rim_skipped(maxball: Sequence[int], k: int, n: int, h: int) -> bool:
+    """Whether the rim, the n - h vertices below the maximum degree, cannot
+    refute level k: a ball of radius rho holds at least maxball[rho] - h
+    rim vertices, and those floors over radii k-1..0 reach n - h."""
+    return sum(max(s - h, 0) for s in maxball[:k]) >= n - h
+
+
 def _bounds(
     prep: _Prepared, components: list[list[int]], floor: int
 ) -> tuple[int, tuple[int, ...]]:
@@ -747,25 +765,41 @@ def _bounds(
         of sizes {2s+1 : s < k}, each used once, cover those paths. That is
         the cover ``structural.forest_cover`` decides exactly; burning
         linear forests is NP-complete, so more parts are not tried;
-      * capacity: the largest balls of radii k-1..0 hold n vertices between
-        them. k climbs until they do, but not past the greedy length.
+      * capacity, on a vertex subset P: balls of radii k-1..0 hold at most
+        the sum over rho < k of max_c |B_rho(c) & P| vertices of P, so k is
+        refuted when that sum is below |P|. P = V reads its shares off
+        ``maxball``. P = the rim, the vertices below the maximum degree
+        (where balls get clipped, as on a grid's boundary), reads them off
+        the ball layers from rho = k-1 down until they reach |P|
+        (``_holds``), unless ``_rim_skipped`` shows that they must: with h
+        vertices of maximum degree, a ball holds at least its size minus h
+        rim vertices. k climbs while either subset refutes it, but not past
+        the greedy length.
 
     Layers are grown up to the bound, at most to the greedy length minus 1.
     """
     n, adjacency = prep.n, prep.adjacency
     lower = max(floor, len(components), ceil_sqrt(prep.diameter + 1))
-    hubs = [v for v, adj in enumerate(adjacency) if len(adj) >= 3]
+    degrees = list(map(len, adjacency))
+    hubs = [d for d in degrees if d >= 3]
     if len(hubs) <= 1:
-        degree = len(adjacency[hubs[0]]) if hubs else 2
-        lower = max(lower, counting_lower(n, degree - 2))
+        lower = max(lower, counting_lower(n, max(hubs, default=2) - 2))
     if 2 <= len(components) <= 3:
         parts = tuple(1 + max(prep.ecc[v] for v in comp) for comp in components)
         lower, _ = _deepen(lower, lambda k: structural.forest_cover(parts, k))
     greedy = _greedy_upper(prep)
+    top = max(degrees)
+    h = degrees.count(top)  # every other vertex is on the rim
+    rim = None
     while lower < len(greedy):
         prep.extend(lower - 1)
         if prep.capacity[lower - 1] >= n:
-            break
+            if _rim_skipped(prep.maxball, lower, n, h):
+                break
+            if rim is None:
+                rim = sum(1 << v for v, d in enumerate(degrees) if d < top)
+            if _holds(prep.balls[lower - 1 :: -1], rim, n - h):
+                break
         lower += 1
     if lower > len(greedy):
         raise AssertionError(f"lower bound {lower} above the greedy witness's {len(greedy)}")

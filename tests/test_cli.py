@@ -10,7 +10,7 @@ from burnkit.families import build
 from burnkit.graphs import write_graph
 from burnkit.solver import verify_sequence
 
-from .test_solver import grid_graph, two_branch_tree
+from .test_solver import torus_graph, two_branch_tree
 
 
 def write_family(tmp_path, spec, name="g.txt"):
@@ -189,9 +189,9 @@ class TestCmdCompute:
         assert exc.value.code == 2
 
     def test_budget_env_inconclusive(self, tmp_path, capsys, monkeypatch):
-        # a grid's bounds are [4, 5], so level 4 is searched
-        path = tmp_path / "grid.txt"
-        write_graph(grid_graph(6, 6), str(path))
+        # the 6x7 torus's bounds are [4, 5], so level 4 is searched
+        path = tmp_path / "torus.txt"
+        write_graph(torus_graph(6, 7), str(path))
         monkeypatch.setenv("BURNKIT_NODE_BUDGET", "2")
         rc = main(["compute", "--file", str(path), "--method", "exact"])
         assert rc == 3

@@ -49,6 +49,9 @@ from burnkit.solver import (
     verify_sequence,
 )
 
+from perfbench.reference_values import TREE_VALUES
+from perfbench.workloads import tree_shapes
+
 from .oracle import brute_burnable, brute_burning_number
 from .test_graphs import (
     descending_tuples,
@@ -194,22 +197,23 @@ class TestExact:
             assert find_sequence(g, value - 1) is None
 
     def test_budget_exhaustion_is_inconclusive(self):
-        g = grid_graph(6, 6)  # bounds [4, 5], so level 4 is searched
+        g = torus_graph(6, 7)  # bounds [4, 5], so level 4 is searched
         with pytest.raises(Inconclusive) as exc:
             burning_number_exact(g, budget=3)
         assert exc.value.lower_bound <= 5 <= exc.value.upper_bound
 
     def test_budget_at_the_greedy_level_gives_the_greedy_sequence(self):
-        # the 8x8 grid has bounds [5, 6]; refuting level 5 takes 4,998
-        # nodes, so 5,002 runs out at level 6 with nothing left to refute
-        g = grid_graph(8, 8)
-        res = burning_number_exact(g, budget=5002)
-        assert (res.value, res.lower_bound, res.upper_bound) == (6, 5, 6)
+        # the 6x7 torus has bounds [4, 5]; refuting level 4 takes 714
+        # nodes and level 5 finds a cover in 3 more, so 716 runs out at
+        # level 5 with nothing left to refute
+        g = torus_graph(6, 7)
+        res = burning_number_exact(g, budget=716)
+        assert (res.value, res.lower_bound, res.upper_bound) == (5, 4, 5)
         assert res.certificate == _greedy_upper(_Prepared(g, max_radius=0))
         assert verify_sequence(g, res.certificate)
         with pytest.raises(Inconclusive) as exc:
-            burning_number_exact(g, budget=4000)
-        assert (exc.value.lower_bound, exc.value.upper_bound) == (5, 6)
+            burning_number_exact(g, budget=600)
+        assert (exc.value.lower_bound, exc.value.upper_bound) == (4, 5)
 
     def test_round_limit(self, monkeypatch):
         # MAX_ROUNDS isolated vertices still solve; one more is refused
@@ -273,7 +277,7 @@ class TestExact:
             burning_number_exact(grid_graph(40, 50))
 
     def test_find_sequence_inconclusive_carries_real_bounds(self):
-        g = grid_graph(6, 6)
+        g = torus_graph(6, 7)
         with pytest.raises(Inconclusive) as exc:
             find_sequence(g, 4, budget=3)
         lower, upper = exc.value.lower_bound, exc.value.upper_bound
@@ -293,7 +297,7 @@ class TestExact:
     def test_budgeted_find_sequence_at_the_bound_is_inconclusive(self):
         # the search runs out on a graph the structural route does not take
         with pytest.raises(Inconclusive) as exc:
-            find_sequence(grid_graph(6, 6), 4, budget=3)
+            find_sequence(torus_graph(6, 7), 4, budget=3)
         assert (exc.value.lower_bound, exc.value.upper_bound) == (4, 5)
         # on a routed graph the bounds are the value, and at the value the
         # route's certificate is the sequence
@@ -305,17 +309,18 @@ class TestExact:
         assert (exc.value.lower_bound, exc.value.upper_bound) == (10, 10)
 
     def test_budgeted_find_sequence_on_an_unrouted_graph(self):
-        # the 8x8 grid has bounds [5, 6]: at the greedy length the greedy
-        # sequence is the answer, at the lower bound the search could not
-        # tell, and below it None is a proof
-        g = grid_graph(8, 8)
-        found = find_sequence(g, 6, budget=3)
-        assert found == (27, 63, 7, 56, 0, 1) == _greedy_upper(_Prepared(g, max_radius=0))
+        # the 6x7 torus has bounds [4, 5]: at the greedy length the greedy
+        # sequence is the answer (the search's cover there takes 3 nodes),
+        # at the lower bound the search could not tell, and below it None
+        # is a proof
+        g = torus_graph(6, 7)
+        found = find_sequence(g, 5, budget=2)
+        assert found == (0, 24, 11, 19, 27) == _greedy_upper(_Prepared(g, max_radius=0))
         assert verify_sequence(g, found)
         with pytest.raises(Inconclusive) as exc:
-            find_sequence(g, 5, budget=3)
-        assert (exc.value.lower_bound, exc.value.upper_bound) == (5, 6)
-        assert find_sequence(g, 4, budget=3) is None
+            find_sequence(g, 4, budget=3)
+        assert (exc.value.lower_bound, exc.value.upper_bound) == (4, 5)
+        assert find_sequence(g, 3, budget=3) is None
 
     def test_results_pickle_and_stay_frozen(self):
         g = build("path:3")
@@ -429,6 +434,18 @@ def grid_graph(rows, cols, perm=None):
                 edges.append((perm[v], perm[v + 1]))
             if i + 1 < rows:
                 edges.append((perm[v], perm[v + cols]))
+    return Graph(rows * cols, edges)
+
+
+def torus_graph(rows, cols):
+    """The rows x cols grid with wrap-around edges: 4-regular for
+    rows, cols >= 3, so no vertex is below the maximum degree."""
+    edges = []
+    for i in range(rows):
+        for j in range(cols):
+            v = i * cols + j
+            edges.append((v, i * cols + (j + 1) % cols))
+            edges.append((v, (i + 1) % rows * cols + j))
     return Graph(rows * cols, edges)
 
 
@@ -976,6 +993,74 @@ class TestGreedyAndBounds:
         assert closed >= 18
 
 
+def rim_levels(g):
+    """Every level k from 1 to the greedy length, whether the rim's O(k)
+    skip test passes at k, and whether the rim's shares at radii k-1..0
+    reach its size (so that the rim does not refute k)."""
+    n = g.vertex_count
+    prep = _Prepared(g, max_radius=0)
+    greedy = len(_greedy_upper(prep))
+    prep.extend(greedy - 1)
+    degrees = [len(adj) for adj in g.adjacency]
+    top = max(degrees)
+    h = degrees.count(top)
+    rim = sum(1 << v for v, d in enumerate(degrees) if d < top)
+    for k in range(1, greedy + 1):
+        skipped = solver._rim_skipped(prep.maxball, k, n, h)
+        yield k, skipped, solver._holds(prep.balls[k - 1 :: -1], rim, n - h)
+
+
+def refute_trees():
+    """The refute workload's random trees, by their fixed shape stream."""
+    for index, (n, edges) in enumerate(tree_shapes(max(TREE_VALUES) + 1)):
+        if index in TREE_VALUES:
+            yield Graph(n, edges)
+
+
+class TestRimCapacity:
+    """The capacity term on the rim, the vertices of degree below the
+    maximum: balls of radii k-1..0 hold at most the sum of their best
+    shares of it."""
+
+    def test_grid_bounds_are_the_values(self):
+        # every grid's lower bound is its value except 3x5 and 4x8; the
+        # unbudgeted search, which never computes the bound, refutes the
+        # level below each value
+        loose = {(3, 5): (3, 4), (4, 8): (4, 5)}
+        for rows in range(2, 10):
+            for cols in range(rows, 10):
+                g = grid_graph(rows, cols)
+                res = burning_number_exact(g)
+                assert verify_sequence(g, res.certificate)
+                assert find_sequence(g, res.value - 1) is None, (rows, cols)
+                bounds = (res.lower_bound, res.value)
+                assert bounds == loose.get((rows, cols), (res.value,) * 2), (rows, cols)
+
+    def test_skip_hides_no_refuted_level(self):
+        graphs_ = [grid_graph(r, c) for r in range(2, 10) for c in range(r, 10)]
+        graphs_ += list(refute_trees())
+        skipped = 0
+        for g in graphs_:
+            for k, skip, held in rim_levels(g):
+                assert held or not skip, k
+                skipped += skip
+        assert skipped  # the skip test is taken somewhere
+
+    @given(st.one_of(small_graphs(), disconnected_graphs(max_n=9)))
+    @settings(max_examples=80, deadline=None)
+    def test_sound_on_random_graphs(self, g):
+        # the bound never exceeds b(G), and the skip passes at no level
+        # that the rim refutes
+        assert burning_number_exact(g).lower_bound <= brute_burning_number(g)
+        for k, skip, held in rim_levels(g):
+            assert held or not skip, k
+
+    def test_an_exact_fill_holds(self):
+        # shares that sum to exactly the rim's size do not refute a level
+        assert solver._holds([[0b0110, 0b1000], [0b0001]], 0b1111, 3)
+        assert not solver._holds([[0b0110, 0b1000], [0b0001]], 0b1111, 4)
+
+
 class TestHubRule:
     def test_raises_the_bound_to_the_value(self, monkeypatch):
         g = build("uni:24;16,6")
@@ -1323,7 +1408,7 @@ class TestBallPreparation:
             assert_matches_reference(random_tree(rng, rng.randint(50, 80)), max_radius=0)
 
     def test_no_distance_matrix_needed(self, monkeypatch):
-        g = grid_graph(6, 6)  # a refuted level below the value
+        g = torus_graph(6, 7)  # a refuted level below the value
         value = burning_number_exact(g).value
 
         def fail(*args, **kwargs):
@@ -1510,11 +1595,12 @@ class TestPackingCut:
 
 class TestCertificates:
     # Certificates are deterministic: the same graph gets the same sequence
-    # from every version that keeps the search's branching order and the
-    # route's covers, whichever way a cover is turned into a sequence.
-    # 1,265 graphs: the search's node-count set and every routed shape to
-    # order 12.
-    DIGEST = "47f72bff368abfa2ef380971f233d10b2554680e05a342715d1e2e2d3256fff1"
+    # from every version that keeps the search's branching order, the
+    # route's covers and the levels at which the lower bound meets the
+    # greedy length (there the greedy sequence is the certificate),
+    # whichever way a cover is turned into a sequence. 1,265 graphs: the
+    # search's node-count set and every routed shape to order 12.
+    DIGEST = "aedbb78a55d2def8616e92c67b2494ac2dacdb13cbfef3337009ec749b5c0bb9"
 
     def test_frozen_certificates(self):
         rows = [(name, burning_number_exact(g).certificate) for name, g in node_count_graphs()]
@@ -1642,7 +1728,7 @@ def outcome(call, *args, **kwargs):
 
 def deepening_graphs():
     """Routed and searched graphs of every kind the exact entry points
-    tell apart: sweeps, spiders, grids, a complete graph, isolated
+    tell apart: sweeps, spiders, grids, a torus, a complete graph, isolated
     vertices, random graphs and random trees."""
     for family_class in SWEEP_CLASSES:
         for desc in enumerate_sweep(family_class, 9):
@@ -1656,6 +1742,8 @@ def deepening_graphs():
     for rows in range(1, 9):
         for cols in range(rows, 9):
             yield f"grid:{rows}x{cols}", grid_graph(rows, cols)
+    # bounds [4, 5], with level 4 left to the search (714 nodes)
+    yield "torus:6x7", torus_graph(6, 7)
     yield "K4", Graph(4, list(itertools.combinations(range(4), 2)))
     yield "empty:7", Graph(7)
     rng = random.Random(11)
@@ -1672,7 +1760,8 @@ class TestDeepeningReference:
     separate loops gave: values, bounds, certificates, Inconclusive bounds
     and refusals, at every budget and at levels around the value."""
 
-    BUDGETS = (None, 1, 3, 50, 4000, 5002)
+    # 600 runs out while the torus's level 4 is searched, 716 at level 5
+    BUDGETS = (None, 1, 3, 50, 600, 716)
 
     def outcomes(self, exact, find, route):
         rows = []
@@ -1689,7 +1778,7 @@ class TestDeepeningReference:
     # with fewer route states more one-hub graphs and forests are searched,
     # and the wider gap between the bounds adds find_sequence levels
     @pytest.mark.parametrize(
-        "states,count", [(solver.HUB_RULE_STATES, 3828), (10, 3837), (0, 3984)]
+        "states,count", [(solver.HUB_RULE_STATES, 3817), (10, 3826), (0, 3973)]
     )
     def test_outcomes_match_the_reference(self, states, count, monkeypatch):
         monkeypatch.setattr(solver, "HUB_RULE_STATES", states)
