@@ -11,7 +11,8 @@ not yet reached; 2n exceeds every finite distance, so callers of
 infinity, and it is the only unreachable marker. A caller that reads only
 some sources' rows asks :func:`distance_rows` for just those.
 :func:`connected_components` runs the kernel over one shared list and
-reads each component off the vertices it returns.
+reads each component off the vertices it returns;
+:func:`forest_eccentricities` runs it over three such lists, one per sweep.
 
 Recognition runs no components pass. After one scan of the degrees,
 :func:`family_walks` walks once out of the one branch vertex (the hub), or
@@ -154,6 +155,33 @@ def connected_components(g: Graph) -> list[list[int]]:
             comp.sort()
             comps.append(comp)
     return comps
+
+
+def forest_eccentricities(g: Graph) -> Optional[list[int]]:
+    """Every vertex's eccentricity within its component if ``g`` is a
+    forest; None if it has a cycle.
+
+    ``g`` is a forest exactly when it has n - c edges, c its number of
+    components, so n edges or more need no search. Otherwise one pass over
+    a shared list counts the components and ends each at a vertex a; a
+    search from a ends at b, and in a tree a and b are the ends of a
+    longest path, so ecc(v) = max(d(a, v), d(b, v)) (the double sweep).
+    Three searches over shared lists in all, O(n).
+    """
+    n = g.vertex_count
+    edges = g.edge_count
+    if edges >= n:
+        return None
+    unvisited = 2 * n
+    seen = [unvisited] * n
+    ends = [_bfs(g, s, seen)[-1] for s in range(n) if seen[s] == unvisited]
+    if edges != n - len(ends):
+        return None
+    from_a = [unvisited] * n
+    from_b = [unvisited] * n
+    for a in ends:
+        _bfs(g, _bfs(g, a, from_a)[-1], from_b)
+    return list(map(max, from_a, from_b))
 
 
 # --------------------------------------------------------------------------

@@ -101,6 +101,7 @@ from .graphs import (
     connected_components,
     distance_rows,
     family_walks,
+    forest_eccentricities,
     recognize_family,
 )
 from .intmath import ceil_sqrt, counting_lower
@@ -109,13 +110,13 @@ from .structural import MAX_ROUNDS
 EXACT = "exact"
 
 # The search's preparation holds an n-bit ball per vertex and radius, up to
-# twice the level searched, and grows every ball to its eccentricity. On
-# grids, which reach the search, preparing it (balls, bounds, and the layers
-# of the level the search starts at) took 3.3 MB and 0.04 s at n = 1,000
-# (25 x 40), 13.6 MB and 0.12 s at 2,000 (40 x 50), and 64 MB and 0.5 s at
-# 4,000 (50 x 80) (tracemalloc peak, time untraced; 2-core x86-64, CPython
-# 3.11). Memory grows with n^2 times the level, so a larger graph is
-# refused before any ball is grown.
+# twice the level searched, and on a graph with a cycle grows every ball to
+# its eccentricity. On grids, which reach the search, preparing it (balls,
+# bounds, and the layers of the level the search starts at) took 3.3 MB and
+# 0.04 s at n = 1,000 (25 x 40), 13.6 MB and 0.12 s at 2,000 (40 x 50), and
+# 64 MB and 0.5 s at 4,000 (50 x 80) (tracemalloc peak, time untraced;
+# 2-core x86-64, CPython 3.11). Memory grows with n^2 times the level, so a
+# larger graph is refused before any ball is grown or any sweep is run.
 MAX_EXACT_VERTICES = 2_000
 
 # The structural route, on one-hub graphs and on linear forests, gives up
@@ -391,10 +392,13 @@ def _certificate(g: Graph, centers: list[Optional[int]], order: Sequence[int]) -
 
 class _Prepared:
     """Bitmask balls by radius, the tables built from them, eccentricities
-    and the diameter read off their growth, and a frozen candidate order.
+    and the diameter, and a frozen candidate order.
 
     No distance matrix is built: the search, the geodesic lower bounds and
     the greedy upper bound read only the balls, ``ecc`` and ``diameter``.
+    A forest's eccentricities come from three breadth-first sweeps
+    (``graphs.forest_eccentricities``) and its balls only from ``extend``;
+    a graph with a cycle reads them off ball growth (``_grow_balls``).
     The tables (``tiers``, ``sizes``, ``suffix``, ``maxball``, ``capacity``)
     cover radii 0..``max_radius`` and the ball layers radii
     0..2 * ``max_radius``, which the search's packing cut reads at twice
@@ -410,7 +414,11 @@ class _Prepared:
         self.adjacency = g.adjacency
         keep = max(max_radius, 2)
         # balls[r][v]: vertices within distance r of v, as a bitmask
-        self.balls, self.ecc = _grow_balls(g.adjacency, 2 * keep)
+        ecc = forest_eccentricities(g)
+        if ecc is None:
+            self.balls, self.ecc = _grow_balls(g.adjacency, 2 * keep)
+        else:
+            self.balls, self.ecc = [[1 << v for v in range(n)]], ecc
         self.diameter = max(self.ecc, default=0)
         self.maxball: list[int] = []
         # per radius: the vertices grouped by ball size (tiers), the sizes,
@@ -463,7 +471,8 @@ def _grow_balls(
     adjacency: Sequence[Sequence[int]], keep: int
 ) -> tuple[list[list[int]], list[int]]:
     """Ball layers of radii 0..``keep`` (fewer once every ball is saturated)
-    and every vertex's eccentricity within its component.
+    and every vertex's eccentricity within its component, for a graph with
+    a cycle; a forest's come from ``graphs.forest_eccentricities``.
 
     A ball that does not grow from radius r-1 to r already holds v's whole
     component, so ecc[v] = r-1 and v's ball never changes again. One rolling

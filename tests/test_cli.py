@@ -10,7 +10,7 @@ from burnkit.families import build
 from burnkit.graphs import write_graph
 from burnkit.solver import verify_sequence
 
-from .test_solver import torus_graph, two_branch_tree
+from .test_solver import refuse_preparation, torus_graph, two_branch_tree
 
 
 def write_family(tmp_path, spec, name="g.txt"):
@@ -162,11 +162,8 @@ class TestCmdCompute:
 
     def test_exact_search_above_vertex_limit_is_input_error(self, tmp_path, capsys, monkeypatch):
         # a tree with two branch vertices reaches the exact search, which
-        # refuses 2,001 vertices
-        def fail(*args, **kwargs):
-            raise AssertionError("balls grown beyond the vertex limit")
-
-        monkeypatch.setattr(solver, "_grow_balls", fail)
+        # refuses 2,001 vertices before it prepares anything
+        refuse_preparation(monkeypatch, AssertionError("prepared beyond the vertex limit"))
         path = tmp_path / "tree.txt"
         write_graph(two_branch_tree(solver.MAX_EXACT_VERTICES + 1), str(path))
         assert main(["compute", "--file", str(path)]) == 2

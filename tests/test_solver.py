@@ -236,12 +236,9 @@ class TestExact:
             burning_number_exact(g)
 
     def test_vertex_limit(self, monkeypatch):
-        # one vertex above the limit is refused before any ball is grown,
-        # on a tree the structural route does not take
-        def fail(*args, **kwargs):
-            raise AssertionError("balls grown beyond the vertex limit")
-
-        monkeypatch.setattr(solver, "_grow_balls", fail)
+        # one vertex above the limit is refused before any ball is grown or
+        # any sweep is run, on a tree the structural route does not take
+        refuse_preparation(monkeypatch, AssertionError("prepared beyond the vertex limit"))
         g = two_branch_tree(MAX_EXACT_VERTICES + 1)
         with pytest.raises(ValueError, match=f"at most {MAX_EXACT_VERTICES} vertices"):
             burning_number_exact(g)
@@ -255,10 +252,7 @@ class TestExact:
     def test_route_answers_above_the_vertex_limit(self, spec, value, monkeypatch):
         # the vertex limit guards the ball search, which a routed graph
         # never reaches
-        def fail(*args, **kwargs):
-            raise AssertionError("balls grown for a routed graph")
-
-        monkeypatch.setattr(solver, "_grow_balls", fail)
+        refuse_preparation(monkeypatch, AssertionError("search prepared for a routed graph"))
         g = build(spec)
         res = burning_number_exact(g)
         assert res.value == res.lower_bound == res.upper_bound == value
@@ -268,13 +262,35 @@ class TestExact:
         class Admitted(Exception):
             pass
 
-        def admitted(*args, **kwargs):
-            raise Admitted
+        refuse_preparation(monkeypatch, Admitted())
+        # a grid and a tree the structural route does not take, since it
+        # answers a path without balls
+        for g in (grid_graph(40, 50), two_branch_tree(MAX_EXACT_VERTICES)):
+            with pytest.raises(Admitted):
+                burning_number_exact(g)
 
-        monkeypatch.setattr(solver, "_grow_balls", admitted)
-        # a grid, since the structural route answers a path without balls
-        with pytest.raises(Admitted):
-            burning_number_exact(grid_graph(40, 50))
+    def test_tree_at_the_vertex_limit(self, monkeypatch):
+        # the sweeps give the tree's eccentricities, so no ball grows to
+        # saturation, and no layer is grown past the one the last level
+        # searched reads at twice its largest radius
+        def fail(*args, **kwargs):
+            raise AssertionError("balls grown on a tree")
+
+        monkeypatch.setattr(solver, "_grow_balls", fail)
+        made = []
+
+        class Recorded(_Prepared):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(solver, "_Prepared", Recorded)
+        g = two_branch_tree(MAX_EXACT_VERTICES)
+        res = burning_number_exact(g)
+        assert (res.value, res.lower_bound, res.upper_bound) == (45, 45, 49)
+        assert len(res.certificate) == 45 and verify_sequence(g, res.certificate)
+        (prep,) = made
+        assert len(prep.balls) <= 2 * (res.value - 1) + 1
 
     def test_find_sequence_inconclusive_carries_real_bounds(self):
         g = torus_graph(6, 7)
@@ -415,6 +431,16 @@ class TestBurnResultContract:
                 del res.nodes
             assert not hasattr(res, "__dict__") and not hasattr(ref, "__dict__")
         assert BurnResult.__slots__ == ReferenceBurnResult.__slots__
+
+
+def refuse_preparation(monkeypatch, error):
+    """Make the search's preparation raise ``error`` on every graph: ball
+    growth on a graph with a cycle, the sweeps on a forest."""
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(solver, "_grow_balls", fail)
+    monkeypatch.setattr(solver, "forest_eccentricities", fail)
 
 
 def two_branch_tree(n):
@@ -1352,6 +1378,46 @@ def random_tree(rng, n):
     return Graph(n, [(perm[rng.randrange(v)], perm[v]) for v in range(1, n)])
 
 
+def random_forest(rng, sizes):
+    """A random tree per size, ids permuted over all of them; a size of 1
+    is an isolated vertex."""
+    n = sum(sizes)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = []
+    start = 0
+    for size in sizes:
+        edges += [(perm[start + rng.randrange(v)], perm[start + v]) for v in range(1, size)]
+        start += size
+    return Graph(n, edges)
+
+
+def random_forests(rng, count):
+    """Forests of one to four random trees of two vertices or more and one
+    to three isolated vertices."""
+    for _ in range(count):
+        sizes = [rng.randint(2, 30) for _ in range(rng.randint(1, 4))]
+        yield random_forest(rng, sizes + [1] * rng.randint(1, 3))
+
+
+def trees_plus_one_edge(rng, count):
+    """Random trees with one more edge, between two vertices not yet
+    adjacent: one cycle, n edges."""
+    for _ in range(count):
+        tree = random_tree(rng, rng.randint(4, 40))
+        missing = [pair for pair in itertools.combinations(range(tree.vertex_count), 2)
+                   if pair[1] not in tree.adjacency[pair[0]]]
+        yield Graph(tree.vertex_count, [*tree.edges(), rng.choice(missing)])
+
+
+# n - 1 edges but not a forest: a cycle and c >= 2 components
+CYCLES_WITH_N_MINUS_ONE_EDGES = [
+    Graph(4, [(0, 1), (1, 2), (2, 0)]),  # a triangle and an isolated vertex
+    Graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]),  # a 5-cycle and an isolated vertex
+    Graph(8, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 7), (7, 3)]),  # a path and a 5-cycle
+]
+
+
 def assert_matches_reference(g, max_radius=4):
     prep = _Prepared(g, max_radius=max_radius)
     ref = ReferencePrepared(g)
@@ -1367,8 +1433,8 @@ def assert_matches_reference(g, max_radius=4):
 
 
 class TestBallPreparation:
-    """Eccentricities from ball growth and the burn-round greedy against the
-    matrix they replaced."""
+    """Eccentricities from the forest sweeps or from ball growth, the ball
+    layers and the burn-round greedy against the matrix they replaced."""
 
     @given(small_graphs(max_n=14))
     @settings(max_examples=200, deadline=None)
@@ -1383,6 +1449,7 @@ class TestBallPreparation:
             Graph(6, [(0, 1), (1, 2), (2, 0)]),
             Graph(9, [(1, 2), (2, 3), (5, 6), (6, 7), (7, 8), (8, 5)]),
             build("forest:9,4,1,1"),
+            *CYCLES_WITH_N_MINUS_ONE_EDGES,
         ],
         ids=repr,
     )
@@ -1406,6 +1473,40 @@ class TestBallPreparation:
         rng = random.Random(7)
         for _ in range(40):
             assert_matches_reference(random_tree(rng, rng.randint(50, 80)), max_radius=0)
+
+    def test_random_forests(self):
+        rng = random.Random(5)
+        for g in random_forests(rng, 30):
+            assert_matches_reference(g, max_radius=rng.choice((0, 4)))
+
+    def test_trees_plus_one_edge(self):
+        rng = random.Random(9)
+        for g in trees_plus_one_edge(rng, 30):
+            assert_matches_reference(g, max_radius=rng.choice((0, 4)))
+
+    def test_only_graphs_with_a_cycle_grow_balls(self, monkeypatch):
+        # a forest, connected or not, takes the sweeps; a graph with a
+        # cycle, however few its edges, grows its balls
+        calls = []
+        grow = solver._grow_balls
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return grow(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_grow_balls", spy)
+        rng = random.Random(13)
+        forests = [Graph(1), Graph(7), build("path:9"), build("forest:9,4,1,1"), build("star:3,2,2")]
+        forests += [random_tree(rng, 40) for _ in range(5)] + list(random_forests(rng, 10))
+        for g in forests:
+            _Prepared(g, max_radius=2)
+            assert not calls, g
+        cyclic = [*CYCLES_WITH_N_MINUS_ONE_EDGES, build("cycle:7"), build("uni:5;3,2"), grid_graph(3, 4)]
+        cyclic += list(trees_plus_one_edge(rng, 10))
+        for g in cyclic:
+            _Prepared(g, max_radius=2)
+            assert len(calls) == 1, g
+            calls.clear()
 
     def test_no_distance_matrix_needed(self, monkeypatch):
         g = torus_graph(6, 7)  # a refuted level below the value
@@ -1778,7 +1879,9 @@ class TestDeepeningReference:
     # with fewer route states more one-hub graphs and forests are searched,
     # and the wider gap between the bounds adds find_sequence levels
     @pytest.mark.parametrize(
-        "states,count", [(solver.HUB_RULE_STATES, 3817), (10, 3826), (0, 3973)]
+        "states,count",
+        [(solver.HUB_RULE_STATES, 3817), (10, 3826), (0, 3973)],
+        ids=["default-states", "10-states", "0-states"],
     )
     def test_outcomes_match_the_reference(self, states, count, monkeypatch):
         monkeypatch.setattr(solver, "HUB_RULE_STATES", states)
