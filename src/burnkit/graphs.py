@@ -21,6 +21,16 @@ vertices exactly when the graph is a connected one-hub graph or a linear
 forest, and every other graph is ``Other``. The cycle of a unicyclic graph
 is the walk that comes back to the hub, not searched for separately. The
 solver's structural route reads its vertex ids off the same walks.
+
+:func:`family_walks` remembers the last graph it walked, so recognition,
+the solver's route and the spanning-tree oracle walk a graph once between
+them. The one entry pairs the graph's adjacency tuple with its walks, or
+None for a graph that is not walkable, and a call on the same adjacency
+object (``is``, not ``==``) returns them. Holding the tuple keeps its id
+from being reused. The entry is replaced by a single assignment, so a race
+between threads costs a second walk, never a wrong answer. The walks are
+shared by every caller and are tuples throughout. The entry keeps one
+adjacency and its walks alive until another graph is walked.
 """
 
 from __future__ import annotations
@@ -257,11 +267,18 @@ class Walks(NamedTuple):
     ``cycle`` are :func:`hub_walks` out of it. For a linear forest of two
     or more paths ``hub`` is None, ``cycle`` is empty and ``legs`` holds
     every path from its lower-id end, in the order of their least vertex.
+    ``legs``, each leg and ``cycle`` are tuples: :func:`family_walks`
+    hands the same walks to every caller of the graph.
     """
 
     hub: Optional[int]
-    legs: list[list[int]]
-    cycle: list[int]
+    legs: tuple[tuple[int, ...], ...]
+    cycle: tuple[int, ...]
+
+
+# (adjacency, walks) of the graph family_walks walked last; the adjacency
+# is held, so its id cannot be reused while the entry stands
+_last_walked: tuple[Optional[tuple[tuple[int, ...], ...]], Optional[Walks]] = (None, None)
 
 
 def family_walks(g: Graph) -> Optional[Walks]:
@@ -276,8 +293,25 @@ def family_walks(g: Graph) -> Optional[Walks]:
     they cover all n vertices exactly when ``g`` is one of those graphs:
     a second component, or a second cycle through the hub, is never
     walked. No components pass is run; O(n) in all.
+
+    The answer for the last graph walked, None included, is kept: a call
+    on the same ``g.adjacency`` object returns it after one identity
+    check, so the walks are immutable and shared. The entry holds that
+    adjacency and its walks until another graph is walked (module
+    docstring).
     """
+    global _last_walked
     adjacency = g.adjacency
+    last = _last_walked
+    if last[0] is adjacency:
+        return last[1]
+    walked = _walk(adjacency)
+    _last_walked = (adjacency, walked)
+    return walked
+
+
+def _walk(adjacency: tuple[tuple[int, ...], ...]) -> Optional[Walks]:
+    """:func:`family_walks` without the memo."""
     n = len(adjacency)
     degrees = list(map(len, adjacency))
     if n == 0 or sum(degrees) > 2 * n:
@@ -288,23 +322,23 @@ def family_walks(g: Graph) -> Optional[Walks]:
     if hubs:
         hub = hubs[0]
     else:
-        paths: list[list[int]] = []
+        paths: list[tuple[int, ...]] = []
         far_ends = set()
         for end in (v for v, d in enumerate(degrees) if d < 2):
             if end not in far_ends:
-                path = [end, *itertools.chain(*hub_walks(adjacency, end)[0])]
+                path = (end, *itertools.chain(*hub_walks(adjacency, end)[0]))
                 far_ends.add(path[-1])
                 paths.append(path)
         if len(paths) > 1:
             if sum(map(len, paths)) != n:
                 return None  # some component is a cycle
             paths.sort(key=min)
-            return Walks(None, paths, [])
+            return Walks(None, tuple(paths), ())
         hub = paths[0][0] if paths else 0
     legs, cycle = hub_walks(adjacency, hub)
     if 1 + sum(map(len, legs)) + len(cycle) != n:
         return None
-    return Walks(hub, legs, cycle)
+    return Walks(hub, tuple(map(tuple, legs)), tuple(cycle))
 
 
 def hub_walks(adjacency: Sequence[Sequence[int]], hub: int) -> tuple[list[list[int]], list[int]]:

@@ -838,7 +838,10 @@ def _route(g: Graph) -> tuple[int, Optional[tuple[int, ...]]]:
     NP-complete, so the route gives up after ``HUB_RULE_STATES`` ticks of
     the deciders (``structural`` docstring), or above ``MAX_ROUNDS``, and
     then returns the first level it did not refute. Any other graph gets
-    the floor 1.
+    the floor 1. The walks are usually those ``recognize_family`` made of
+    the same graph just before (``compute``, the CLI), which
+    ``family_walks`` keeps, so the route walks nothing again; they are
+    tuples, shared with every other caller, and are only read here.
     """
     walked = family_walks(g)
     if walked is None:

@@ -1,6 +1,8 @@
 import io
 import itertools
 import random
+import sys
+import threading
 from collections import deque
 
 import pytest
@@ -464,7 +466,7 @@ class TestRecognize:
                 if hub is None:
                     # each path from its lower-id end, paths by least vertex
                     assert all(path[0] < path[-1] or len(path) == 1 for path in legs)
-                    assert legs == sorted(legs, key=min)
+                    assert list(legs) == sorted(legs, key=min)
         assert kinds == {"Path", "Cycle", "LinearForest", "GeneralizedStar", "TUnicyclic", "Other"}
 
     def test_one_hub_walk_matches_components(self):
@@ -509,6 +511,117 @@ class TestRecognize:
     def test_components(self):
         comps = connected_components(build("forest:3,1"))
         assert comps == [[0, 1, 2], [3]]
+
+
+def fresh_walks(g):
+    """``family_walks(g)`` walked by this file's own code, with no memo:
+    a components pass, then hub_walks out of the hub (or a path's lower-id
+    end, or vertex 0 of a cycle), or one walk along each path."""
+    n = g.vertex_count
+    if n == 0 or g.edge_count > n:
+        return None
+    hubs = [v for v in range(n) if g.degree(v) > 2]
+    comps = connected_components(g)
+    if len(hubs) > 1 or (hubs and len(comps) > 1):
+        return None
+    if len(comps) == 1:
+        ends = [v for v in range(n) if g.degree(v) < 2]
+        hub = hubs[0] if hubs else min(ends, default=0)
+        legs, cycle = hub_walks(g.adjacency, hub)
+        if 1 + sum(map(len, legs)) + len(cycle) != n:
+            return None
+        return (hub, tuple(map(tuple, legs)), tuple(cycle))
+    paths = []
+    for comp in comps:
+        ends = [v for v in comp if g.degree(v) < 2]
+        if not ends:
+            return None  # a cycle
+        legs, _ = hub_walks(g.adjacency, ends[0])
+        paths.append((ends[0], *(legs[0] if legs else ())))
+    return (None, tuple(paths), ())
+
+
+def walk_shapes():
+    """Graphs of order 10 of every kind family_walks tells apart: a path, a
+    cycle, one-hub graphs, linear forests, and Others with two branch
+    vertices, two cycles or a cycle beside a path.
+
+    CPython builds a tuple from a generator in a block of 10 slots that it
+    takes from the tuples freed last, so one adjacency tuple of order 10
+    gets the id of another freed just before.
+    """
+    shapes = [build(spec) for spec in ("path:10", "cycle:10", "forest:4,3,3", "forest:5,2,1,1,1")]
+    shapes += [g for g in map(build, one_hub_shapes(10)) if g.vertex_count == 10]
+    shapes.append(Graph(10))
+    shapes.append(Graph(10, [(v, v + 1) for v in range(7)] + [(1, 8), (3, 9)]))
+    shapes.append(Graph(10, [(v, (v + 1) % 5) for v in range(5)] + [(5 + v, 5 + (v + 1) % 5) for v in range(5)]))
+    shapes.append(Graph(10, [(0, 1), (1, 2), (2, 0)] + [(v, v + 1) for v in range(3, 9)]))
+    return shapes
+
+
+def assert_fresh(walked, g):
+    assert walked == fresh_walks(g), g
+    if walked is not None:
+        hub, legs, cycle = walked
+        assert type(legs) is tuple and type(cycle) is tuple
+        assert all(type(leg) is tuple for leg in legs)
+
+
+class TestWalkMemo:
+    def test_graphs_built_and_dropped_in_turn(self):
+        # each graph is dropped before the next is built, so later graphs
+        # get the ids of earlier adjacency tuples (walk_shapes)
+        rng = random.Random(30)
+        shapes = walk_shapes()
+        ids = set()
+        for _ in range(2000):
+            shape = rng.choice(shapes)
+            perm = list(range(shape.vertex_count))
+            rng.shuffle(perm)
+            g = relabelled(shape, perm)
+            ids.add(id(g.adjacency))
+            assert_fresh(family_walks(g), g)
+            del g
+        assert len(ids) < 1000  # ids were reused
+
+    def test_equal_adjacency_distinct_objects(self):
+        for spec in ("uni:5;4,3", "forest:4,3,1", "cycle:8"):
+            g, h = build(spec), build(spec)
+            assert g.adjacency == h.adjacency and g.adjacency is not h.adjacency
+            for graph in (g, h, g, h):
+                assert_fresh(family_walks(graph), graph)
+
+    def test_alternating_graphs_of_one_order(self):
+        # nine vertices each: one key per order would serve stale walks
+        graphs = [build(spec) for spec in ("uni:5;4", "forest:5,4", "path:9", "star:4,2,2")]
+        graphs.append(Graph(9, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (3, 5), (6, 7)]))
+        for _ in range(3):
+            for g in graphs:
+                assert_fresh(family_walks(g), g)
+                assert_fresh(family_walks(g), g)
+
+    def test_threads_alternating_two_graphs(self):
+        graphs = [build("uni:5;4,3"), build("forest:6,5,1")]
+        expected = [fresh_walks(g) for g in graphs]
+        wrong = []
+
+        def walk(offset):
+            for i in range(2000):
+                j = (i + offset) % 2
+                if family_walks(graphs[j]) != expected[j]:
+                    wrong.append((offset, i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            threads = [threading.Thread(target=walk, args=(offset,)) for offset in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
 
 
 class TestQr:

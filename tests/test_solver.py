@@ -28,7 +28,8 @@ from burnkit.graphs import (
     recognize_family,
 )
 from burnkit.intmath import ceil_sqrt
-from burnkit import solver, structural
+from burnkit import cli, solver, structural
+from burnkit.compute import compute
 from burnkit.solver import (
     MAX_EXACT_VERTICES,
     MAX_ROUNDS,
@@ -1257,6 +1258,51 @@ class TestRoute:
         g = build("star:9,9,9,9")
         assert solver._route(g) == (6, None)
         assert burning_number_exact(g).value == 6
+
+
+def count_walks(monkeypatch):
+    """The results of every walk ``graphs.family_walks`` makes from here
+    on, that is, of every call its memo does not answer."""
+    walked = []
+    walk = graphs._walk
+
+    def counting(adjacency):
+        walked.append(walk(adjacency))
+        return walked[-1]
+
+    monkeypatch.setattr(graphs, "_walk", counting)
+    return walked
+
+
+class TestOneWalk:
+    # recognition in compute, the route of the exact solve and the
+    # spanning-tree oracle share the one walk of each graph
+    @pytest.mark.parametrize("spec", ["uni:9;30", "uni:9;30,14", "forest:13,11,1"])
+    def test_formula_exact_check_and_oracle_walk_once(self, spec, monkeypatch):
+        g = build(spec)
+        walked = count_walks(monkeypatch)
+        routed = compute(g, method="formula")
+        exact = burning_number_exact(g)
+        assert check_sequence(g, exact.certificate).ok
+        assert routed.value == exact.value
+        if spec.startswith("uni"):
+            assert unicyclic_spanning_upper(g) == exact.value
+        else:
+            with pytest.raises(ValueError):
+                unicyclic_spanning_upper(g)
+        assert len(walked) == 1 and walked[0] is not None
+
+    def test_compute_certificate_walks_once(self, monkeypatch, capsys):
+        walked = count_walks(monkeypatch)
+        assert cli.main(["compute", "--family", "uni:9;30,14", "--certificate"]) == 0
+        assert "certificate=" in capsys.readouterr().out
+        assert len(walked) == 1
+
+    def test_other_graph_rejected_once(self, monkeypatch):
+        g = two_branch_tree(12)
+        walked = count_walks(monkeypatch)
+        assert compute(g, method="auto").value == burning_number_exact(g).value
+        assert walked == [None]
 
 
 def reference_walk_sequence(g, walks, centers, hub):
