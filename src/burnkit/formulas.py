@@ -7,12 +7,12 @@ is integer arithmetic: the exception test computes the deficit t*t - total
 once and compares it with the level of the two smaller parts in one small
 literal table, ``SLACK``, plus a sporadic catalog.
 
-No exception has a deficit above ``MAX_DEFICIT`` = 3, the largest level in
-``SLACK``; the sporadic triples all have deficit 0 or 1. The pre-test
-``may_be_exceptional`` compares the deficit with that bound on (total, t),
-so a query further below the next square answers ceil(sqrt(total))
-without building or sorting a parts tuple; only the queries it lets
-through reach the exact test, ``deficit_exceptional``.
+``b_two_paths`` tests its one exception, deficit 0 with smaller part 2,
+directly. No exception has a deficit above ``MAX_DEFICIT`` = 3, the
+largest ``SLACK`` level. ``b_three_paths`` compares the deficit with that
+bound (``may_be_exceptional``), so a query further below the next square
+answers ceil(sqrt(total)) without building or sorting a parts tuple;
+only the others reach the exact test, ``deficit_exceptional``.
 """
 
 from __future__ import annotations
@@ -120,16 +120,14 @@ def may_be_exceptional(total: int, t: int) -> bool:
 def b_two_paths(a1: int, a2: int) -> int:
     """Burning number of the union of two paths.
 
-    ceil(sqrt(a1 + a2)), plus one extra round exactly on the pairs
-    (t*t - 2, 2).
+    t = ceil(sqrt(a1 + a2)), plus one extra round exactly on the pairs
+    (t*t - 2, 2): the total is t*t and the smaller path has order 2.
     """
     if a1 < 1 or a2 < 1:
         raise ValueError(f"path orders must be >= 1, got ({a1}, {a2})")
     total = a1 + a2
     t = ceil_sqrt(total)
-    if may_be_exceptional(total, t) and deficit_exceptional((max(a1, a2), min(a1, a2)), t):
-        return t + 1
-    return t
+    return t + 1 if total == t * t and min(a1, a2) == 2 else t
 
 
 def b_three_paths(a1: int, a2: int, a3: int) -> int:

@@ -43,11 +43,15 @@ ceil(sqrt(n)) is q+1. The lower bound is the counting bound
 ``counting_lower(n, t)``: q rounds at a hub with t arms reach at most
 q^2 + t(q-1) vertices, and q-1 rounds fewer than n, so it is q+1 exactly
 when r > t(q-1), which is the first q+1 row (r >= q for one arm,
-r >= 2q-1 for two). Only the residual-forest test takes a second root,
-that of its forest's total g + sum(arms) - 2q + 1 - t(q-1), read off the
-arguments. The forest is built and sorted only when the linear-forest
-pre-test ``formulas.may_be_exceptional`` on that total holds, that is,
-when the total is at most 3 below a square.
+r >= 2q-1 for two). The residual forest totals n - 2q + 1 - t(q-1);
+wherever a lookup applies the rule, that lies in ((q-2)^2, (q-1)^2], so
+its root is q-1 and its deficit follows from r: no second root is taken.
+One arm (r <= q-1): deficit q-1-r, and a two-path forest is exceptional
+only at deficit 0 with smaller part 2, so the pair is exceptional iff
+r = q-1 and min(g-2q+1, a-q+1) = 2. Two arms with a2 = r-q+1: the cycle
+and first arm total (q-1)^2, so iff min(g-2q+1, a1-q+1) = 2. Two arms
+with r in {2q-3, 2q-2}: deficit 2q-2-r, and the three parts, each at
+least 1, go to ``formulas.deficit_exceptional`` with root q-1.
 """
 
 from __future__ import annotations
@@ -56,34 +60,12 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Iterable, Optional, TextIO, Union
 
-from .formulas import deficit_exceptional, may_be_exceptional, t_unicyclic_bounds
+from .formulas import deficit_exceptional, t_unicyclic_bounds
 from .solver import BurnResult
 
 TABLE_T1 = "table-t1"
 TABLE_T2 = "table-t2"
 DEGREE_B2 = "degree-b2"
-
-
-def residual_exceptional(q: int, g: int, *arms: int) -> bool:
-    """True iff the residual forest of the hub fire is exceptional.
-
-    A fire of radius q-1 at the hub burns 2q-1 cycle vertices and q-1
-    vertices of each arm, leaving the linear forest (g-2q+1, a-q+1 per
-    arm) of total g + sum(arms) - 2q + 1 - t(q-1) for t arms. The
-    pre-test ``may_be_exceptional`` on that total and its root
-    t = ceil(sqrt(total)) rejects a forest whose total lies more than
-    ``MAX_DEFICIT`` below a square; only the others are built, sorted
-    descending and given to the exact test. A forest with an empty part
-    is never exceptional.
-    """
-    total = g + sum(arms) - 2 * q + 1 - len(arms) * (q - 1)
-    if total < 1:
-        return False
-    t = isqrt(total - 1) + 1
-    if not may_be_exceptional(total, t):
-        return False
-    parts = tuple(sorted((g - 2 * q + 1, *(a - q + 1 for a in arms)), reverse=True))
-    return parts[-1] >= 1 and deficit_exceptional(parts, t)
 
 
 def exceptional(q: int, r: int, g: int, a1: int, a2: int) -> bool:
@@ -97,7 +79,9 @@ def exceptional(q: int, r: int, g: int, a1: int, a2: int) -> bool:
     has length r-q+1, or r >= 2q-3 and the cycle and both arms leave an
     exceptional three-path forest. A queried triple is always valid and
     sorted, so no literal needs a validity filter. Every literal has
-    a2 = q+1 or q+2, so only those queries build the literal tuple.
+    a2 = q+1 or q+2, so only those queries build the literal tuple. The
+    domain is the q rows' r <= 2q-2, on which the residual forests' root
+    is q-1 (module docstring).
     """
     if q + 1 <= a2 <= q + 2 and (g, a1, a2) in (
         (2 * q - 2, q * q - q - 2, q + 1),
@@ -107,9 +91,12 @@ def exceptional(q: int, r: int, g: int, a1: int, a2: int) -> bool:
         (2 * q + 1, q * q - q - 7, q + 2),
     ):
         return True
-    return (a2 == r - q + 1 and residual_exceptional(q, g, a1)) or (
-        r >= 2 * q - 3 and residual_exceptional(q, g, a1, a2)
-    )
+    if a2 == r - q + 1 and min(g - 2 * q + 1, a1 - q + 1) == 2:
+        return True
+    if r < 2 * q - 3:
+        return False
+    parts = tuple(sorted((g - 2 * q + 1, a1 - q + 1, a2 - q + 1), reverse=True))
+    return parts[-1] >= 1 and deficit_exceptional(parts, q - 1)
 
 
 def _degree_b2(n: int, t: int) -> BurnResult:
@@ -121,8 +108,8 @@ def b_unicyclic_t1(g: int, a: int, budget: Optional[int] = None) -> BurnResult:
 
     Orders 4 and 5 are settled by the degree criterion (b = 2). Otherwise,
     with n = q^2 + r, the value is q+1 when q <= r <= 2q+1, or g >= q^2+1,
-    or g <= 2r, or the pair is exceptional (its residual forest
-    (g-2q+1, a-q+1) is an exceptional two-path forest), and q otherwise.
+    or g <= 2r, or the pair is exceptional (r = q-1 and the smaller part
+    of its residual forest (g-2q+1, a-q+1) is 2), and q otherwise.
     ``budget`` is accepted for callers that pass a search budget and is
     unused: the lookup never searches. It stays while the benchmark's
     classify workload passes it.
@@ -135,7 +122,9 @@ def b_unicyclic_t1(g: int, a: int, budget: Optional[int] = None) -> BurnResult:
     q = isqrt(n - 1)
     r = n - q * q
     lower = q + 1 if r >= q else q
-    plus = lower > q or g >= q * q + 1 or g <= 2 * r or residual_exceptional(q, g, a)
+    plus = lower > q or g >= q * q + 1 or g <= 2 * r or (
+        r == q - 1 and min(g - 2 * q + 1, a - q + 1) == 2
+    )
     return BurnResult(q + 1 if plus else q, TABLE_T1, lower, q + 1)
 
 

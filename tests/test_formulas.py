@@ -237,9 +237,9 @@ def assert_formulas_match_reference(parts):
 
 
 class TestPreTestReference:
-    # b_two_paths and b_three_paths skip the exact test when the deficit is
-    # above MAX_DEFICIT; these compare them with the formulas that always
-    # ran it
+    # b_two_paths tests deficit 0 and smallest part 2 without the exact
+    # test, and b_three_paths skips it when the deficit is above
+    # MAX_DEFICIT; these compare them with the formulas that always ran it
 
     def test_bound_derives_from_the_catalogs(self):
         assert MAX_DEFICIT == max(SLACK.values()) == 3
@@ -262,7 +262,8 @@ class TestPreTestReference:
 
     def test_exact_test_runs_only_up_to_max_deficit(self, monkeypatch):
         # deterministic count of the slow path: a change that drops the
-        # pre-test fails here, not only in the benchmark
+        # pre-test fails here, not only in the benchmark; two-path forests
+        # never reach the exact test
         calls = []
         exact = formulas.deficit_exceptional
 
@@ -277,7 +278,7 @@ class TestPreTestReference:
                 for tail in SLACK:
                     b_three_paths(t * t - d - sum(tail), *tail)
         assert sorted(set(calls)) == [0, 1, 2, 3]
-        assert len(calls) == 2 * 4 * (1 + len(SLACK))
+        assert len(calls) == 2 * 4 * len(SLACK)
 
     @given(
         st.lists(st.integers(min_value=1, max_value=10**12), min_size=2, max_size=3),

@@ -21,7 +21,6 @@ from burnkit.tables import (
     exceptional,
     load_errata,
     parse_errata,
-    residual_exceptional,
 )
 from perfbench.catalogs import T2_LITERALS, t1_members, t2_members
 
@@ -47,11 +46,17 @@ def _two_arm_decisions(orders):
     return checked, plus
 
 
+def reference_residual(q, g, *arms):
+    """The residual-forest test as it was, through ``forest_exceptional``."""
+    parts = tuple(sorted((g - 2 * q + 1, *(a - q + 1 for a in arms)), reverse=True))
+    return parts[-1] >= 1 and forest_exceptional(parts)
+
+
 def reference_flat_t1(g, a):
     """The one-arm q row as the table once tested it beside the q+1 row."""
     qr = qr_decompose(g + a)
     q, r = qr.q, qr.r
-    exceptional_pair = residual_exceptional(q, g, a)
+    exceptional_pair = reference_residual(q, g, a)
     return (1 <= r <= q - 1) and (2 * r + 1 <= g <= q * q) and not exceptional_pair
 
 
@@ -129,12 +134,6 @@ class TestTotality:
         lower, upper = t_unicyclic_bounds(n, t)
         assert lower <= res.value <= upper
         assert (res.lower_bound, res.upper_bound) == (lower, upper)
-
-
-def reference_residual(q, g, *arms):
-    """The residual-forest test as it was, through ``forest_exceptional``."""
-    parts = tuple(sorted((g - 2 * q + 1, *(a - q + 1 for a in arms)), reverse=True))
-    return parts[-1] >= 1 and forest_exceptional(parts)
 
 
 def reference_exceptional(q, r, g, a1, a2):
@@ -219,12 +218,12 @@ class TestReferenceEquality:
 
 
 def slow_path_queries(q):
-    """One- and two-arm instances of order q^2 + r for r in {1, q, 2q-3,
-    2q-2}: about a hundred evenly spaced cycle lengths plus those at the
-    row boundaries, and for two arms second arms of length 1, r-q+1, q+1,
-    q+2 and half the rest."""
+    """One- and two-arm instances of order q^2 + r for r in {1, q-1, q,
+    2q-3, 2q-2}: about a hundred evenly spaced cycle lengths plus those at
+    the row boundaries, and for two arms second arms of length 1, r-q+1,
+    q+1, q+2 and half the rest."""
     queries = []
-    for r in (1, q, 2 * q - 3, 2 * q - 2):
+    for r in (1, q - 1, q, 2 * q - 3, 2 * q - 2):
         n = q * q + r
         grid = set(range(3, n - 2, n // 97)) | {
             r, r + 1, 2 * r, 2 * r + 1, 2 * q - 2, 2 * q - 1, 2 * q, 2 * q + 1,
@@ -240,12 +239,13 @@ def slow_path_queries(q):
 
 
 class TestSlowPathCount:
-    # The residual-forest pre-test keeps one-arm lookups whose residual
-    # total is far below a square away from the exact forest test (every
-    # two-arm residual sits at deficit 0 or 1, so those all reach it). The
-    # count is deterministic, so a change that drops or weakens the pre-test
-    # fails here and not only in the benchmark: without it the same queries
-    # made 1,003 calls.
+    # Only the two-arm three-path branch (r >= 2q-3) reaches the exact
+    # forest test; the one-arm rule and the two-path branch compare the
+    # smaller residual part with 2, so no two-part forest is built. The
+    # count is deterministic, so a change that sends more lookups to the
+    # exact test fails here and not only in the benchmark: when every
+    # residual forest of two or three parts was built and pre-tested, the
+    # same queries made 1,004 calls.
     def test_exact_forest_tests_at_q_1000(self, monkeypatch):
         calls = []
         exact = tables.deficit_exceptional
@@ -259,8 +259,9 @@ class TestSlowPathCount:
         for instance in queries:
             lookup, reference = REFERENCE_LOOKUPS[len(instance) - 1]
             assert lookup(*instance) == reference(*instance), instance
-        assert len(queries) == 2308
-        assert len(calls) == 905
+        assert len(queries) == 2835
+        assert len(calls) == 604
+        assert {len(parts) for parts in calls} == {3}
 
 
 class TestFrozenEquivalence:
@@ -349,24 +350,23 @@ class TestCatalogs:
             (5, 7, (22, 5, 5), True),    # r = 2q-3: residual (13, 1, 1)
             (5, 6, (19, 6, 6), False),   # r = 2q-4: residual (10, 2, 2) burns in q
             (5, 1, (7, 14, 5), False),   # cycle part 7 - 10 + 1 <= 0
+            (10, 18, (77, 28, 13), True),   # r = 2q-2: residual (58, 19, 4), a J5 member
+            (10, 17, (77, 28, 12), False),  # r = 2q-3: residual (58, 19, 3) at deficit 1
+            (3, 4, (3, 5, 5), False),    # r = 2q-2: cycle part 3 - 6 + 1 <= 0
         ],
     )
     def test_exceptional(self, q, r, triple, expected):
         assert exceptional(q, r, *triple) is expected
 
-    @pytest.mark.parametrize(
-        "q,parts,expected",
-        [
-            (3, (7, 4), True),        # residual (2, 2): a (t*t - 2, 2) pair
-            (3, (6, 4), False),       # residual (1, 2)
-            (3, (4, 1), False),       # arm part 1 - 3 + 1 <= 0
-            (10, (77, 28, 13), True),  # residual (58, 19, 4), a J5 member
-            (10, (77, 28, 12), False),
-            (3, (3, 5, 5), False),    # cycle part 3 - 6 + 1 <= 0
-        ],
-    )
-    def test_residual_exceptional(self, q, parts, expected):
-        assert residual_exceptional(q, *parts) is expected
+    def test_one_arm_exceptional_pair_against_exact(self):
+        # (g, a) = (7, 4): r = q-1 with residual (2, 2), a (t*t - 2, 2) pair
+        assert reference_residual(3, 7, 4) is True
+        exact = burning_number_exact(build("uni:7;4")).value
+        assert b_unicyclic_t1(7, 4).value == exact == 4
+
+    def test_reference_residual_needs_positive_parts(self):
+        # no lookup reaches this forest: order 5 takes the degree criterion
+        assert reference_residual(3, 4, 1) is False  # arm part 1 - 3 + 1 <= 0
 
 
 class TestTableT1:
@@ -374,7 +374,9 @@ class TestTableT1:
         "g,a,value",
         [
             (7, 3, 3),   # generic row
-            (7, 4, 4),   # exceptional pair
+            (7, 4, 4),   # exceptional pair: r = q-1, residual (2, 2)
+            (6, 4, 3),   # r = q-2: residual (1, 2)
+            (9, 2, 3),   # r = q-1: arm part 2 - 3 + 1 <= 0
             (4, 6, 3),   # brute-force verified
             (3, 1, 2),   # n=4: degree criterion
             (4, 1, 2),   # n=5
