@@ -294,8 +294,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        print("error: out of memory: the input is too large to solve", file=sys.stderr)
-        return 2
+        # report only once the handler has ended: until then the traceback
+        # keeps the frames that filled memory alive, and the report itself
+        # could not be allocated
+        pass
+    print("error: out of memory: the input is too large to solve", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

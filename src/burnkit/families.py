@@ -9,11 +9,18 @@ paths and cycles are numbered along the walk; forests place their parts
 (descending order) in consecutive blocks; stars put the hub at 0; for
 uni:g;a1,... the cycle occupies ids 0..g-1 with the attachment vertex at
 g-1, followed by the arms in descending order, each numbered outward.
+A descriptor passed to :func:`build` is first made canonical (parts and
+arms sorted descending), so it builds the graph of its spec string.
+
+:func:`build` writes each vertex's sorted neighbour tuple directly, with
+no edge list, and wraps them in a :class:`Graph` unchecked. The tests
+hold it equal (vertex count, adjacency, ``==`` and hash) to the checked
+``Graph(n, edges)`` construction over the edges of the same numbering.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Union
+from typing import Iterator, Optional, Union
 
 from .graphs import (
     MAX_VERTICES,
@@ -66,22 +73,23 @@ def parse_spec(text: str) -> FamilyDescriptor:
         return _checked(Cycle(g))
     if kind == "forest":
         parts = _parse_ints(rest, "part")
-        return _checked(LinearForest(tuple(sorted(parts, reverse=True))))
+        return _checked(LinearForest(parts))
     if kind == "star":
         arms = _parse_ints(rest, "arm")
-        return _checked(GeneralizedStar(tuple(sorted(arms, reverse=True))))
+        return _checked(GeneralizedStar(arms))
     if kind == "uni":
         g_text, sep, arms_text = rest.partition(";")
         if not sep:
             raise SpecError(f"uni spec needs 'g;a1,...', got {text!r}")
         g = _parse_int(g_text, "cycle length")
         arms = _parse_ints(arms_text, "arm")
-        return _checked(TUnicyclic(g=g, arms=tuple(sorted(arms, reverse=True))))
+        return _checked(TUnicyclic(g=g, arms=arms))
     raise SpecError(f"unknown family {head!r}")
 
 
 def _checked(desc: FamilyDescriptor) -> FamilyDescriptor:
-    """Validate descriptor parameters, raising SpecError on violations.
+    """The canonical form of a descriptor, its parts or arms sorted
+    descending; raises SpecError on invalid parameters.
 
     An order above ``MAX_VERTICES``, the limit on graph file headers, is
     rejected here, before anything is built.
@@ -98,18 +106,21 @@ def _checked(desc: FamilyDescriptor) -> FamilyDescriptor:
         if any(p < 1 for p in desc.parts):
             raise SpecError(f"forest parts must be >= 1, got {desc.parts}")
         n = sum(desc.parts)
+        desc = LinearForest(tuple(sorted(desc.parts, reverse=True)))
     elif isinstance(desc, GeneralizedStar):
         if len(desc.arms) < 3:
             raise SpecError(f"star needs >= 3 arms, got {len(desc.arms)}")
         if any(a < 1 for a in desc.arms):
             raise SpecError(f"star arms must be >= 1, got {desc.arms}")
         n = 1 + sum(desc.arms)
+        desc = GeneralizedStar(tuple(sorted(desc.arms, reverse=True)))
     elif isinstance(desc, TUnicyclic):
         if desc.g < 3:
             raise SpecError(f"cycle length must be >= 3, got {desc.g}")
         if not desc.arms or any(a < 1 for a in desc.arms):
             raise SpecError(f"arms must be >= 1, got {desc.arms}")
         n = desc.g + sum(desc.arms)
+        desc = TUnicyclic(desc.g, tuple(sorted(desc.arms, reverse=True)))
     else:
         raise SpecError(f"cannot build {desc!r}")
     if n > MAX_VERTICES:
@@ -132,44 +143,49 @@ def format_spec(desc: FamilyDescriptor) -> str:
     return "other"
 
 
-def _path_edges(ids: list[int]) -> list[tuple[int, int]]:
-    return [(ids[i], ids[i + 1]) for i in range(len(ids) - 1)]
+def _lay_path(adjacency: list[tuple[int, ...]], count: int, hub: Optional[int] = None) -> None:
+    """Append the neighbour tuples of a path of ``count`` vertices, numbered
+    on from ``len(adjacency)``, its first vertex joined to ``hub`` (a lower
+    id, whose own tuple the caller extends) when one is given."""
+    start = len(adjacency)
+    end = start + count - 1
+    first = () if hub is None else (hub,)
+    if count == 1:
+        adjacency.append(first)
+        return
+    adjacency.append(first + (start + 1,))
+    adjacency.extend(zip(range(start, end - 1), range(start + 2, end + 1)))
+    adjacency.append((end - 1,))
 
 
 def build(spec: Union[str, FamilyDescriptor]) -> Graph:
-    """Construct the graph for a family spec; identical spec, identical graph."""
+    """Construct the graph for a family spec; identical spec, identical graph.
+
+    The sorted neighbour tuples are written directly in the frozen
+    numbering (module docstring), with no edge list and no second check:
+    the builder makes a simple graph by construction. Tests compare every
+    sweep instance with the checked ``Graph(n, edges)`` construction.
+    """
     desc = parse_spec(spec) if isinstance(spec, str) else _checked(spec)
-    if isinstance(desc, Path):
-        return Graph(desc.n, _path_edges(list(range(desc.n))))
-    if isinstance(desc, Cycle):
-        g = desc.g
-        return Graph(g, [(i, (i + 1) % g) for i in range(g)])
-    if isinstance(desc, LinearForest):
-        edges = []
-        start = 0
-        for p in desc.parts:
-            edges.extend(_path_edges(list(range(start, start + p))))
-            start += p
-        return Graph(sum(desc.parts), edges)
+    adjacency: list[tuple[int, ...]] = []
+    if isinstance(desc, (Path, LinearForest)):
+        for p in desc.parts if isinstance(desc, LinearForest) else (desc.n,):
+            _lay_path(adjacency, p)
+        return Graph._from_adjacency(tuple(adjacency))
     if isinstance(desc, GeneralizedStar):
-        return _attach_arms(hub_edges=[], hub=0, n_core=1, arms=desc.arms)
-    if isinstance(desc, TUnicyclic):
-        g = desc.g
-        cycle_edges = [(i, (i + 1) % g) for i in range(g)]
-        return _attach_arms(hub_edges=cycle_edges, hub=g - 1, n_core=g, arms=desc.arms)
-    raise SpecError(f"cannot build {desc!r}")
-
-
-def _attach_arms(hub_edges, hub, n_core, arms) -> Graph:
-    edges = list(hub_edges)
-    nxt = n_core
+        hub, arms = 0, desc.arms
+        adjacency.append(())
+    else:  # a cycle, or the cycle of a t-unicyclic graph, on ids 0..g-1
+        hub, arms = desc.g - 1, desc.arms if isinstance(desc, TUnicyclic) else ()
+        _lay_path(adjacency, desc.g)
+        adjacency[0] = (1, hub)
+        adjacency[hub] = (0, hub - 1)
+    starts = []
     for a in arms:
-        prev = hub
-        for _ in range(a):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-    return Graph(nxt, edges)
+        starts.append(len(adjacency))
+        _lay_path(adjacency, a, hub)
+    adjacency[hub] += tuple(starts)
+    return Graph._from_adjacency(tuple(adjacency))
 
 
 def enumerate_sweep(family_class: str, max_n: int) -> Iterator[FamilyDescriptor]:

@@ -4,6 +4,14 @@ Graphs are immutable after construction (adjacency stored as tuples), so
 every operation in this module is pure and safe to share across threads.
 Vertex ids are exactly 0..n-1.
 
+``Graph(n, edges)``, :func:`parse_graph` and :func:`read_graph` take input
+from outside the program, so they check every edge and sort every
+neighbour list. The private ``Graph._from_adjacency`` takes sorted,
+symmetric, loop-free neighbour tuples as given; it is for a builder that
+makes a canonical simple graph by construction
+(:func:`burnkit.families.build`), whose tests compare it with the checked
+construction.
+
 One breadth-first kernel serves both distances and components. It writes
 hop distances into a list its caller owns, in which 2n marks every vertex
 not yet reached; 2n exceeds every finite distance, so callers of
@@ -47,7 +55,12 @@ class GraphFormatError(ValueError):
 
 
 class Graph:
-    """Immutable undirected simple graph on vertices 0..vertex_count-1."""
+    """Immutable undirected simple graph on vertices 0..vertex_count-1.
+
+    The constructor validates its edges (in range, no self-loop, no
+    duplicate) and sorts each neighbour list. ``_from_adjacency`` skips
+    both, for canonical adjacency built inside the package only.
+    """
 
     __slots__ = ("vertex_count", "adjacency")
 
@@ -71,6 +84,19 @@ class Graph:
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(nbrs)) for nbrs in adj
         )
+
+    @classmethod
+    def _from_adjacency(cls, adjacency: tuple[tuple[int, ...], ...]) -> Graph:
+        """The graph whose neighbour tuples are ``adjacency``, unchecked.
+
+        Each tuple must be sorted ascending, and the tuples symmetric and
+        free of loops and repeats: what the constructor would make of the
+        same edges.
+        """
+        g = cls.__new__(cls)
+        g.vertex_count = len(adjacency)
+        g.adjacency = adjacency
+        return g
 
     @property
     def edge_count(self) -> int:

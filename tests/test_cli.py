@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -145,6 +147,25 @@ class TestCmdCompute:
         assert main(["compute", "--file", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_memory_exhausted_while_building_is_input_error(self):
+        # 120 MB of address space cannot hold a 10^6-vertex graph; the
+        # report must still be printed once the built part is released
+        resource = pytest.importorskip("resource")
+        cap = 120_000 * 1024
+
+        def capped():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        package_root = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from burnkit.cli import main; sys.exit(main())",
+             "compute", "--family", "cycle:1000000", "--json"],
+            capture_output=True, text=True, timeout=120, preexec_fn=capped,
+            env={**os.environ, "PYTHONPATH": package_root},
+        )
+        assert done.returncode == 2, done.stderr[-2000:]
+        assert done.stderr == "error: out of memory: the input is too large to solve\n"
 
     def test_unparsable_spec(self, capsys):
         assert main(["compute", "--family", "cycle:2"]) == 2

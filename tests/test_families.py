@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,61 @@ from burnkit.families import (
     format_spec,
     parse_spec,
 )
-from burnkit.graphs import MAX_VERTICES, Cycle, LinearForest, Path, TUnicyclic, recognize_family
+from burnkit.graphs import (
+    MAX_VERTICES,
+    Cycle,
+    GeneralizedStar,
+    Graph,
+    LinearForest,
+    Path,
+    TUnicyclic,
+    recognize_family,
+)
+
+
+def _path_edges(ids):
+    return [(ids[i], ids[i + 1]) for i in range(len(ids) - 1)]
+
+
+def _attach_arms(hub_edges, hub, n_core, arms):
+    edges = list(hub_edges)
+    nxt = n_core
+    for a in arms:
+        prev = hub
+        for _ in range(a):
+            edges.append((prev, nxt))
+            prev = nxt
+            nxt += 1
+    return Graph(nxt, edges)
+
+
+def reference_build(desc):
+    """The edge-list builder ``build`` replaced: the checked ``Graph(n,
+    edges)`` over the frozen numbering, parts and arms in the order given."""
+    if isinstance(desc, Path):
+        return Graph(desc.n, _path_edges(list(range(desc.n))))
+    if isinstance(desc, Cycle):
+        g = desc.g
+        return Graph(g, [(i, (i + 1) % g) for i in range(g)])
+    if isinstance(desc, LinearForest):
+        edges = []
+        start = 0
+        for p in desc.parts:
+            edges.extend(_path_edges(list(range(start, start + p))))
+            start += p
+        return Graph(sum(desc.parts), edges)
+    if isinstance(desc, GeneralizedStar):
+        return _attach_arms(hub_edges=[], hub=0, n_core=1, arms=desc.arms)
+    g = desc.g
+    cycle_edges = [(i, (i + 1) % g) for i in range(g)]
+    return _attach_arms(hub_edges=cycle_edges, hub=g - 1, n_core=g, arms=desc.arms)
+
+
+def assert_same_graph(got, want):
+    assert got.vertex_count == want.vertex_count
+    assert got.adjacency == want.adjacency
+    assert got == want
+    assert hash(got) == hash(want)
 
 
 class TestParse:
@@ -76,6 +132,83 @@ class TestBuild:
 
     def test_deterministic_across_orderings(self):
         assert build("forest:1,2,3") == build("forest:3,2,1")
+
+    @pytest.mark.parametrize(
+        "desc,spec",
+        [
+            (LinearForest((1, 3)), "forest:3,1"),
+            (LinearForest((2, 5, 1, 5)), "forest:5,5,2,1"),
+            (GeneralizedStar((1, 2, 3)), "star:3,2,1"),
+            (TUnicyclic(4, (1, 2)), "uni:4;2,1"),
+            (TUnicyclic(3, (1, 1, 4)), "uni:3;4,1,1"),
+        ],
+    )
+    def test_descriptor_order_does_not_matter(self, desc, spec):
+        # a descriptor with parts or arms out of order builds the graph of
+        # its canonical spec, as the module docstring promises
+        assert parse_spec(format_spec(desc)) == parse_spec(spec)
+        assert_same_graph(build(desc), build(spec))
+        assert_same_graph(build(desc), build(format_spec(desc)))
+        assert_same_graph(build(desc), reference_build(parse_spec(spec)))
+
+
+# horizons of the sweep comparison below
+REFERENCE_HORIZONS = [("path", 40), ("cycle", 40), ("forest2", 30), ("forest3", 30),
+                      ("uni1", 34), ("uni2", 28)]
+
+
+@st.composite
+def descriptors(draw):
+    """Canonical descriptors of every family, parts and arms from 1 and
+    cycles from 3."""
+    kind = draw(st.sampled_from(["path", "cycle", "forest", "star", "uni"]))
+    if kind == "path":
+        return Path(draw(st.integers(1, 30)))
+    if kind == "cycle":
+        return Cycle(draw(st.integers(3, 30)))
+    values = draw(st.lists(st.integers(1, 9), min_size=3 if kind == "star" else 1, max_size=6))
+    values = tuple(sorted(values, reverse=True))
+    if kind == "forest":
+        return LinearForest(values)
+    if kind == "star":
+        return GeneralizedStar(values)
+    return TUnicyclic(draw(st.integers(3, 9)), values)
+
+
+class TestReferenceEquality:
+    """``build`` writes adjacency tuples unchecked; the checked edge-list
+    construction must give the same graph, id for id."""
+
+    @pytest.mark.parametrize("cls,max_n", REFERENCE_HORIZONS)
+    def test_sweep_classes(self, cls, max_n):
+        for desc in enumerate_sweep(cls, max_n):
+            assert_same_graph(build(desc), reference_build(desc))
+
+    @pytest.mark.parametrize("t", [3, 4, 5, 6])
+    def test_stars(self, t):
+        for arms in itertools.combinations_with_replacement(range(6, 0, -1), t):
+            desc = GeneralizedStar(arms)
+            assert_same_graph(build(desc), reference_build(desc))
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["path:1", "path:2", "cycle:3", "forest:1,1", "uni:3;1", "uni:3;1,1", "star:1,1,1"],
+    )
+    def test_smallest_members(self, spec):
+        assert_same_graph(build(spec), reference_build(parse_spec(spec)))
+
+    @given(desc=descriptors())
+    @settings(max_examples=200, deadline=None)
+    def test_random_descriptors(self, desc):
+        assert_same_graph(build(desc), reference_build(desc))
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["path:100000", "cycle:100000", "forest:50000,30000,19999,1",
+         "star:40000,30000,29999,1", "uni:40000;30000,29999,1"],
+    )
+    def test_large_specs(self, spec):
+        assert_same_graph(build(spec), reference_build(parse_spec(spec)))
 
 
 class TestSweep:

@@ -1,5 +1,6 @@
 import io
 import itertools
+import pathlib
 import random
 import sys
 import threading
@@ -267,6 +268,77 @@ class TestGraph:
         assert g.adjacency[0] == (1, 2, 3)
         for u, v in g.edges():
             assert u in g.adjacency[v] and v in g.adjacency[u]
+
+
+# edges input from outside must never reach the unchecked constructor,
+# with the message each one is refused with
+BAD_EDGES = [
+    (3, [(0, 1), (1, 3)], "edge (1,3) out of range for n=3"),
+    (3, [(-1, 2)], "edge (-1,2) out of range for n=3"),
+    (3, [(0, 1), (2, 2)], "self-loop at vertex 2"),
+    (3, [(0, 1), (1, 2), (1, 0)], "duplicate edge (1,0)"),
+    (3, [(2, 1), (2, 1)], "duplicate edge (2,1)"),
+]
+
+
+class TestOutsideInputChecked:
+    """``Graph(n, edges)``, ``parse_graph`` and ``read_graph`` check every
+    edge; only ``families.build`` uses the unchecked ``_from_adjacency``."""
+
+    @pytest.mark.parametrize("n,edges,message", BAD_EDGES)
+    def test_constructor_rejects(self, n, edges, message):
+        with pytest.raises(ValueError) as info:
+            Graph(n, edges)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("n,edges,message", BAD_EDGES)
+    def test_parse_graph_rejects(self, n, edges, message, tmp_path):
+        text = f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+        with pytest.raises(GraphFormatError) as info:
+            parse_graph(text)
+        assert str(info.value) == message
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(GraphFormatError) as info:
+            read_graph(str(path))
+        assert str(info.value) == message
+
+    def test_only_build_skips_the_checks(self, monkeypatch, tmp_path):
+        unchecked = Graph._from_adjacency.__func__
+        callers = []
+
+        def spy(cls, adjacency):
+            caller = sys._getframe(1)
+            callers.append((caller.f_globals["__name__"], caller.f_code.co_name))
+            return unchecked(cls, adjacency)
+
+        monkeypatch.setattr(Graph, "_from_adjacency", classmethod(spy))
+        specs = ["path:7", "cycle:5", "forest:4,2", "star:3,2,1", "uni:5;3,1"]
+        built = [build(spec) for spec in specs]
+        assert callers == [("burnkit.families", "build")] * len(specs)
+        del callers[:]
+        for g in built:
+            buf = io.StringIO()
+            write_graph(g, buf)
+            path = tmp_path / "g.txt"
+            path.write_text(buf.getvalue())
+            assert parse_graph(buf.getvalue()) == g
+            assert read_graph(str(path)) == g
+            assert read_graph(io.StringIO(buf.getvalue())) == g
+        assert callers == []
+
+    def test_no_other_module_names_it(self):
+        import burnkit
+
+        package = pathlib.Path(burnkit.__file__).parent
+        users = sorted(f.name for f in package.glob("*.py") if "_from_adjacency(" in f.read_text())
+        assert users == ["families.py", "graphs.py"]
+
+    def test_private_constructor_not_exported(self):
+        import burnkit
+
+        assert "_from_adjacency" not in burnkit.__all__
+        assert not any(name.startswith("_") for name in burnkit.__all__)
 
 
 class TestBfs:
