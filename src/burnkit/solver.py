@@ -53,6 +53,10 @@ unused-radii mask, and every cut keeps it complete:
     taken than radii are unused (Meir and Moon's packing bound). The cut
     only drops subtrees that hold no cover, so the first cover found and
     its centers are the same as without it.
+Its recursion drops its reference to itself when the search ends, as the
+strict search's does, and the interval cover holds no closure at all, so
+nothing on the solve path forms a reference cycle: a search frees its
+balls when it returns, and leaves the cyclic garbage collector nothing.
 
 One staggered fire (``_burn``) both checks sequences and makes
 certificates: round r spreads the fire one step and lights x_r. To check
@@ -230,6 +234,9 @@ class SequenceCheck:
     distance: Optional[int] = field(default=None, compare=False)
 
 
+_VALID = SequenceCheck(ok=True)  # frozen, so every valid sequence shares it
+
+
 def _validated(g: Graph, sources: tuple[int, ...]) -> tuple[int, ...]:
     """``sources`` as a tuple; ValueError if empty, repeated or out of range."""
     seq = tuple(sources)
@@ -244,35 +251,36 @@ def _validated(g: Graph, sources: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _burn(
-    g: Graph, centers: Sequence[Optional[int]], order: Sequence[int] = ()
+    g: Graph, centers: Sequence[Optional[int]], order: Iterable[int] = ()
 ) -> tuple[tuple[int, ...], list[int]]:
     """Burn ``g`` from ``centers`` in turn: the sources lit, and the round in
     which each vertex caught fire (0 if never).
 
     Round r takes center r, unless it is None or already alight; then it
-    takes the first unlit vertex of ``order``, and the pass stops when
-    there is none. The round spreads the fire one step and lights its
-    source. Vertex v catches fire in round min_m (m + d(x_m, v)), so x_r is
-    alight before round r exactly when d(x_m, x_r) < r - m for some m < r:
-    with the empty ``order`` fewer sources are lit than given exactly when
-    the distance condition fails. A center alight before its round lies
+    takes the next unlit vertex of ``order``, read lazily from any
+    iterable, and the pass stops when there is none. The round spreads
+    the fire one step and lights its source. Vertex v catches fire in
+    round min_m (m + d(x_m, v)), so x_r is alight before round r exactly
+    when d(x_m, x_r) < r - m for some m < r: with the empty ``order``
+    fewer sources are lit than given exactly when the distance condition
+    fails. A center alight before its round lies
     within radius r - 1 - m of some source x_m, so its ball lies inside
     x_m's and a swap keeps a cover a cover. Burned vertices stay burned,
-    so the pointer into ``order`` only moves forward; the pass is one
-    multi-source breadth-first search, O(n + m + len(order)), O(n) memory.
+    so ``order`` is read once, front to back; the pass is one multi-source
+    breadth-first search, O(n + m + len(order)), O(n) memory.
     """
     adjacency = g.adjacency
     burn = [0] * len(adjacency)
     lit: list[int] = []
     frontier: list[int] = []
-    spare = 0
+    spare = iter(order)
     for r, x in enumerate(centers, start=1):
         if x is None or burn[x]:
-            while spare < len(order) and burn[order[spare]]:
-                spare += 1
-            if spare == len(order):
+            for x in spare:
+                if not burn[x]:
+                    break
+            else:
                 break
-            x = order[spare]
         reached = []
         for u in frontier:
             for v in adjacency[u]:
@@ -309,7 +317,8 @@ def check_sequence(g: Graph, sources: tuple[int, ...]) -> SequenceCheck:
     already alight, so fewer sources lit than given means the distance
     condition failed, and otherwise the vertices never reached are
     ``uncovered``. A valid sequence therefore costs O(n + m) and no
-    distance row. Only when a source was alight early are distance rows
+    distance row, and every valid sequence gets the one shared, frozen
+    ``SequenceCheck(ok=True)``. Only when a source was alight early are distance rows
     computed, one source at a time in order, until the first failing pair
     (the lexicographically first) is found; its distance comes with it.
     Across components no fire spreads, so the pairwise condition holds
@@ -323,7 +332,7 @@ def check_sequence(g: Graph, sources: tuple[int, ...]) -> SequenceCheck:
     if 0 in burn:
         uncovered = frozenset(v for v, r in enumerate(burn) if not r)
         return SequenceCheck(ok=False, uncovered=uncovered)
-    return SequenceCheck(ok=True)
+    return _VALID
 
 
 def verify_sequence(g: Graph, sources: tuple[int, ...]) -> bool:
@@ -380,7 +389,7 @@ def _deepen(k: int, level: Callable[[int], Optional[list]]) -> tuple[int, Option
     return k, cover
 
 
-def _certificate(g: Graph, centers: list[Optional[int]], order: Sequence[int]) -> tuple[int, ...]:
+def _certificate(g: Graph, centers: list[Optional[int]], order: Iterable[int]) -> tuple[int, ...]:
     """The sequence ``_burn`` makes of a cover at the first feasible level
     k = len(centers), swapping in unlit vertices from ``order``."""
     seq, _ = _burn(g, centers, order)
@@ -515,7 +524,10 @@ def _cover(prep: _Prepared, k: int, budget: _Budget) -> Optional[list[Optional[i
     radius was not needed. The search is complete, so None is a proof.
     ``prep`` must hold the tables up to radius k-1 and the ball layers up
     to 2(k-1), as ``extend(k - 1)`` leaves them. Nodes are counted in a
-    local and written back to ``budget`` on every exit.
+    local and written back to ``budget`` on every exit, where the
+    recursion also drops its reference to itself: the search then holds no
+    reference cycle, so the ball layers and tables it closed over are
+    freed when the solve drops ``prep``, not at a later garbage collection.
     """
     balls, maxball, tiers = prep.balls, prep.maxball, prep.tiers
     sizes, suffix = prep.sizes, prep.suffix
@@ -592,11 +604,15 @@ def _cover(prep: _Prepared, k: int, budget: _Budget) -> Optional[list[Optional[i
     finally:
         if budget.remaining is not None:
             budget.remaining = remaining
+        del rec  # rec's closure holds rec; without it the search is freed on return
     return centers if found else None
 
 
 def _search(prep: _Prepared, k: int, budget: _Budget) -> Optional[tuple[int, ...]]:
-    """Find a length-k burning sequence, or prove none exists (None)."""
+    """Find a length-k burning sequence, or prove none exists (None).
+
+    Like ``_cover``, the recursion drops its reference to itself on every
+    exit, so the balls it closed over are freed by reference counting."""
     full, balls = prep.full, prep.balls
     capacity, order = prep.capacity, prep.order
     if k > prep.n:
@@ -652,9 +668,11 @@ def _search(prep: _Prepared, k: int, budget: _Budget) -> Optional[tuple[int, ...
             used &= ~(1 << v)
         return False
 
-    if rec(0, 0):
-        return tuple(seq)
-    return None
+    try:
+        found = rec(0, 0)
+    finally:
+        del rec  # as in _cover
+    return tuple(seq) if found else None
 
 
 def find_sequence(
@@ -832,16 +850,17 @@ def _route(g: Graph) -> tuple[int, Optional[tuple[int, ...]]]:
     linear forest from the larger of its number of parts and ceil(sqrt(n))
     with ``structural.forest_cover``; both decide b(G) <= k exactly and
     return the cover behind a yes, whose centers, (walk, position), map to
-    vertex ids. ``_burn`` turns them into the certificate, swapping in
-    unlit vertices in walk order: the hub, then each leg, then the cycle,
-    or each path in turn. No distance is computed. Deciding those covers is
-    NP-complete, so the route gives up after ``HUB_RULE_STATES`` ticks of
-    the deciders (``structural`` docstring), or above ``MAX_ROUNDS``, and
-    then returns the first level it did not refute. Any other graph gets
-    the floor 1. The walks are usually those ``recognize_family`` made of
-    the same graph just before (``compute``, the CLI), which
-    ``family_walks`` keeps, so the route walks nothing again; they are
-    tuples, shared with every other caller, and are only read here.
+    vertex ids straight off the walks. ``_burn`` turns them into the
+    certificate, swapping in unlit vertices in walk order, read lazily:
+    the hub, then each leg, then the cycle, or each path in turn. No
+    distance is computed. Deciding those covers is NP-complete, so the
+    route gives up after ``HUB_RULE_STATES`` ticks of the deciders
+    (``structural`` docstring), or above ``MAX_ROUNDS``, and then returns
+    the first level it did not refute. Any other graph gets the floor 1.
+    The walks are usually those ``recognize_family`` made of the same
+    graph just before (``compute``, the CLI), which ``family_walks``
+    keeps, so the route walks nothing again; they are tuples, shared with
+    every other caller, and are only read here.
     """
     walked = family_walks(g)
     if walked is None:
@@ -849,16 +868,19 @@ def _route(g: Graph) -> tuple[int, Optional[tuple[int, ...]]]:
     hub, legs, ring = walked
     tick = _Budget(HUB_RULE_STATES).tick
     if hub is not None:
-        # every walk starts at the hub; the cycle's, possibly empty, is last
-        walks = [[hub, *walk] for walk in (*legs, ring)]
-        order = [hub, *itertools.chain(*legs, ring)]
+        # the cycle's walk, possibly empty, is last; each walk leaves the
+        # hub, which is position 0 on every walk
+        walks = (*legs, ring)
+        spot = lambda walk, p: walks[walk][p - 1] if p else hub
+        order = itertools.chain((hub,), *walks)
         lengths = tuple(map(len, legs))
         cycle = len(ring) + 1 if ring else 0
         k = structural.lower_bound(lengths, cycle)
         decide = lambda k: structural.hub_cover(lengths, k, cycle, tick)
     else:
         walks = legs  # each path from an end
-        order = list(itertools.chain(*walks))
+        spot = lambda walk, p: walks[walk][p]
+        order = itertools.chain(*walks)
         parts = tuple(map(len, walks))
         k = max(len(parts), ceil_sqrt(g.vertex_count))
         decide = lambda k: structural.forest_cover(parts, k, tick)
@@ -869,7 +891,7 @@ def _route(g: Graph) -> tuple[int, Optional[tuple[int, ...]]]:
         centers = decide(k)
         if centers is None:
             return None
-        return [None if c is None else walks[c[0]][c[1]] for c in centers]
+        return [None if c is None else spot(*c) for c in centers]
 
     k, spots = _deepen(k, level)
     return k, None if spots is None else _certificate(g, spots, order)

@@ -37,10 +37,15 @@ test of a radius once a placement passes, and tries it on every placement
 that passes. That test cuts its states by count, sum and fast success,
 and its root state by a subset-sum waste bound (all listed in its
 docstring), keeps only failed states (a success ends the call) and
-recurses one frame per size, so it takes at most ``MAX_ROUNDS`` rounds.
-Every cut drops only what holds no cover, and
-fast success takes the branch the search takes first, so each decider
-finds the cover a search without the cuts finds first. A ``tick`` given
+recurses one frame per size, so the deciders search at most
+``MAX_ROUNDS`` rounds: ``hub_cover`` raises ValueError for a search
+above it and ``forest_cover`` for any level above it. The test holds its
+state in the slots of one object whose method recurses, not in a closure
+that refers to itself, so it forms no reference cycle and is freed by
+reference counting when the decider returns. Every cut drops only what
+holds no cover, and fast success takes the branch the search takes
+first, so each decider finds the cover a search without the cuts finds
+first. A ``tick`` given
 to a decider is called once per interval-cover state and once per radius
 or placement the arithmetic rejects; whatever it raises abandons the
 decision, so a caller bounds the time and the memory of every decision by
@@ -99,35 +104,54 @@ def assign_intervals(
     caller bounds the time and the memory of the failed states by raising
     after a number of calls.
     """
-    count = len(sizes)
-    # left[i]: total of sizes[i:]
-    left = list(accumulate(reversed(sizes), initial=0))[::-1]
-    failed: set[tuple[int, tuple[int, ...]]] = set()
-    # on success, the open demand each size went to, last size first
-    chosen: list[int] = []
-    reach = 0  # the subset sums of sizes as a bitset, built on first use
+    return _Intervals(sizes, tick).assign
 
-    def rec(i: int, demands: tuple[int, ...]) -> bool:
-        nonlocal reach
+
+class _Intervals:
+    """The state of one ``assign_intervals`` test: its sizes and tick, the
+    subset sums once built, the failed states kept across calls and the
+    choices of the current call. ``covers`` recurses through ``self``, and
+    nothing the test holds refers back to it or to its bound methods, so
+    the test is freed by reference counting when its caller drops it, with
+    no work for the cyclic garbage collector."""
+
+    __slots__ = ("sizes", "tick", "left", "failed", "chosen", "reach")
+
+    def __init__(self, sizes: tuple[int, ...], tick: Optional[Callable[[], None]]):
+        self.sizes = sizes
+        self.tick = tick
+        # left[i]: total of sizes[i:]
+        self.left = list(accumulate(reversed(sizes), initial=0))[::-1]
+        self.failed: set[tuple[int, tuple[int, ...]]] = set()
+        # on success, the open demand each size went to, last size first
+        self.chosen: list[int] = []
+        self.reach = 0  # the subset sums of sizes as a bitset, built on first use
+
+    def covers(self, i: int, demands: tuple[int, ...]) -> bool:
+        """Whether sizes[i:] cover ``demands``, each open demand sorted
+        descending; on success ``chosen`` gets the demand each size took."""
+        tick = self.tick
         if tick is not None:
             tick()
         if not demands:
             return True
+        sizes = self.sizes
         m = len(demands)
-        if i + m > count:
+        if i + m > len(sizes):
             return False
-        slack = left[i] - sum(demands)
+        slack = self.left[i] - sum(demands)
         if slack < 0:
             return False
         if sizes[i + m - 1] >= demands[0]:
             # size i + j closes demand j; the search would take it first
-            chosen.extend(reversed(demands))
+            self.chosen.extend(reversed(demands))
             return True
-        if (i, demands) in failed:
+        if (i, demands) in self.failed:
             return False
         if i == 0 and slack < m:
+            reach = self.reach
             if not reach:
-                reach = reduce(lambda sums, s: sums | sums << s, sizes, 1)
+                reach = self.reach = reduce(lambda sums, s: sums | sums << s, sizes, 1)
             waste = 0
             for d in demands:
                 beyond = reach >> d
@@ -137,27 +161,28 @@ def assign_intervals(
         # using a size never hurts, so skipping it is never needed;
         # equal demands are interchangeable, so each value is tried once
         for j, d in enumerate(demands):
-            if (j == 0 or d != demands[j - 1]) and rec(i + 1, _assign(demands, j, sizes[i])):
-                chosen.append(d)
+            if j and d == demands[j - 1]:
+                continue
+            if self.covers(i + 1, _assign(demands, j, sizes[i])):
+                self.chosen.append(d)
                 return True
-        failed.add((i, demands))
+        self.failed.add((i, demands))
         return False
 
-    def assign(parts: Sequence[int]) -> Optional[list[list[int]]]:
+    def assign(self, parts: Sequence[int]) -> Optional[list[list[int]]]:
+        chosen = self.chosen
         chosen.clear()
-        if not rec(0, tuple(sorted([p for p in parts if p > 0], reverse=True))):
+        if not self.covers(0, tuple(sorted([p for p in parts if p > 0], reverse=True))):
             return None
         # equal open demands are interchangeable, so the first path with
         # the chosen open demand takes the size
         open_demand = list(parts)
         placed: list[list[int]] = [[] for _ in parts]
-        for size, d in zip(sizes, reversed(chosen)):
+        for size, d in zip(self.sizes, reversed(chosen)):
             j = open_demand.index(d)
             placed[j].append(size)
             open_demand[j] -= size
         return placed
-
-    return assign
 
 
 def _assign(demands: tuple[int, ...], j: int, size: int) -> tuple[int, ...]:
@@ -217,8 +242,11 @@ def forest_cover(
     radii k-1, ..., 0, or None if there is none.
 
     A ball meets a path in an interval, so b <= k iff intervals of sizes
-    2k-1, ..., 1 cover the paths; ``tick`` goes to that test.
+    2k-1, ..., 1 cover the paths; ``tick`` goes to that test. Raises
+    ValueError for k above ``MAX_ROUNDS``.
     """
+    if k > MAX_ROUNDS:
+        raise ValueError(f"linear-forest decision supports at most {MAX_ROUNDS} rounds, got {k}")
     placed = assign_intervals(_sizes(k), tick)(parts)
     if placed is None:
         return None

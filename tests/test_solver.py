@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import inspect
 import itertools
@@ -29,7 +30,7 @@ from burnkit.graphs import (
 )
 from burnkit.intmath import ceil_sqrt
 from burnkit import cli, solver, structural
-from burnkit.compute import compute
+from burnkit.compute import NoClosedForm, compute
 from burnkit.solver import (
     MAX_EXACT_VERTICES,
     MAX_ROUNDS,
@@ -1939,3 +1940,93 @@ class TestDeepeningReference:
         assert len(got) == count
         # values, certificates, Inconclusive bounds and proofs of no sequence
         assert {"BurnResult", "Inconclusive", "None"} <= {row[-1].split("(")[0] for row in got}
+
+
+def assert_no_cyclic_garbage(run):
+    """Run ``run`` with the cyclic garbage collector off, and require that
+    a collection afterwards finds nothing: everything ``run`` allocated was
+    freed by reference counting alone."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        run()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+GARBAGE_SPECS = ("uni:7;4", "uni:24;16,6", "forest:13,11,1", "path:20", "cycle:12", "star:9,9,9,9")
+
+
+class TestNoCyclicGarbage:
+    # the solve path forms no reference cycle: the interval cover holds its
+    # state in one slotted object, and the ball searches drop their
+    # recursion's reference to itself when they return
+
+    def test_compute(self):
+        def run():
+            for spec in GARBAGE_SPECS:
+                g = build(spec)
+                for method in ("auto", "formula", "exact"):
+                    try:
+                        compute(g, method=method)
+                    except NoClosedForm:
+                        assert spec.startswith("star")
+
+        assert_no_cyclic_garbage(run)
+
+    def test_burning_number_exact(self):
+        rng = random.Random(39)
+        budgeted = Graph(80, [(rng.randrange(v), v) for v in range(1, 80)])
+        routed, tree, grid = build("uni:24;16,6"), next(refute_trees()), grid_graph(6, 6)
+
+        def run():
+            for g in (routed, tree, grid):
+                burning_number_exact(g)
+            try:
+                burning_number_exact(budgeted, budget=3)
+            except Inconclusive:
+                pass
+            else:
+                raise AssertionError("3 nodes refuted the tree's level 5")
+
+        assert_no_cyclic_garbage(run)
+
+    def test_find_sequence(self):
+        k4 = Graph(4, list(itertools.combinations(range(4), 2)))
+        tree = next(refute_trees())
+        value = burning_number_exact(tree).value
+
+        def run():
+            assert find_sequence(tree, value) is not None
+            assert find_sequence(tree, value - 1) is None
+            # the cover at k = 3 burns K4 in 2 rounds, so the strict search runs
+            assert find_sequence(k4, 3) is None
+
+        assert_no_cyclic_garbage(run)
+
+    def test_check_sequence(self):
+        g = build("path:9")
+
+        def run():
+            assert check_sequence(g, (3, 7, 0)).ok
+            assert check_sequence(g, (0, 2, 1)).failed_pair == (1, 3)
+            assert check_sequence(g, (4,)).uncovered
+
+        assert_no_cyclic_garbage(run)
+
+    def test_unicyclic_spanning_upper(self):
+        graphs_ = [build(spec) for spec in ("uni:7;4", "uni:24;16,6", "cycle:12")]
+        assert_no_cyclic_garbage(lambda: [unicyclic_spanning_upper(g) for g in graphs_])
+
+    def test_one_interval_test_across_calls(self):
+        def run():
+            ticks = []
+            assign = structural.assign_intervals((13, 11, 9, 7, 5, 3, 1), lambda: ticks.append(1))
+            for parts in [(20, 19, 9), (12, 11, 2), (30, 9), (7, 2), (48,), (25, 24)]:
+                assign(parts)
+            assert ticks
+
+        assert_no_cyclic_garbage(run)

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -120,7 +121,7 @@ def reference_spanning_upper(desc):
     return k
 
 
-def reference_assign_intervals(sizes, tick=None):
+def uncut_assign_intervals(sizes, tick=None):
     """``structural.assign_intervals`` before its arithmetic cuts: the sum
     test and the failed-state memo are its only cuts."""
     left = list(itertools.accumulate(reversed(sizes), initial=0))[::-1]
@@ -158,6 +159,122 @@ def reference_assign_intervals(sizes, tick=None):
     return assign
 
 
+def reference_assign_intervals(sizes, tick=None):
+    """``structural.assign_intervals`` with its state in a closure that
+    refers to itself, as it was before the state moved into a slotted
+    object: the same cuts, so the same states in the same order."""
+    count = len(sizes)
+    left = list(itertools.accumulate(reversed(sizes), initial=0))[::-1]
+    failed = set()
+    chosen = []
+    reach = 0
+
+    def rec(i, demands):
+        nonlocal reach
+        if tick is not None:
+            tick()
+        if not demands:
+            return True
+        m = len(demands)
+        if i + m > count:
+            return False
+        slack = left[i] - sum(demands)
+        if slack < 0:
+            return False
+        if sizes[i + m - 1] >= demands[0]:
+            chosen.extend(reversed(demands))
+            return True
+        if (i, demands) in failed:
+            return False
+        if i == 0 and slack < m:
+            if not reach:
+                reach = functools.reduce(lambda sums, s: sums | sums << s, sizes, 1)
+            waste = 0
+            for d in demands:
+                beyond = reach >> d
+                waste += (beyond & -beyond).bit_length() - 1
+                if waste > slack:
+                    return False
+        for j, d in enumerate(demands):
+            if (j == 0 or d != demands[j - 1]) and rec(i + 1, structural._assign(demands, j, sizes[i])):
+                chosen.append(d)
+                return True
+        failed.add((i, demands))
+        return False
+
+    def assign(parts):
+        chosen.clear()
+        if not rec(0, tuple(sorted([p for p in parts if p > 0], reverse=True))):
+            return None
+        open_demand = list(parts)
+        placed = [[] for _ in parts]
+        for size, d in zip(sizes, reversed(chosen)):
+            j = open_demand.index(d)
+            placed[j].append(size)
+            open_demand[j] -= size
+        return placed
+
+    return assign
+
+
+class Stop(Exception):
+    pass
+
+
+class StateLog:
+    """A tick that logs each interval-cover state it is called in, as
+    (i, demands) read off the calling frame, and raises ``Stop`` on its
+    call number ``stop_at`` (counting from 1, over every call), if given."""
+
+    def __init__(self, stop_at=None):
+        self.states = []
+        self.calls = 0
+        self.stop_at = stop_at
+
+    @classmethod
+    def of(cls, sizes, forests):
+        """The states one test visits over ``forests``."""
+        log = cls()
+        assign = structural.assign_intervals(sizes, log)
+        for parts in forests:
+            assign(parts)
+        return log.states
+
+    def __call__(self):
+        caller = sys._getframe(1).f_locals
+        self.states.append((caller["i"], caller["demands"]))
+        self.calls += 1
+        if self.calls == self.stop_at:
+            raise Stop
+
+
+class PairedIntervals:
+    """An ``assign_intervals`` test and its reference, each with a
+    ``StateLog``; every call runs both and requires the same placements,
+    or the same ``Stop``, after the same states in the same order."""
+
+    def __init__(self, sizes, stop_at=None, make=None):
+        self.logs = StateLog(stop_at), StateLog(stop_at)
+        self.ours = (make or structural.assign_intervals)(sizes, self.logs[0])
+        self.theirs = reference_assign_intervals(sizes, self.logs[1])
+
+    def __call__(self, parts):
+        got, expected = outcome(self.ours, parts), outcome(self.theirs, parts)
+        assert got == expected, parts
+        assert self.logs[0].states == self.logs[1].states, parts
+        for log in self.logs:
+            log.states.clear()
+        return got
+
+
+def outcome(assign, parts):
+    """The placements ``assign`` gives ``parts``, or ``Stop`` if a tick raised."""
+    try:
+        return assign(parts)
+    except Stop:
+        return Stop
+
+
 def reference_hub_cover(legs, k, cycle=0, tick=None):
     """``structural.hub_cover`` before its arithmetic cuts: one reference
     test per radius, run on every placement of the hub's ball. Graphs that
@@ -170,7 +287,7 @@ def reference_hub_cover(legs, k, cycle=0, tick=None):
     distinct = sorted(set(legs), reverse=True)
     for r in range(k - 1, -1, -1):
         sizes = tuple(2 * s + 1 for s in range(k - 1, -1, -1) if s != r)
-        assign = reference_assign_intervals(sizes, tick)
+        assign = uncut_assign_intervals(sizes, tick)
         for d in range(r + 1):
             for a in distinct if d else distinct[:1]:
                 if a < d:
@@ -351,7 +468,7 @@ class TestCutsKeepTheFirstCover:
     def test_two_and_three_paths_match_reference(self):
         # the forests and levels of TestIntervals, one test per k on each side
         ours, theirs = cover_tests(), functools.cache(
-            lambda k: reference_assign_intervals(tuple(range(2 * k - 1, 0, -2)))
+            lambda k: uncut_assign_intervals(tuple(range(2 * k - 1, 0, -2)))
         )
         forests = [(total - a2, a2) for total in range(2, 301) for a2 in range(1, total // 2 + 1)]
         forests += [
@@ -371,7 +488,7 @@ class TestCutsKeepTheFirstCover:
 
     @pytest.mark.parametrize("parts,sizes,expected", INTERVAL_EXAMPLES)
     def test_examples_match_reference(self, parts, sizes, expected):
-        assert structural.assign_intervals(sizes)(parts) == reference_assign_intervals(sizes)(parts)
+        assert structural.assign_intervals(sizes)(parts) == uncut_assign_intervals(sizes)(parts)
 
     @given(
         st.integers(min_value=1, max_value=12),
@@ -382,7 +499,7 @@ class TestCutsKeepTheFirstCover:
     def test_hypothesis_forests_match_reference(self, k, r, forests):
         # one test on each side for every forest, so the kept failures agree
         sizes = tuple(2 * s + 1 for s in range(k - 1, -1, -1) if s != r)
-        ours, theirs = structural.assign_intervals(sizes), reference_assign_intervals(sizes)
+        ours, theirs = structural.assign_intervals(sizes), uncut_assign_intervals(sizes)
         for parts in forests:
             assert ours(parts) == theirs(parts), (sizes, parts)
         for parts in forests:
@@ -425,9 +542,90 @@ class TestCutsKeepTheFirstCover:
         assert structural.hub_cover(legs, k, cycle) == reference_hub_cover(legs, k, cycle)
 
 
+class TestCycleFreeIntervals:
+    # the interval cover keeps its state in a slotted object instead of a
+    # closure that refers to itself; it visits the states of the closure,
+    # in the same order, one tick each, keeps the same failed states across
+    # calls and finds the same first cover
+
+    def test_forests_of_test_intervals(self):
+        # the forests and levels of TestIntervals, one pair of tests per k
+        tests = functools.cache(lambda k: PairedIntervals(tuple(range(2 * k - 1, 0, -2))))
+        forests = [(total - a2, a2) for total in range(2, 301) for a2 in range(1, total // 2 + 1)]
+        forests += [
+            (total - a2 - a3, a2, a3)
+            for total in range(3, 161)
+            for a3 in range(1, total // 3 + 1)
+            for a2 in range(a3, (total - a3) // 2 + 1)
+        ]
+        for parts in forests:
+            k = ceil_sqrt(sum(parts))
+            while tests(k)(parts) is None:
+                k += 1
+
+    @pytest.mark.parametrize("parts,sizes,expected", INTERVAL_EXAMPLES)
+    def test_examples(self, parts, sizes, expected):
+        assert (PairedIntervals(sizes)(parts) is not None) is expected
+
+    @pytest.mark.parametrize("legs_count", [3, 4, 5])
+    def test_spiders_of_test_spiders(self, legs_count, monkeypatch):
+        # the spiders and levels of TestSpiders, every k from the lower
+        # bound to one past the value: each test hub_cover builds is paired
+        original, paired = structural.assign_intervals, []
+
+        def assign_intervals(sizes, tick=None):
+            assert tick is None
+            paired.append(PairedIntervals(sizes, make=original))
+            return paired[-1]
+
+        shapes = [(legs, 0) for legs in spiders(legs_count, 40)]
+        shapes += [((4, 3), 9), ((5, 2, 2), 6), ((4, 1), 6), ((3, 2, 1), 7)]
+        expected = {
+            (legs, cycle, k): structural.hub_cover(legs, k, cycle)
+            for legs, cycle in shapes
+            for k in range(structural.lower_bound(legs, cycle), structural_value(legs) + 2)
+        }
+        monkeypatch.setattr(structural, "assign_intervals", assign_intervals)
+        for (legs, cycle, k), cover in expected.items():
+            assert structural.hub_cover(legs, k, cycle) == cover, (legs, cycle, k)
+        assert len(paired) > 100
+
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=0, max_value=12),
+        st.lists(st.lists(st.integers(min_value=-1, max_value=30), max_size=6), max_size=16),
+        st.none() | st.integers(min_value=1, max_value=200),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_hypothesis_forests(self, k, r, forests, stop_at):
+        # one pair of tests for every forest, twice over, so the kept
+        # failures agree, also after a tick abandoned a call
+        sizes = tuple(2 * s + 1 for s in range(k - 1, -1, -1) if s != r)
+        assign = PairedIntervals(sizes, stop_at)
+        for parts in forests + forests:
+            assign(parts)
+
+    @pytest.mark.parametrize(
+        "sizes,forests",
+        [
+            ((9, 7, 5, 3, 1), [(12, 11, 2), (13, 7, 5), (12, 11, 2), (10, 9, 6)]),
+            ((13, 11, 9, 7, 3, 1), [(20, 19, 5), (16, 15, 13), (22, 22), (20, 19, 5)]),
+            (tuple(range(15, 0, -2)), [(40, 12, 12), (21, 21, 20), (30, 20, 14), (40, 12, 12)]),
+        ],
+    )
+    def test_abandoned_at_every_state(self, sizes, forests):
+        # a tick that raises on call N abandons both tests at the same
+        # state, and both go on alike over the same and the later forests
+        total = len(StateLog.of(sizes, forests))
+        assert total > 10
+        for stop_at in range(1, total + 2):
+            assign = PairedIntervals(sizes, stop_at)
+            assert [outcome(assign, parts) for parts in forests].count(Stop) == (stop_at <= total)
+
+
 def reference_forest_cover(parts, k):
-    """``structural.forest_cover`` on the reference test."""
-    placed = reference_assign_intervals(tuple(range(2 * k - 1, 0, -2)))(parts)
+    """``structural.forest_cover`` on the uncut test."""
+    placed = uncut_assign_intervals(tuple(range(2 * k - 1, 0, -2)))(parts)
     if placed is None:
         return None
     centers = [None] * k
@@ -505,7 +703,7 @@ class TestCuts:
         ticks = []
         assert structural.assign_intervals((5, 3, 1), lambda: ticks.append(1))(parts) == placed
         assert len(ticks) == states
-        assert reference_assign_intervals((5, 3, 1))(parts) == placed
+        assert uncut_assign_intervals((5, 3, 1))(parts) == placed
 
     def test_count_refutes_at_the_root(self):
         ticks = []
@@ -550,6 +748,17 @@ class TestRoundLimit:
     def test_spider_above_the_limit_refused(self):
         with pytest.raises(ValueError, match=f"at most {MAX_ROUNDS} rounds"):
             structural.hub_cover((100000, 80000, 70000), MAX_ROUNDS + 1)
+
+    def test_forest_decided_at_the_limit(self):
+        assert structural.forest_cover((100000, 80000, 70000), MAX_ROUNDS) is not None
+
+    @pytest.mark.parametrize("parts", [(10**6,), (400000, 300000, 299999)])
+    def test_forest_above_the_limit_refused(self, parts):
+        # the cover search would recurse past the frame limit
+        with pytest.raises(ValueError, match=f"at most {MAX_ROUNDS} rounds, got 1000"):
+            structural.forest_cover(parts, 1000)
+        with pytest.raises(ValueError, match=f"at most {MAX_ROUNDS} rounds"):
+            structural.forest_cover(parts, MAX_ROUNDS + 1)
 
     def test_path_needs_no_search(self):
         assert structural.hub_cover((10**6 - 1,), 1000) is not None
