@@ -12,15 +12,18 @@ makes a canonical simple graph by construction
 (:func:`burnkit.families.build`), whose tests compare it with the checked
 construction.
 
-One breadth-first kernel serves both distances and components. It writes
-hop distances into a list its caller owns, in which 2n marks every vertex
-not yet reached; 2n exceeds every finite distance, so callers of
-:func:`distance_rows` and :func:`distance_matrix` compare against it as
-infinity, and it is the only unreachable marker. A caller that reads only
-some sources' rows asks :func:`distance_rows` for just those.
-:func:`connected_components` runs the kernel over one shared list and
-reads each component off the vertices it returns;
-:func:`forest_eccentricities` runs it over three such lists, one per sweep.
+One breadth-first kernel serves distances, components and a forest's
+eccentricities. It writes hop distances into a list its caller owns, in
+which 2n marks every vertex not yet reached; 2n exceeds every finite
+distance, so callers of :func:`distance_rows` and :func:`distance_matrix`
+compare against it as infinity, and it is the only unreachable marker. A
+caller that reads only some sources' rows asks :func:`distance_rows` for
+just those. :func:`component_sweeps` runs the kernel over one shared list
+and keeps the vertices of each component in the order it reached them;
+:func:`connected_components` sorts them. :func:`eccentricities` reuses
+those sweeps: on a forest it runs the kernel over two more shared lists
+(the double sweep), and on any other graph it grows bitmask balls until
+none grows.
 
 Recognition runs no components pass. After one scan of the degrees,
 :func:`family_walks` walks once out of the one branch vertex (the hub), or
@@ -176,48 +179,80 @@ def distance_rows(g: Graph, sources: Iterable[int]) -> list[list[int]]:
     return rows
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    """Vertex lists of the connected components, each sorted, in id order.
+def component_sweeps(g: Graph) -> list[list[int]]:
+    """The vertices of each connected component in breadth-first order from
+    its least vertex, components in id order of that vertex.
 
     One list serves every search, so a component costs only its own
-    vertices and edges, however many components there are.
+    vertices and edges, however many components there are. The last vertex
+    of each list is one farthest from its first.
     """
     unvisited = 2 * g.vertex_count
     dist = [unvisited] * g.vertex_count
-    comps = []
-    for s in range(g.vertex_count):
-        if dist[s] == unvisited:
-            comp = _bfs(g, s, dist)
-            comp.sort()
-            comps.append(comp)
-    return comps
+    return [_bfs(g, s, dist) for s in range(g.vertex_count) if dist[s] == unvisited]
 
 
-def forest_eccentricities(g: Graph) -> Optional[list[int]]:
-    """Every vertex's eccentricity within its component if ``g`` is a
-    forest; None if it has a cycle.
+def connected_components(g: Graph) -> list[list[int]]:
+    """Vertex lists of the connected components, each sorted, in id order."""
+    return [sorted(sweep) for sweep in component_sweeps(g)]
 
-    ``g`` is a forest exactly when it has n - c edges, c its number of
-    components, so n edges or more need no search. Otherwise one pass over
-    a shared list counts the components and ends each at a vertex a; a
-    search from a ends at b, and in a tree a and b are the ends of a
-    longest path, so ecc(v) = max(d(a, v), d(b, v)) (the double sweep).
-    Three searches over shared lists in all, O(n).
+
+def eccentricities(g: Graph, sweeps: Optional[list[list[int]]] = None) -> list[int]:
+    """Every vertex's eccentricity within its component.
+
+    ``sweeps`` are :func:`component_sweeps` of ``g``, made here when they
+    are needed and not given. ``g`` is a forest exactly when it has n - c
+    edges, c its number of components, so n edges or more need no sweep.
+    In a tree the last vertex a of a sweep and the last vertex b of a
+    search from a are the ends of a longest path, so
+    ecc(v) = max(d(a, v), d(b, v)) (the double sweep): two more searches
+    per component over shared lists, O(n). Any other graph takes
+    :func:`_ball_eccentricities`.
     """
     n = g.vertex_count
     edges = g.edge_count
-    if edges >= n:
-        return None
-    unvisited = 2 * n
-    seen = [unvisited] * n
-    ends = [_bfs(g, s, seen)[-1] for s in range(n) if seen[s] == unvisited]
-    if edges != n - len(ends):
-        return None
-    from_a = [unvisited] * n
-    from_b = [unvisited] * n
-    for a in ends:
-        _bfs(g, _bfs(g, a, from_a)[-1], from_b)
-    return list(map(max, from_a, from_b))
+    if edges < n:
+        if sweeps is None:
+            sweeps = component_sweeps(g)
+        if edges == n - len(sweeps):
+            from_a = [2 * n] * n
+            from_b = [2 * n] * n
+            for sweep in sweeps:
+                _bfs(g, _bfs(g, sweep[-1], from_a)[-1], from_b)
+            return list(map(max, from_a, from_b))
+    return _ball_eccentricities(g.adjacency)
+
+
+def _ball_eccentricities(adjacency: Sequence[Sequence[int]]) -> list[int]:
+    """Every vertex's eccentricity within its component, by ball growth.
+
+    A bitmask ball that does not grow from radius r-1 to r already holds
+    v's whole component, so ecc(v) = r-1 and v's ball never changes again.
+    One rolling layer grows, over only the vertices whose balls still grow,
+    until none does.
+    """
+    n = len(adjacency)
+    layer = [1 << v for v in range(n)]
+    ecc = [0] * n
+    growing = range(n)
+    r = 0
+    while growing:
+        grown: list[int] = []
+        masks: list[int] = []
+        for v in growing:
+            old = mask = layer[v]
+            for u in adjacency[v]:
+                mask |= layer[u]
+            if mask != old:
+                grown.append(v)
+                masks.append(mask)
+            else:
+                ecc[v] = r
+        for v, mask in zip(grown, masks):
+            layer[v] = mask
+        growing = grown
+        r += 1
+    return ecc
 
 
 # --------------------------------------------------------------------------
@@ -355,12 +390,15 @@ def _walk(adjacency: tuple[tuple[int, ...], ...]) -> Optional[Walks]:
                 path = (end, *itertools.chain(*hub_walks(adjacency, end)[0]))
                 far_ends.add(path[-1])
                 paths.append(path)
-        if len(paths) > 1:
+        if paths:
             if sum(map(len, paths)) != n:
                 return None  # some component is a cycle
+            if len(paths) == 1:  # a path: its walk is the one leg at its end
+                path = paths[0]
+                return Walks(path[0], (path[1:],) if n > 1 else (), ())
             paths.sort(key=min)
             return Walks(None, tuple(paths), ())
-        hub = paths[0][0] if paths else 0
+        hub = 0  # no end: cycles only, walked round through vertex 0
     legs, cycle = hub_walks(adjacency, hub)
     if 1 + sum(map(len, legs)) + len(cycle) != n:
         return None

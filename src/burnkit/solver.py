@@ -21,7 +21,9 @@ one vertex of degree 3 or more and at most n edges (paths, cycles,
 spiders, t-unicyclic graphs), and linear forests. One walk out of the hub,
 or along each path (``graphs.family_walks``), both recognizes these graphs
 and gives the vertex ids, so no components pass is run for them; the
-other graphs get one components pass. k deepens with the one-hub rule
+other graphs get one components pass (``graphs.component_sweeps``), which
+the bounds read and the search's preparation hands on to
+``graphs.eccentricities``. k deepens with the one-hub rule
 or the interval cover, and the cover at the first accepted k, on walk
 coordinates, becomes the certificate. A routed result has lower bound,
 value and upper bound equal and spends no search nodes. The covers are
@@ -102,10 +104,10 @@ from .graphs import (
     Cycle,
     Graph,
     TUnicyclic,
-    connected_components,
+    component_sweeps,
     distance_rows,
+    eccentricities,
     family_walks,
-    forest_eccentricities,
     recognize_family,
 )
 from .intmath import ceil_sqrt, counting_lower
@@ -120,7 +122,7 @@ EXACT = "exact"
 # 0.04 s at n = 1,000 (25 x 40), 13.6 MB and 0.12 s at 2,000 (40 x 50), and
 # 64 MB and 0.5 s at 4,000 (50 x 80) (tracemalloc peak, time untraced;
 # 2-core x86-64, CPython 3.11). Memory grows with n^2 times the level, so a
-# larger graph is refused before any ball is grown or any sweep is run.
+# larger graph is refused before any ball is grown or any eccentricity found.
 MAX_EXACT_VERTICES = 2_000
 
 # The structural route, on one-hub graphs and on linear forests, gives up
@@ -405,30 +407,25 @@ class _Prepared:
 
     No distance matrix is built: the search, the geodesic lower bounds and
     the greedy upper bound read only the balls, ``ecc`` and ``diameter``.
-    A forest's eccentricities come from three breadth-first sweeps
-    (``graphs.forest_eccentricities``) and its balls only from ``extend``;
-    a graph with a cycle reads them off ball growth (``_grow_balls``).
-    The tables (``tiers``, ``sizes``, ``suffix``, ``maxball``, ``capacity``)
-    cover radii 0..``max_radius`` and the ball layers radii
-    0..2 * ``max_radius``, which the search's packing cut reads at twice
-    the largest unused radius. ``extend`` grows both when a level needs
-    more.
+    The eccentricities come from ``graphs.eccentricities``, on ``sweeps``
+    when the caller has made them, and every ball layer above radius 0
+    from ``extend``. The tables (``tiers``, ``sizes``,
+    ``suffix``, ``maxball``, ``capacity``) cover radii 0..``max_radius``
+    and the ball layers radii 0..2 * ``max_radius``, which the search's
+    packing cut reads at twice the largest unused radius. ``extend`` grows
+    both when a level needs more.
     """
 
-    def __init__(self, g: Graph, max_radius: int):
+    def __init__(self, g: Graph, max_radius: int, sweeps: Optional[list[list[int]]] = None):
         n = g.vertex_count
         _check_vertices(n)
         self.n = n
         self.full = (1 << n) - 1
         self.adjacency = g.adjacency
-        keep = max(max_radius, 2)
-        # balls[r][v]: vertices within distance r of v, as a bitmask
-        ecc = forest_eccentricities(g)
-        if ecc is None:
-            self.balls, self.ecc = _grow_balls(g.adjacency, 2 * keep)
-        else:
-            self.balls, self.ecc = [[1 << v for v in range(n)]], ecc
+        self.ecc = eccentricities(g, sweeps)
         self.diameter = max(self.ecc, default=0)
+        # balls[r][v]: vertices within distance r of v, as a bitmask
+        self.balls = [[1 << v for v in range(n)]]
         self.maxball: list[int] = []
         # per radius: the vertices grouped by ball size (tiers), the sizes,
         # both ascending, and suffix[i], the union of tiers[i:], with a
@@ -436,7 +433,7 @@ class _Prepared:
         self.tiers: list[list[int]] = []
         self.sizes: list[list[int]] = []
         self.suffix: list[list[int]] = []
-        self.extend(keep)
+        self.extend(max(max_radius, 2))
 
     @cached_property
     def order(self) -> list[int]:
@@ -474,47 +471,6 @@ class _Prepared:
             self.suffix.append(list(unions)[::-1])
         # capacity[r] = most vertices coverable by positions with radii r..0
         self.capacity = list(itertools.accumulate(self.maxball))
-
-
-def _grow_balls(
-    adjacency: Sequence[Sequence[int]], keep: int
-) -> tuple[list[list[int]], list[int]]:
-    """Ball layers of radii 0..``keep`` (fewer once every ball is saturated)
-    and every vertex's eccentricity within its component, for a graph with
-    a cycle; a forest's come from ``graphs.forest_eccentricities``.
-
-    A ball that does not grow from radius r-1 to r already holds v's whole
-    component, so ecc[v] = r-1 and v's ball never changes again. One rolling
-    layer grows, over only the vertices whose balls still grow, until none
-    does; layers above ``keep`` are not stored.
-    """
-    n = len(adjacency)
-    layer = [1 << v for v in range(n)]
-    balls = [layer]
-    ecc = [0] * n
-    growing = range(n)
-    r = 0
-    while growing:
-        r += 1
-        grown: list[int] = []
-        masks: list[int] = []
-        for v in growing:
-            old = mask = layer[v]
-            for u in adjacency[v]:
-                mask |= layer[u]
-            if mask != old:
-                grown.append(v)
-                masks.append(mask)
-            else:
-                ecc[v] = r - 1
-        if r <= keep + 1:  # layer r - 1 is stored, so radius r needs a copy
-            layer = layer.copy()
-            if r <= keep:
-                balls.append(layer)
-        for v, mask in zip(grown, masks):
-            layer[v] = mask
-        growing = grown
-    return balls, ecc
 
 
 def _cover(prep: _Prepared, k: int, budget: _Budget) -> Optional[list[Optional[int]]]:
@@ -773,7 +729,10 @@ def _bounds(
     prep: _Prepared, components: list[list[int]], floor: int
 ) -> tuple[int, tuple[int, ...]]:
     """A rigorous lower bound on b(G), and the greedy sequence, whose length
-    is the upper bound. The lower bound is the largest of these terms:
+    is the upper bound. ``components`` holds a vertex list per component,
+    in id order of its least vertex; only their number and each one's
+    largest eccentricity are read. The lower bound is the largest of these
+    terms:
 
       * route floor: ``floor``, the first level the structural route
         (``_route``) did not refute before it gave up, 1 for a graph it
@@ -903,16 +862,17 @@ def _known(
     """A lower bound on b(G), a burning sequence, whose length is an upper
     bound, and the search's preparation, before any level is searched: the
     route's value and certificate when it answers, else the bounds of
-    ``_bounds`` from the route's floor, on ``prep`` or on a new preparation
-    (on a routed graph ``prep`` comes back as given)."""
+    ``_bounds`` from the route's floor and one components pass, on ``prep``
+    or on a new preparation that reuses that pass (on a routed graph
+    ``prep`` comes back as given)."""
     floor, routed = _route(g)
     if routed is not None:
         return floor, routed, prep
-    components = connected_components(g)
+    sweeps = component_sweeps(g)
     if prep is None:
-        _check_rounds(len(components))  # before any ball is grown
-        prep = _Prepared(g, max_radius=0)
-    lower, greedy = _bounds(prep, components, floor)
+        _check_rounds(len(sweeps))  # before anything is prepared
+        prep = _Prepared(g, max_radius=0, sweeps=sweeps)
+    lower, greedy = _bounds(prep, sweeps, floor)
     return lower, greedy, prep
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from burnkit import formulas
+from burnkit import formulas, structural
 from burnkit.families import build, enumerate_sweep
 from burnkit.formulas import (
     J5,
@@ -294,6 +294,41 @@ class TestPreTestReference:
             t = math.isqrt(sum(parts)) + 1
             parts = [max(1, t * t - d - rest), *sorted(parts)[:-1]]
         assert_formulas_match_reference(tuple(parts))
+
+
+def interval_cover_refutes(parts, t):
+    """Whether intervals of sizes 2t-1, ..., 1 cannot cover the paths."""
+    return structural.forest_cover(parts, t) is None
+
+
+def slack_rule(parts, deficit):
+    """The level rule of the three-path catalogs: the tail's SLACK level, or
+    deficit 0 with smallest part 2."""
+    return deficit <= SLACK.get(parts[1:], -1) or (deficit == 0 and parts[-1] == 2)
+
+
+class TestCatalogsFromIntervalCover:
+    # SLACK and SPORADIC are literals; the interval cover that decides a
+    # linear forest exactly gives them back
+
+    def test_levels_at_every_tail(self):
+        t = 40
+        for a2 in range(1, t + 1):
+            for a3 in range(1, a2 + 1):
+                for d in range(MAX_DEFICIT + 1):
+                    parts = (t * t - d - a2 - a3, a2, a3)
+                    assert interval_cover_refutes(parts, t) == slack_rule(parts, d), parts
+
+    def test_every_three_path_forest_to_total_120(self):
+        refuted, flagged = set(), set()
+        for parts in three_path_forests(120):
+            t = math.isqrt(sum(parts) - 1) + 1
+            if interval_cover_refutes(parts, t):
+                refuted.add(parts)
+            if slack_rule(parts, t * t - sum(parts)):
+                flagged.add(parts)
+        assert SPORADIC <= refuted and not SPORADIC & flagged
+        assert refuted == flagged | SPORADIC
 
 
 class TestDegreeCriterion:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from burnkit import graphs as graphs_module
 from burnkit.graphs import (
     MAX_VERTICES,
     Cycle,
@@ -20,10 +21,14 @@ from burnkit.graphs import (
     Other,
     Path,
     TUnicyclic,
+    Walks,
     _bfs,
+    _walk,
+    component_sweeps,
     connected_components,
     distance_matrix,
     distance_rows,
+    eccentricities,
     family_walks,
     hub_walks,
     parse_graph,
@@ -432,6 +437,71 @@ class TestComponents:
         assert connected_components(Graph(4)) == [[0], [1], [2], [3]]
 
 
+def reference_eccentricities(g):
+    """Each vertex's largest finite distance, one search per vertex."""
+    return [max(reference_bfs(g, v)) for v in range(g.vertex_count)]
+
+
+def forests_and_mixes():
+    """Forests, graphs with a cycle and disconnected mixes of both, with
+    isolated vertices, under random vertex ids."""
+    rng = random.Random(34)
+    blocks = [Graph(1), build("path:6"), build("star:3,2,2"), build("cycle:5"), build("uni:4;3,1"), grid(3, 4)]
+    for _ in range(150):
+        parts = [rng.choice(blocks) for _ in range(rng.randint(1, 4))]
+        edges, start = [], 0
+        for part in parts:
+            edges += [(start + u, start + v) for u, v in part.edges()]
+            start += part.vertex_count
+        perm = list(range(start))
+        rng.shuffle(perm)
+        yield Graph(start, [(perm[u], perm[v]) for u, v in edges])
+    for _ in range(50):
+        n = rng.randint(2, 40)
+        tree = [(rng.randrange(v), v) for v in range(1, n)]
+        yield Graph(n, tree[rng.randint(0, 3):])
+
+
+class TestSweeps:
+    @given(graphs(max_n=12), st.integers(min_value=0, max_value=4))
+    @settings(max_examples=80, deadline=None)
+    def test_sweep_contract(self, g, isolated):
+        # one list per component in id order of its least vertex, starting
+        # there and ending at a vertex farthest from it
+        g = Graph(g.vertex_count + isolated, g.edges())
+        sweeps = component_sweeps(g)
+        assert [sweep[0] for sweep in sweeps] == [min(sweep) for sweep in sweeps]
+        assert [sweep[0] for sweep in sweeps] == sorted(sweep[0] for sweep in sweeps)
+        for sweep in sweeps:
+            dist = reference_bfs(g, sweep[0])
+            assert dist[sweep[-1]] == max(dist)
+            assert [dist[v] for v in sweep] == sorted(dist[v] for v in sweep)
+        assert connected_components(g) == [sorted(sweep) for sweep in sweeps]
+
+    @given(graphs(max_n=12), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=120, deadline=None)
+    def test_eccentricities_match_reference(self, g, isolated):
+        g = Graph(g.vertex_count + isolated, g.edges())
+        expected = reference_eccentricities(g)
+        assert eccentricities(g) == expected
+        assert eccentricities(g, component_sweeps(g)) == expected
+
+    @given(sparse_graphs(max_n=20))
+    @settings(max_examples=120, deadline=None)
+    def test_sparse_graphs(self, g):
+        assert eccentricities(g, component_sweeps(g)) == reference_eccentricities(g)
+
+    def test_forests_cycles_and_mixes(self):
+        shapes = [Graph(1), Graph(5), *DISTANCE_CASES, *forests_and_mixes()]
+        kinds = set()
+        for g in shapes:
+            components = len(connected_components(g))
+            kinds.add((g.edge_count == g.vertex_count - components, components > 1))
+            assert eccentricities(g, component_sweeps(g)) == reference_eccentricities(g), g
+        # forests and graphs with a cycle, connected and not
+        assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
 class TestRecognize:
     def test_unicyclic_two_arms(self):
         assert recognize_family(build("uni:4;4,4")) == TUnicyclic(g=4, arms=(4, 4))
@@ -637,6 +707,75 @@ def assert_fresh(walked, g):
         hub, legs, cycle = walked
         assert type(legs) is tuple and type(cycle) is tuple
         assert all(type(leg) is tuple for leg in legs)
+
+
+def reference_walk(adjacency):
+    """``_walk`` as it was when it walked a lone path a second time, out of
+    its lower-id end, after finding it."""
+    n = len(adjacency)
+    degrees = list(map(len, adjacency))
+    if n == 0 or sum(degrees) > 2 * n:
+        return None
+    hubs = [v for v, d in enumerate(degrees) if d > 2]
+    if len(hubs) > 1:
+        return None
+    if hubs:
+        hub = hubs[0]
+    else:
+        paths = []
+        far_ends = set()
+        for end in (v for v, d in enumerate(degrees) if d < 2):
+            if end not in far_ends:
+                path = (end, *itertools.chain(*hub_walks(adjacency, end)[0]))
+                far_ends.add(path[-1])
+                paths.append(path)
+        if len(paths) > 1:
+            if sum(map(len, paths)) != n:
+                return None
+            paths.sort(key=min)
+            return Walks(None, tuple(paths), ())
+        hub = paths[0][0] if paths else 0
+    legs, cycle = hub_walks(adjacency, hub)
+    if 1 + sum(map(len, legs)) + len(cycle) != n:
+        return None
+    return Walks(hub, tuple(map(tuple, legs)), tuple(cycle))
+
+
+class TestOneWalkPerPath:
+    def test_path_walked_once(self, monkeypatch):
+        calls = []
+        walk = graphs_module.hub_walks
+
+        def counting(adjacency, hub):
+            calls.append(hub)
+            return walk(adjacency, hub)
+
+        monkeypatch.setattr(graphs_module, "hub_walks", counting)
+        rng = random.Random(34)
+        for n in range(1, 61):
+            g = build(Path(n))
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for h in (g, relabelled(g, perm)):
+                walked = _walk(h.adjacency)
+                assert len(calls) == 1, n
+                assert walked.hub == calls.pop() == min(v for v in range(n) if h.degree(v) < 2)
+                assert walked == reference_walk(h.adjacency)
+
+    def test_same_walks_as_before(self):
+        # every path, cycle, linear forest, spider and t-unicyclic graph to
+        # order 20, and the Others of walk_shapes, as built and relabelled
+        rng = random.Random(35)
+        shapes = [Path(n) for n in range(1, 21)] + [Cycle(n) for n in range(3, 21)]
+        shapes += [LinearForest(parts) for parts in descending_tuples(20, 2)]
+        shapes += list(one_hub_shapes(20))
+        graphs_ = [build(desc) for desc in shapes] + walk_shapes()
+        for g in graphs_:
+            perm = list(range(g.vertex_count))
+            rng.shuffle(perm)
+            for h in (g, relabelled(g, perm)):
+                assert _walk(h.adjacency) == reference_walk(h.adjacency), h
+        assert len(shapes) == 9272
 
 
 class TestWalkMemo:

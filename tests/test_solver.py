@@ -278,7 +278,7 @@ class TestExact:
         def fail(*args, **kwargs):
             raise AssertionError("balls grown on a tree")
 
-        monkeypatch.setattr(solver, "_grow_balls", fail)
+        monkeypatch.setattr(graphs, "_ball_eccentricities", fail)
         made = []
 
         class Recorded(_Prepared):
@@ -441,8 +441,7 @@ def refuse_preparation(monkeypatch, error):
     def fail(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(solver, "_grow_balls", fail)
-    monkeypatch.setattr(solver, "forest_eccentricities", fail)
+    monkeypatch.setattr(solver, "eccentricities", fail)
 
 
 def two_branch_tree(n):
@@ -1208,7 +1207,7 @@ class TestRoute:
         def fail(*args, **kwargs):
             raise AssertionError("balls grown or distances computed")
 
-        for name in ("_Prepared", "_grow_balls", "_cover", "distance_rows"):
+        for name in ("_Prepared", "eccentricities", "_cover", "distance_rows"):
             monkeypatch.setattr(solver, name, fail)
         res = burning_number_exact(g)
         monkeypatch.undo()
@@ -1229,14 +1228,14 @@ class TestRoute:
 
     def test_routed_graphs_run_no_components_pass(self, monkeypatch):
         calls = []
-        counted = graphs.connected_components
+        counted = graphs.component_sweeps
 
         def counting(*args, **kwargs):
             calls.append(args)
             return counted(*args, **kwargs)
 
-        monkeypatch.setattr(graphs, "connected_components", counting)
-        monkeypatch.setattr(solver, "connected_components", counting)
+        monkeypatch.setattr(graphs, "component_sweeps", counting)
+        monkeypatch.setattr(solver, "component_sweeps", counting)
         routed = [build(desc) for desc in route_shapes(9)]
         routed += [build(spec) for spec in ("path:2000", "cycle:40", "uni:5;665,665,665")]
         routed += [build("forest:900,700,300"), Graph(7)]
@@ -1535,13 +1534,13 @@ class TestBallPreparation:
         # a forest, connected or not, takes the sweeps; a graph with a
         # cycle, however few its edges, grows its balls
         calls = []
-        grow = solver._grow_balls
+        grow = graphs._ball_eccentricities
 
         def spy(*args, **kwargs):
             calls.append(args)
             return grow(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "_grow_balls", spy)
+        monkeypatch.setattr(graphs, "_ball_eccentricities", spy)
         rng = random.Random(13)
         forests = [Graph(1), Graph(7), build("path:9"), build("forest:9,4,1,1"), build("star:3,2,2")]
         forests += [random_tree(rng, 40) for _ in range(5)] + list(random_forests(rng, 10))
@@ -1554,6 +1553,27 @@ class TestBallPreparation:
             _Prepared(g, max_radius=2)
             assert len(calls) == 1, g
             calls.clear()
+
+    def test_forest_bounds_take_three_sweeps_per_component(self, monkeypatch):
+        # the components pass of _known, then the double sweep on it: three
+        # breadth-first searches per component, not a second components pass
+        rng = random.Random(34)
+        forests = [two_branch_tree(40), *(random_tree(rng, 40) for _ in range(5))]
+        forests += list(random_forests(rng, 10))
+        components = [len(graphs.connected_components(g)) for g in forests]
+        searched = []
+        bfs = graphs._bfs
+
+        def counting(g, source, dist):
+            searched.append(source)
+            return bfs(g, source, dist)
+
+        monkeypatch.setattr(graphs, "_bfs", counting)
+        for g, count in zip(forests, components):
+            assert graphs.family_walks(g) is None, g  # not routed
+            solver._known(g)
+            assert len(searched) == 3 * count, g
+            searched.clear()
 
     def test_no_distance_matrix_needed(self, monkeypatch):
         g = torus_graph(6, 7)  # a refuted level below the value
