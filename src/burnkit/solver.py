@@ -30,8 +30,8 @@ value and upper bound equal and spends no search nodes. The covers are
 NP-complete to decide, so the route gives up after ``HUB_RULE_STATES``
 ticks (interval-cover states, and radii or placements of the hub's ball
 that an arithmetic pre-test rejects); the levels it refuted by then are a
-floor for the ball search. The route takes graphs of any order; only the
-ball search refuses graphs of more than ``MAX_EXACT_VERTICES`` vertices.
+floor for the ball search. The route takes any order and any number of
+rounds; only the ball search has limits on both.
 
 Cover search (``_cover``); its state is the uncovered-vertex mask and the
 unused-radii mask, and every cut keeps it complete:
@@ -111,9 +111,10 @@ from .graphs import (
     recognize_family,
 )
 from .intmath import ceil_sqrt, counting_lower
-from .structural import MAX_ROUNDS
 
 EXACT = "exact"
+
+MAX_ROUNDS = 500  # the ball searches recurse once per radius; the frame limit is 1000
 
 # The search's preparation holds an n-bit ball per vertex and radius, up to
 # twice the level searched, and on a graph with a cycle grows every ball to
@@ -126,18 +127,21 @@ EXACT = "exact"
 MAX_EXACT_VERTICES = 2_000
 
 # The structural route, on one-hub graphs and on linear forests, gives up
-# after this many ticks of its deciders, counted over all its levels: one
-# per interval-cover state, which may stay in the cover's failed set, and
-# one per radius or placement of the hub's ball that an arithmetic pre-test
-# rejects. On 300 random spiders and t-unicyclic graphs of order up to
-# 2,000 with 3 to 600 legs it gave up on 38 and took at most 0.04 s and a
-# 0.5 MB tracemalloc peak; on star:1,2,...,500 (125,251 vertices) it gives
-# up in 0.03 s, and on random spiders of about 10^6 vertices with 10^4 to
-# 10^5 legs it answers or gives up in at most 0.7 s (2-core x86-64, CPython
-# 3.11). It decides uni:594;480,424,270,158,43 (43) in 280 ticks, though
-# its level k = 42 filled a 512 MB address space in 39 s under a sum test
-# alone, and uni:3;20000,20000,20000 (245) in 18,026. Deciding every level
-# up to the value, the route needs at most 59 ticks on all spiders and
+# after this many ticks of its deciders, counted over all its levels: one per
+# interval-cover state, which may stay in the cover's failed set, and one per
+# radius or placement of the hub's ball that an arithmetic pre-test rejects;
+# at a level k above MAX_ROUNDS a tick counts k / MAX_ROUNDS, as an open cover
+# state there holds up to k demands (on 20,000 disjoint edges the route gives
+# up in 0.2 s and 74 MB; at one per tick 8,000 took 245 MB, and memory grows
+# as the square of the edges). On 300 random spiders and t-unicyclic graphs of
+# order up to 2,000 with 3 to 600 legs it gave up on 38 and took at most
+# 0.04 s and a 0.5 MB tracemalloc peak; on star:1,2,...,500 (125,251 vertices)
+# it gives up in 0.03 s, and on random spiders of about 10^6 vertices with
+# 10^4 to 10^5 legs it answers or gives up in at most 0.7 s (2-core x86-64,
+# CPython 3.11). It decides uni:594;480,424,270,158,43 (43) in 280 ticks,
+# though its level k = 42 filled a 512 MB address space in 39 s under a sum
+# test alone, and uni:3;20000,20000,20000 (245) in 18,026. Deciding every
+# level up to the value, the route needs at most 59 ticks on all spiders and
 # t-unicyclic graphs to order 20, the uni1 and uni2 sweeps to orders 60 and
 # 46, the forest3 sweep to order 40 and all linear forests to order 18, at
 # most 115 on spiders with three to six legs to order 40, and at most 35 on
@@ -367,14 +371,15 @@ def _check_vertices(n: int) -> None:
 
 
 class _Budget:
-    __slots__ = ("remaining",)
+    __slots__ = ("remaining", "weight")
 
     def __init__(self, limit: Optional[int]):
         self.remaining = limit
+        self.weight = 1  # what one tick costs
 
     def tick(self) -> None:
         if self.remaining is not None:
-            self.remaining -= 1
+            self.remaining -= self.weight
             if self.remaining < 0:
                 raise _BudgetExhausted
 
@@ -407,13 +412,14 @@ class _Prepared:
 
     No distance matrix is built: the search, the geodesic lower bounds and
     the greedy upper bound read only the balls, ``ecc`` and ``diameter``.
-    The eccentricities come from ``graphs.eccentricities``, on ``sweeps``
-    when the caller has made them, and every ball layer above radius 0
-    from ``extend``. The tables (``tiers``, ``sizes``,
-    ``suffix``, ``maxball``, ``capacity``) cover radii 0..``max_radius``
-    and the ball layers radii 0..2 * ``max_radius``, which the search's
-    packing cut reads at twice the largest unused radius. ``extend`` grows
-    both when a level needs more.
+    The eccentricities come from ``graphs.eccentricities`` on ``sweeps``,
+    kept for ``_known``, and made here for a graph with fewer than n edges
+    when not given; every ball layer above radius 0 comes from ``extend``.
+    The tables (``tiers``, ``sizes``, ``suffix``, ``maxball``,
+    ``capacity``) cover radii 0..``max_radius`` and the ball layers radii
+    0..2 * ``max_radius``, which the search's packing cut reads at twice
+    the largest unused radius. ``extend`` grows both when a level needs
+    more.
     """
 
     def __init__(self, g: Graph, max_radius: int, sweeps: Optional[list[list[int]]] = None):
@@ -422,7 +428,8 @@ class _Prepared:
         self.n = n
         self.full = (1 << n) - 1
         self.adjacency = g.adjacency
-        self.ecc = eccentricities(g, sweeps)
+        self.sweeps = sweeps or (component_sweeps(g) if g.edge_count < n else None)
+        self.ecc = eccentricities(g, self.sweeps)
         self.diameter = max(self.ecc, default=0)
         # balls[r][v]: vertices within distance r of v, as a bitmask
         self.balls = [[1 << v for v in range(n)]]
@@ -814,8 +821,8 @@ def _route(g: Graph) -> tuple[int, Optional[tuple[int, ...]]]:
     the hub, then each leg, then the cycle, or each path in turn. No
     distance is computed. Deciding those covers is NP-complete, so the
     route gives up after ``HUB_RULE_STATES`` ticks of the deciders
-    (``structural`` docstring), or above ``MAX_ROUNDS``, and then returns
-    the first level it did not refute. Any other graph gets the floor 1.
+    (``structural`` docstring; above ``MAX_ROUNDS`` a tick counts more),
+    and returns the first level it did not refute. Other graphs get 1.
     The walks are usually those ``recognize_family`` made of the same
     graph just before (``compute``, the CLI), which ``family_walks``
     keeps, so the route walks nothing again; they are tuples, shared with
@@ -825,7 +832,7 @@ def _route(g: Graph) -> tuple[int, Optional[tuple[int, ...]]]:
     if walked is None:
         return 1, None
     hub, legs, ring = walked
-    tick = _Budget(HUB_RULE_STATES).tick
+    budget = _Budget(HUB_RULE_STATES * MAX_ROUNDS)
     if hub is not None:
         # the cycle's walk, possibly empty, is last; each walk leaves the
         # hub, which is position 0 on every walk
@@ -835,18 +842,17 @@ def _route(g: Graph) -> tuple[int, Optional[tuple[int, ...]]]:
         lengths = tuple(map(len, legs))
         cycle = len(ring) + 1 if ring else 0
         k = structural.lower_bound(lengths, cycle)
-        decide = lambda k: structural.hub_cover(lengths, k, cycle, tick)
+        decide = lambda k: structural.hub_cover(lengths, k, cycle, budget.tick)
     else:
         walks = legs  # each path from an end
         spot = lambda walk, p: walks[walk][p]
         order = itertools.chain(*walks)
         parts = tuple(map(len, walks))
         k = max(len(parts), ceil_sqrt(g.vertex_count))
-        decide = lambda k: structural.forest_cover(parts, k, tick)
+        decide = lambda k: structural.forest_cover(parts, k, budget.tick)
 
     def level(k: int) -> Optional[list[Optional[int]]]:
-        if k > MAX_ROUNDS:
-            raise _BudgetExhausted  # the search decides the rest
+        budget.weight = max(k, MAX_ROUNDS)  # an open state here holds up to k demands
         centers = decide(k)
         if centers is None:
             return None
@@ -863,16 +869,16 @@ def _known(
     bound, and the search's preparation, before any level is searched: the
     route's value and certificate when it answers, else the bounds of
     ``_bounds`` from the route's floor and one components pass, on ``prep``
-    or on a new preparation that reuses that pass (on a routed graph
-    ``prep`` comes back as given)."""
+    (whose pass is reused when it has one) or on a new preparation that
+    reuses that pass (on a routed graph ``prep`` comes back as given)."""
     floor, routed = _route(g)
     if routed is not None:
         return floor, routed, prep
-    sweeps = component_sweeps(g)
     if prep is None:
+        sweeps = component_sweeps(g)
         _check_rounds(len(sweeps))  # before anything is prepared
         prep = _Prepared(g, max_radius=0, sweeps=sweeps)
-    lower, greedy = _bounds(prep, sweeps, floor)
+    lower, greedy = _bounds(prep, prep.sweeps or component_sweeps(g), floor)
     return lower, greedy, prep
 
 
@@ -910,7 +916,6 @@ def burning_number_exact(g: Graph, budget: Optional[int] = None) -> BurnResult:
             value, certificate = k, _certificate(g, centers, prep.order)
         elif k < value:
             raise Inconclusive(k, value)
-    _check_rounds(value)
     return BurnResult(value, EXACT, lower, len(known), certificate)
 
 
@@ -987,7 +992,7 @@ def unicyclic_spanning_upper(g: Graph) -> int:
     oracle, not merely an upper bound, independent of the ball-cover search
     but not of the structural route of ``burning_number_exact``, which uses
     the same rule. Raises ValueError for a graph that is neither a cycle
-    nor t-unicyclic, or that needs a search above ``MAX_ROUNDS`` rounds.
+    nor t-unicyclic. It has no budget and no round limit.
     """
     desc = recognize_family(g)
     if not isinstance(desc, (Cycle, TUnicyclic)):

@@ -36,16 +36,14 @@ sorted once per call, in O(log t). It builds the ``assign_intervals``
 test of a radius once a placement passes, and tries it on every placement
 that passes. That test cuts its states by count, sum and fast success,
 and its root state by a subset-sum waste bound (all listed in its
-docstring), keeps only failed states (a success ends the call) and
-recurses one frame per size, so the deciders search at most
-``MAX_ROUNDS`` rounds: ``hub_cover`` raises ValueError for a search
-above it and ``forest_cover`` for any level above it. The test holds its
-state in the slots of one object whose method recurses, not in a closure
-that refers to itself, so it forms no reference cycle and is freed by
-reference counting when the decider returns. Every cut drops only what
-holds no cover, and fast success takes the branch the search takes
-first, so each decider finds the cover a search without the cuts finds
-first. A ``tick`` given
+docstring), and keeps only failed states (a success ends the call). It
+keeps its open states on an explicit stack, one entry per size, not in
+Python frames, so the deciders take any number of rounds. The test holds
+its state in the slots of one object, not in a closure that refers to
+itself, so it forms no reference cycle and is freed by reference counting
+when the decider returns. Every cut drops only what holds no cover, and
+fast success takes the branch the search takes first, so each decider
+finds the cover a search without the cuts finds first. A ``tick`` given
 to a decider is called once per interval-cover state and once per radius
 or placement the arithmetic rejects; whatever it raises abandons the
 decision, so a caller bounds the time and the memory of every decision by
@@ -61,12 +59,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import reduce
+from heapq import heappop, heappush
 from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 from .intmath import ceil_sqrt, counting_lower
-
-MAX_ROUNDS = 500  # each cover search recurses once per round; the default frame limit is 1000
 
 
 def assign_intervals(
@@ -109,13 +106,11 @@ def assign_intervals(
 
 class _Intervals:
     """The state of one ``assign_intervals`` test: its sizes and tick, the
-    subset sums once built, the failed states kept across calls and the
-    choices of the current call. ``covers`` recurses through ``self``, and
-    nothing the test holds refers back to it or to its bound methods, so
-    the test is freed by reference counting when its caller drops it, with
-    no work for the cyclic garbage collector."""
+    subset sums once built, and the failed states kept across calls. Nothing
+    it holds refers back to it or to its bound methods, so it is freed by
+    reference counting when its caller drops it."""
 
-    __slots__ = ("sizes", "tick", "left", "failed", "chosen", "reach")
+    __slots__ = ("sizes", "tick", "left", "failed", "reach")
 
     def __init__(self, sizes: tuple[int, ...], tick: Optional[Callable[[], None]]):
         self.sizes = sizes
@@ -123,65 +118,71 @@ class _Intervals:
         # left[i]: total of sizes[i:]
         self.left = list(accumulate(reversed(sizes), initial=0))[::-1]
         self.failed: set[tuple[int, tuple[int, ...]]] = set()
-        # on success, the open demand each size went to, last size first
-        self.chosen: list[int] = []
         self.reach = 0  # the subset sums of sizes as a bitset, built on first use
 
-    def covers(self, i: int, demands: tuple[int, ...]) -> bool:
-        """Whether sizes[i:] cover ``demands``, each open demand sorted
-        descending; on success ``chosen`` gets the demand each size took."""
-        tick = self.tick
-        if tick is not None:
-            tick()
-        if not demands:
-            return True
-        sizes = self.sizes
-        m = len(demands)
-        if i + m > len(sizes):
-            return False
-        slack = self.left[i] - sum(demands)
-        if slack < 0:
-            return False
-        if sizes[i + m - 1] >= demands[0]:
-            # size i + j closes demand j; the search would take it first
-            self.chosen.extend(reversed(demands))
-            return True
-        if (i, demands) in self.failed:
-            return False
-        if i == 0 and slack < m:
-            reach = self.reach
-            if not reach:
-                reach = self.reach = reduce(lambda sums, s: sums | sums << s, sizes, 1)
-            waste = 0
-            for d in demands:
-                beyond = reach >> d
-                waste += (beyond & -beyond).bit_length() - 1
-                if waste > slack:
-                    return False
-        # using a size never hurts, so skipping it is never needed;
-        # equal demands are interchangeable, so each value is tried once
-        for j, d in enumerate(demands):
-            if j and d == demands[j - 1]:
+    def covers(self, demands: tuple[int, ...]) -> Optional[list[int]]:
+        """The open demand each size took, in size order, when the sizes
+        cover ``demands`` (sorted descending), else None. Depth first:
+        ``stack[i]`` holds the open state at size index i and the index of
+        the demand its size went to; the state visited is at len(stack)."""
+        sizes, left, failed, tick = self.sizes, self.left, self.failed, self.tick
+        stack: list[tuple[tuple[int, ...], int]] = []
+        while True:
+            i = len(stack)
+            if tick is not None:
+                tick()
+            m = len(demands)
+            slack = left[i] - sum(demands) if i + m <= len(sizes) else -1
+            if not demands or slack >= 0 and sizes[i + m - 1] >= demands[0]:
+                # size i + j closes demand j; the search would take it first
+                return [state[j] for state, j in stack] + list(demands)
+            if (
+                slack >= 0
+                and (i, demands) not in failed
+                and (i or slack >= m or not self.wasted(demands, slack))
+            ):
+                # using a size never hurts, so skipping it is never needed
+                stack.append((demands, 0))
+                demands = _assign(demands, 0, sizes[i])
                 continue
-            if self.covers(i + 1, _assign(demands, j, sizes[i])):
-                self.chosen.append(d)
-                return True
-        self.failed.add((i, demands))
-        return False
+            # the state fails: the latest open state with a branch left takes it
+            while stack:
+                demands, j = stack.pop()
+                i = len(stack)
+                j += 1
+                # equal demands are interchangeable, so each value is tried once
+                while j < len(demands) and demands[j] == demands[j - 1]:
+                    j += 1
+                if j < len(demands):
+                    stack.append((demands, j))
+                    demands = _assign(demands, j, sizes[i])
+                    break
+                failed.add((i, demands))
+            else:
+                return None
+
+    def wasted(self, demands: tuple[int, ...], slack: int) -> bool:
+        """The root state's waste cut: whether the least overhangs exceed ``slack``."""
+        if not self.reach:
+            self.reach = reduce(lambda sums, s: sums | sums << s, self.sizes, 1)
+        beyond = [self.reach >> d for d in demands]
+        return sum((b & -b).bit_length() - 1 for b in beyond) > slack
 
     def assign(self, parts: Sequence[int]) -> Optional[list[list[int]]]:
-        chosen = self.chosen
-        chosen.clear()
-        if not self.covers(0, tuple(sorted([p for p in parts if p > 0], reverse=True))):
+        taken = self.covers(tuple(sorted([p for p in parts if p > 0], reverse=True)))
+        if taken is None:
             return None
         # equal open demands are interchangeable, so the first path with
-        # the chosen open demand takes the size
-        open_demand = list(parts)
+        # the taken open demand takes the size
+        paths: dict[int, list[int]] = {}  # each open demand's paths, as a heap
+        for j, p in enumerate(parts):
+            paths.setdefault(p, []).append(j)
         placed: list[list[int]] = [[] for _ in parts]
-        for size, d in zip(self.sizes, reversed(chosen)):
-            j = open_demand.index(d)
+        for size, d in zip(self.sizes, taken):
+            j = heappop(paths[d])
             placed[j].append(size)
-            open_demand[j] -= size
+            if d > size:
+                heappush(paths.setdefault(d - size, []), j)
         return placed
 
 
@@ -242,11 +243,8 @@ def forest_cover(
     radii k-1, ..., 0, or None if there is none.
 
     A ball meets a path in an interval, so b <= k iff intervals of sizes
-    2k-1, ..., 1 cover the paths; ``tick`` goes to that test. Raises
-    ValueError for k above ``MAX_ROUNDS``.
+    2k-1, ..., 1 cover the paths; ``tick`` goes to that test.
     """
-    if k > MAX_ROUNDS:
-        raise ValueError(f"linear-forest decision supports at most {MAX_ROUNDS} rounds, got {k}")
     placed = assign_intervals(_sizes(k), tick)(parts)
     if placed is None:
         return None
@@ -269,8 +267,7 @@ def hub_cover(
     graph with a spanning path (a path, or a cycle with at most one leg)
     burns in ceil(sqrt(n)) rounds, and a path or a bare cycle in no fewer,
     so neither needs a search: the cover lays intervals along the path
-    from the end of leg 0 through the hub. Any other search raises
-    ValueError for k above ``MAX_ROUNDS``; its cover is the hub's ball
+    from the end of leg 0 through the hub. Any other cover is the hub's ball
     (r, x) and the intervals that ``assign_intervals`` lays on the
     residual forest. Radii go from k-1 down and placements from the hub
     out; the radius and placement pre-tests (module docstring) skip only
@@ -294,8 +291,6 @@ def hub_cover(
     spokes = len(legs) + (2 if cycle else 0)
     if spokes <= 2:
         return None
-    if k > MAX_ROUNDS:
-        raise ValueError(f"one-hub decision supports at most {MAX_ROUNDS} rounds, got {k}")
     distinct = sorted(set(legs), reverse=True)
     ascending = sorted(legs)
     below = list(accumulate(ascending, initial=0))  # below[i]: the i shortest legs' total

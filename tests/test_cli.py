@@ -126,7 +126,11 @@ class TestCmdCompute:
         "header,args",
         [
             ("100000000000 0", []),  # would not fit in memory
-            ("3000 0", ["--method", "exact"]),  # more rounds than the search's stack
+            # a triangle and 500 isolated vertices: more components than the
+            # ball search's rounds, on a graph the route does not take
+            pytest.param(
+                "503 3\n0 1\n1 2\n0 2", ["--method", "exact"], id="triangle-and-500-isolated"
+            ),
         ],
     )
     def test_hostile_file_is_input_error(self, tmp_path, capsys, header, args):
@@ -135,6 +139,13 @@ class TestCmdCompute:
         assert main(["compute", "--file", str(path)] + args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_isolated_vertices_above_the_search_round_limit(self, tmp_path, capsys):
+        # a linear forest takes the route, which has no round limit
+        path = tmp_path / "g.txt"
+        path.write_text("3000 0\n")
+        assert main(["compute", "--file", str(path), "--method", "exact"]) == 0
+        assert "value=3000" in capsys.readouterr().out
 
     def test_out_of_memory_is_input_error(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):

@@ -218,24 +218,36 @@ class TestExact:
         assert (exc.value.lower_bound, exc.value.upper_bound) == (4, 5)
 
     def test_round_limit(self, monkeypatch):
-        # MAX_ROUNDS isolated vertices still solve; one more is refused
-        # before the search is prepared
-        assert burning_number_exact(Graph(MAX_ROUNDS)).value == MAX_ROUNDS
-
+        # the ball search refuses a graph the route does not take with more
+        # than MAX_ROUNDS components, a triangle and MAX_ROUNDS isolated
+        # vertices, and any level above MAX_ROUNDS, before it is prepared
         def fail(*args, **kwargs):
             raise AssertionError("search prepared beyond the round limit")
 
         monkeypatch.setattr(solver, "_Prepared", fail)
-        with pytest.raises(ValueError, match="at most"):
-            burning_number_exact(Graph(MAX_ROUNDS + 1))
+        g = Graph(MAX_ROUNDS + 3, [(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(ValueError, match=f"at most {MAX_ROUNDS} rounds"):
+            burning_number_exact(g)
         with pytest.raises(ValueError, match="at most"):
             find_sequence(build("path:3"), MAX_ROUNDS + 1)
 
-    def test_round_limit_reached_while_deepening(self):
-        # MAX_ROUNDS components, but the burning number is one more
-        g = Graph(2 * MAX_ROUNDS, [(2 * i, 2 * i + 1) for i in range(MAX_ROUNDS)])
-        with pytest.raises(ValueError, match=f"at least {MAX_ROUNDS + 1}"):
-            burning_number_exact(g)
+    def test_routed_above_the_round_limit(self):
+        # the route has no round limit: MAX_ROUNDS + 1 isolated vertices, and
+        # MAX_ROUNDS disjoint edges, which need one round more
+        edges = Graph(2 * MAX_ROUNDS, [(2 * i, 2 * i + 1) for i in range(MAX_ROUNDS)])
+        for g in (Graph(MAX_ROUNDS + 1), edges):
+            res = burning_number_exact(g)
+            assert res.value == res.lower_bound == res.upper_bound == MAX_ROUNDS + 1
+            assert verify_sequence(g, res.certificate)
+
+    def test_bounds_meet_above_the_round_limit(self):
+        # MAX_ROUNDS triangles: the bounds meet at one round more, so the
+        # greedy sequence is the answer and no level is searched
+        edges = [(3 * i + a, 3 * i + b) for i in range(MAX_ROUNDS) for a, b in ((0, 1), (1, 2), (0, 2))]
+        g = Graph(3 * MAX_ROUNDS, edges)
+        res = burning_number_exact(g)
+        assert res.value == res.lower_bound == res.upper_bound == MAX_ROUNDS + 1
+        assert verify_sequence(g, res.certificate)
 
     def test_vertex_limit(self, monkeypatch):
         # one vertex above the limit is refused before any ball is grown or
@@ -1259,6 +1271,18 @@ class TestRoute:
         assert solver._route(g) == (6, None)
         assert burning_number_exact(g).value == 6
 
+    def test_ticks_above_the_round_limit_count_more(self, monkeypatch):
+        # an open cover state of level k holds up to k demands, so above
+        # MAX_ROUNDS a tick counts k / MAX_ROUNDS states: 1,000 disjoint
+        # edges take 1,000 ticks at k = 1,000 and one at 1,001, which 2,003
+        # states allow and 2,002 do not
+        g = Graph(2000, [(2 * i, 2 * i + 1) for i in range(1000)])
+        monkeypatch.setattr(solver, "HUB_RULE_STATES", 2002)
+        assert solver._route(g) == (1001, None)
+        monkeypatch.setattr(solver, "HUB_RULE_STATES", 2003)
+        value, certificate = solver._route(g)
+        assert value == 1001 and verify_sequence(g, certificate)
+
 
 def count_walks(monkeypatch):
     """The results of every walk ``graphs.family_walks`` makes from here
@@ -1554,6 +1578,36 @@ class TestBallPreparation:
             assert len(calls) == 1, g
             calls.clear()
 
+    def test_budgeted_find_sequence_takes_one_components_pass(self, monkeypatch):
+        # when the budget runs out, _known reads the sweeps the preparation
+        # made for the eccentricities, and a graph with a cycle makes them there
+        rng = random.Random(39)
+        cases = [(Graph(80, [(rng.randrange(v), v) for v in range(1, 80)]), 3)]
+        cases += [(g, 0) for g in (two_branch_tree(40), *random_forests(rng, 3), grid_graph(6, 6))]
+        calls, fallbacks = [], []
+        counted, known = graphs.component_sweeps, solver._known
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return counted(*args, **kwargs)
+
+        def falling_back(*args, **kwargs):
+            fallbacks.append(args)
+            return known(*args, **kwargs)
+
+        monkeypatch.setattr(graphs, "component_sweeps", counting)
+        monkeypatch.setattr(solver, "component_sweeps", counting)
+        monkeypatch.setattr(solver, "_known", falling_back)
+        for g, budget in cases:
+            assert graphs.family_walks(g) is None, g  # not routed
+            try:
+                find_sequence(g, 5, budget=budget)
+            except Inconclusive:
+                pass
+            assert len(fallbacks) == len(calls) == 1, g
+            calls.clear()
+            fallbacks.clear()
+
     def test_forest_bounds_take_three_sweeps_per_component(self, monkeypatch):
         # the components pass of _known, then the double sweep on it: three
         # breadth-first searches per component, not a second components pass
@@ -1797,10 +1851,11 @@ def reference_route(g):
         parts = tuple(map(len, walks))
         k = max(len(parts), ceil_sqrt(g.vertex_count))
         decide = lambda k, tick: structural.forest_cover(parts, k, tick)
-    tick = _Budget(solver.HUB_RULE_STATES).tick
+    budget = _Budget(solver.HUB_RULE_STATES * MAX_ROUNDS)
     try:
-        while k <= MAX_ROUNDS:
-            centers = decide(k, tick)
+        while True:
+            budget.weight = max(k, MAX_ROUNDS)  # above MAX_ROUNDS a tick counts k / MAX_ROUNDS
+            centers = decide(k, budget.tick)
             if centers is not None:
                 spots = [None if c is None else walks[c[0]][c[1]] for c in centers]
                 seq, _ = _burn(g, spots, order)

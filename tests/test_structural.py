@@ -1,6 +1,7 @@
 import functools
 import itertools
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +12,7 @@ from burnkit.families import build, enumerate_sweep
 from burnkit.formulas import b_three_paths, b_two_paths
 from burnkit.graphs import Cycle, GeneralizedStar, Path, TUnicyclic
 from burnkit.intmath import ceil_sqrt
-from burnkit.solver import unicyclic_spanning_upper
-from burnkit.structural import MAX_ROUNDS
+from burnkit.solver import MAX_ROUNDS, unicyclic_spanning_upper
 
 from .test_solver import reference_tree_shapes, search_value, t_unicyclic, tree_legs
 
@@ -740,25 +740,61 @@ class TestCuts:
         assert len(ticks) == 18_026 <= solver.HUB_RULE_STATES
 
 
+def ball_cover_holds(lengths, centers, hub):
+    """Whether balls at ``centers`` (entry i of radius k-1-i, as (walk,
+    position)) cover the spider with legs ``lengths`` when ``hub`` (position
+    0 the hub, p the p-th vertex out along a leg), or else the linear forest
+    with path orders ``lengths`` (position p the (p+1)-th vertex of a path)."""
+    k = len(centers)
+    for walk, length in enumerate(lengths):
+        spans = []
+        for i, center in enumerate(centers):
+            if center is not None:
+                on, p = center
+                radius = k - 1 - i
+                if on == walk or hub and p == 0:
+                    spans.append((p - radius, p + radius))
+                elif hub and p <= radius:  # through the hub
+                    spans.append((0, radius - p))
+        covered = 0  # the first position on the walk not covered yet
+        for low, high in sorted(spans):
+            if low > covered:
+                break
+            covered = max(covered, high + 1)
+        if covered < length + hub:
+            return False
+    return True
+
+
 class TestRoundLimit:
+    # the interval cover keeps its open states on an explicit stack, so the
+    # deciders take any number of rounds; only the ball search has a limit
+
     def test_spider_decided_at_the_limit(self):
-        # the cover search goes about MAX_ROUNDS frames deep
         assert structural.hub_cover((100000, 80000, 70000), MAX_ROUNDS) is not None
 
-    def test_spider_above_the_limit_refused(self):
-        with pytest.raises(ValueError, match=f"at most {MAX_ROUNDS} rounds"):
-            structural.hub_cover((100000, 80000, 70000), MAX_ROUNDS + 1)
+    def test_spider_above_the_limit_decided(self):
+        legs = (100000, 80000, 70000)
+        centers = structural.hub_cover(legs, MAX_ROUNDS + 1)
+        assert ball_cover_holds(legs, centers, hub=True)
+        assert not ball_cover_holds(legs, centers[1:], hub=True)  # the check can fail
 
     def test_forest_decided_at_the_limit(self):
         assert structural.forest_cover((100000, 80000, 70000), MAX_ROUNDS) is not None
 
     @pytest.mark.parametrize("parts", [(10**6,), (400000, 300000, 299999)])
-    def test_forest_above_the_limit_refused(self, parts):
-        # the cover search would recurse past the frame limit
-        with pytest.raises(ValueError, match=f"at most {MAX_ROUNDS} rounds, got 1000"):
-            structural.forest_cover(parts, 1000)
-        with pytest.raises(ValueError, match=f"at most {MAX_ROUNDS} rounds"):
-            structural.forest_cover(parts, MAX_ROUNDS + 1)
+    def test_forest_decided_at_a_thousand_rounds(self, parts):
+        centers = structural.forest_cover(parts, 1000)
+        assert ball_cover_holds(parts, centers, hub=False)
+        assert not ball_cover_holds(parts, centers[:-1], hub=False)
+
+    def test_isolated_vertices_at_a_hundred_thousand_rounds(self):
+        # size i goes to the first path still open, found without a scan
+        # past the paths already covered (that scan took 40 s on 2-core x86-64)
+        k = 10**5
+        start = time.perf_counter()
+        assert structural.forest_cover((1,) * k, k) == [(j, 0) for j in range(k)]
+        assert time.perf_counter() - start < 5
 
     def test_path_needs_no_search(self):
         assert structural.hub_cover((10**6 - 1,), 1000) is not None
@@ -773,14 +809,12 @@ class TestRoundLimit:
             ("uni:3;300000", 548),
             ("uni:300000;1", 548),
             ("uni:260000;1", 510),
+            # two arms: a search above the ball search's round limit
+            ("uni:3;150000,150000", 548),
         ],
     )
     def test_oracle_at_large_orders(self, spec, value):
         assert unicyclic_spanning_upper(build(spec)) == value
-
-    def test_oracle_above_the_limit_raises_value_error(self):
-        with pytest.raises(ValueError, match=f"at most {MAX_ROUNDS} rounds"):
-            unicyclic_spanning_upper(build("uni:3;150000,150000"))
 
 
 class TestSpanningOracle:
