@@ -29,7 +29,6 @@ from .graphs import (
 )
 from .solver import (
     EXACT,
-    MAX_EXACT_VERTICES,
     Inconclusive,
     burning_number_exact,
     check_sequence,
@@ -67,7 +66,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     else:
         g = build(parse_spec(args.family))
     family = recognize_family(g)
-    result = compute(g, method=args.method, budget=budget, family=family)
+    result = compute(g, method=args.method, budget=budget)
 
     certificate = result.certificate
     if args.certificate and certificate is None:
@@ -140,9 +139,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _sweep_row(spec_text: str, budget: Optional[int]) -> dict:
     """Compare the closed form against the exact solver on one instance."""
-    desc = parse_spec(spec_text)
-    g = build(desc)
-    formula = compute(g, method="formula", budget=budget, family=desc)
+    g = build(spec_text)
+    formula = compute(g, method="formula", budget=budget)
     q, r = _qr_fields(g.vertex_count)
     row = {
         "spec": spec_text,
@@ -178,12 +176,6 @@ def _format_row(row: dict) -> str:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise SpecError(f"--jobs must be at least 1, got {args.jobs}")
-    # every class has an instance of order max-n, which the exact search refuses
-    if args.max_n > MAX_EXACT_VERTICES:
-        raise SpecError(
-            f"--max-n must be at most {MAX_EXACT_VERTICES}, the exact search limit, "
-            f"got {args.max_n}"
-        )
     budget = _node_budget()
     errata = load_errata(args.errata)
     specs = [format_spec(d) for d in enumerate_sweep(args.family_class, args.max_n)]

@@ -64,12 +64,7 @@ def _formula_route(g: Graph, family: FamilyDescriptor) -> Optional[BurnResult]:
     return None
 
 
-def compute(
-    g: Graph,
-    method: str = "auto",
-    budget: Optional[int] = None,
-    family: Optional[FamilyDescriptor] = None,
-) -> BurnResult:
+def compute(g: Graph, method: str = "auto", budget: Optional[int] = None) -> BurnResult:
     """Burning number of ``g`` by the requested method.
 
     Raises NoClosedForm when ``method="formula"`` and no evaluator covers
@@ -80,8 +75,7 @@ def compute(
         raise ValueError(f"unknown method {method!r}")
     if method == "exact":
         return burning_number_exact(g, budget=budget)
-    if family is None:
-        family = recognize_family(g)
+    family = recognize_family(g)
     routed = _formula_route(g, family)
     if routed is not None:
         return routed

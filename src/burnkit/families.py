@@ -193,12 +193,16 @@ def enumerate_sweep(family_class: str, max_n: int) -> Iterator[FamilyDescriptor]
 
     Enumeration order is lexicographic on (n, g, a1, ...), so sweep logs are
     deterministic. Parts and arms are emitted in descending order only.
+    Every class has an instance of order ``max_n``, so a ``max_n`` above
+    ``MAX_VERTICES`` is rejected before the first instance.
     """
     if family_class not in SWEEP_MIN_ORDER:
         raise SpecError(f"unknown sweep class {family_class!r}")
     least = SWEEP_MIN_ORDER[family_class]
     if max_n < least:
         raise SpecError(f"{family_class} sweep needs max_n >= {least}")
+    if max_n > MAX_VERTICES:
+        raise SpecError(f"{family_class} sweep needs max_n <= {MAX_VERTICES}, got {max_n}")
     for n in range(least, max_n + 1):
         if family_class == "path":
             yield Path(n)

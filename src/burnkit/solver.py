@@ -354,12 +354,9 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _check_rounds(k: int) -> None:
+def _check_rounds(k: int, reason: str = "this graph needs at least") -> None:
     if k > MAX_ROUNDS:
-        raise ValueError(
-            f"exact search supports at most {MAX_ROUNDS} rounds; "
-            f"this graph needs at least {k}"
-        )
+        raise ValueError(f"exact search supports at most {MAX_ROUNDS} rounds; {reason} {k}")
 
 
 def _check_vertices(n: int) -> None:
@@ -415,8 +412,8 @@ class _Prepared:
     The eccentricities come from ``graphs.eccentricities`` on ``sweeps``,
     kept for ``_known``, and made here for a graph with fewer than n edges
     when not given; every ball layer above radius 0 comes from ``extend``.
-    The tables (``tiers``, ``sizes``, ``suffix``, ``maxball``,
-    ``capacity``) cover radii 0..``max_radius`` and the ball layers radii
+    The tables (``sizes``, ``suffix``, ``maxball``, ``capacity``) cover
+    radii 0..``max_radius`` and the ball layers radii
     0..2 * ``max_radius``, which the search's packing cut reads at twice
     the largest unused radius. ``extend`` grows both when a level needs
     more.
@@ -434,10 +431,8 @@ class _Prepared:
         # balls[r][v]: vertices within distance r of v, as a bitmask
         self.balls = [[1 << v for v in range(n)]]
         self.maxball: list[int] = []
-        # per radius: the vertices grouped by ball size (tiers), the sizes,
-        # both ascending, and suffix[i], the union of tiers[i:], with a
-        # final 0
-        self.tiers: list[list[int]] = []
+        # per radius: the ball sizes, ascending, and suffix[i], the vertices
+        # whose ball has sizes[i] or more vertices, with a final 0
         self.sizes: list[list[int]] = []
         self.suffix: list[list[int]] = []
         self.extend(max(max_radius, 2))
@@ -470,11 +465,10 @@ class _Prepared:
                 s = mask.bit_count()
                 by_size[s] = by_size.get(s, 0) | (1 << v)
             sizes = sorted(by_size)
-            tiers = [by_size[s] for s in sizes]
             self.maxball.append(sizes[-1])
             self.sizes.append(sizes)
-            self.tiers.append(tiers)
-            unions = itertools.accumulate(reversed(tiers), operator.or_, initial=0)
+            descending = (by_size[s] for s in reversed(sizes))
+            unions = itertools.accumulate(descending, operator.or_, initial=0)
             self.suffix.append(list(unions)[::-1])
         # capacity[r] = most vertices coverable by positions with radii r..0
         self.capacity = list(itertools.accumulate(self.maxball))
@@ -492,8 +486,7 @@ def _cover(prep: _Prepared, k: int, budget: _Budget) -> Optional[list[Optional[i
     reference cycle, so the ball layers and tables it closed over are
     freed when the solve drops ``prep``, not at a later garbage collection.
     """
-    balls, maxball, tiers = prep.balls, prep.maxball, prep.tiers
-    sizes, suffix = prep.sizes, prep.suffix
+    balls, maxball, sizes, suffix = prep.balls, prep.maxball, prep.sizes, prep.suffix
     centers: list[Optional[int]] = [None] * k
     remaining = math.inf if budget.remaining is None else budget.remaining
 
@@ -508,13 +501,14 @@ def _cover(prep: _Prepared, k: int, budget: _Budget) -> Optional[list[Optional[i
         if count > capacity:
             return False
         # branch on the uncovered vertex with the fewest centers at the
-        # largest unused radius, ties by lowest id
+        # largest unused radius, ties by lowest id: the lowest one outside
+        # suffix[top][i + 1], for the first i that leaves one
         top = radii.bit_length() - 1
-        for tier in tiers[top]:
-            pending = tier & uncovered
-            if pending:
-                u = (pending & -pending).bit_length() - 1
-                break
+        larger = suffix[top]
+        i = 1
+        while not (pending := uncovered & ~larger[i]):
+            i += 1
+        u = (pending & -pending).bit_length() - 1
         # packing: vertices pairwise more than 2 * top apart need a ball
         # each; u takes one, and the other radii must do for the rest
         wide = balls[2 * top]
@@ -657,7 +651,7 @@ def find_sequence(
         raise ValueError("graph must have at least one vertex")
     if k < 1:
         raise ValueError("sequence length must be >= 1")
-    _check_rounds(k)
+    _check_rounds(k, "the requested length is")
     prep = _Prepared(g, max_radius=k - 1)
     state = _Budget(budget)
     try:
@@ -983,16 +977,18 @@ def extract_partition(g: Graph, sources: tuple[int, ...]) -> list[TreePart]:
 # --------------------------------------------------------------------------
 
 def unicyclic_spanning_upper(g: Graph) -> int:
-    """b(G) of a cycle or a t-unicyclic graph by the one-hub rule.
+    """b(G) of a cycle or a t-unicyclic graph by the structural route's
+    rule on its spanning spiders.
 
     ``_deepen`` climbs from ``structural.lower_bound(arms, g)`` to the first
     k at which ``structural.hub_cover(arms, k, g)`` finds a cover. That is the
     minimum of b(T) over G's spanning trees T, its g edge-deleted spiders
-    (proof in the ``structural`` docstring), which is b(G): a second
-    oracle, not merely an upper bound, independent of the ball-cover search
-    but not of the structural route of ``burning_number_exact``, which uses
-    the same rule. Raises ValueError for a graph that is neither a cycle
-    nor t-unicyclic. It has no budget and no round limit.
+    (proof in the ``structural`` docstring), which is b(G). It is the rule
+    the route of ``burning_number_exact`` runs, so it cannot check the
+    route: the independent lower side is the ball search, where
+    ``find_sequence(g, b(G) - 1)`` returns None. Raises ValueError for a
+    graph that is neither a cycle nor t-unicyclic. It has no budget and no
+    round limit.
     """
     desc = recognize_family(g)
     if not isinstance(desc, (Cycle, TUnicyclic)):

@@ -76,6 +76,12 @@ def uni2_data():
     return data
 
 
+def _lower_side_fails(g, value):
+    """True when the ball search, which never runs the structural route,
+    finds a burning sequence shorter than ``value``."""
+    return value > 1 and find_sequence(g, value - 1) is not None
+
+
 def test_criterion_1_paths_cycles():
     failures = []
     for n in range(1, 50):
@@ -95,14 +101,21 @@ def test_criterion_2_two_path_forests():
     for desc in enumerate_sweep("forest2", 36):
         a1, a2 = desc.parts
         formula = b_two_paths(a1, a2)
-        exact = burning_number_exact(build(desc)).value
+        g = build(desc)
+        exact = burning_number_exact(g).value
         if formula != exact:
             failures.append(((a1, a2), formula, exact))
+        if _lower_side_fails(g, exact):
+            failures.append(((a1, a2), "ball search found a shorter sequence", exact))
         count += 1
     for a1, a2 in [(2, 2), (7, 2), (14, 2), (23, 2), (34, 2)]:
         if b_two_paths(a1, a2) != ceil_sqrt(a1 + a2) + 1:
             failures.append(("exception family", (a1, a2)))
-    _report("criterion 2 two-path forests (total <= 36)", failures, f"{count} instances")
+    _report(
+        "criterion 2 two-path forests formula = exact, exact - 1 refuted (total <= 36)",
+        failures,
+        f"{count} instances",
+    )
 
 
 def test_criterion_3_three_path_forests():
@@ -111,9 +124,12 @@ def test_criterion_3_three_path_forests():
     for desc in enumerate_sweep("forest3", 30):
         a1, a2, a3 = desc.parts
         formula = b_three_paths(a1, a2, a3)
-        exact = burning_number_exact(build(desc)).value
+        g = build(desc)
+        exact = burning_number_exact(g).value
         if formula != exact:
             failures.append(((a1, a2, a3), formula, exact))
+        if _lower_side_fails(g, exact):
+            failures.append(((a1, a2, a3), "ball search found a shorter sequence", exact))
         if forest_exceptional((a1, a2, a3)):
             exceptional += 1
             if exact != ceil_sqrt(a1 + a2 + a3) + 1:
@@ -122,7 +138,7 @@ def test_criterion_3_three_path_forests():
     if b_three_paths(11, 11, 2) != 6:
         failures.append(("(11,11,2)", b_three_paths(11, 11, 2)))
     _report(
-        "criterion 3 three-path forests (total <= 30)",
+        "criterion 3 three-path forests formula = exact, exact - 1 refuted (total <= 30)",
         failures,
         f"{count} instances, {exceptional} exceptional",
     )
@@ -136,11 +152,14 @@ def test_criterion_4_one_arm_unicyclic(uni1_data):
             failures.append((format_spec(desc), row["table"], row["exact"], row["spanning"]))
         if row["exact"] not in (q, q + 1):
             failures.append((format_spec(desc), "outside {q, q+1}", row["exact"]))
+        if _lower_side_fails(build(desc), row["exact"]):
+            failures.append((format_spec(desc), "ball search found a shorter sequence"))
     for g, a, want in [(7, 3, 3), (7, 4, 4)]:
         if uni1_data[next(d for d in uni1_data if d.g == g and d.arms == (a,))]["exact"] != want:
             failures.append(("spot", g, a, want))
     _report(
-        "criterion 4 one-arm unicyclic table = exact = spanning (n <= 50)",
+        "criterion 4 one-arm unicyclic table = exact = spanning (the route's rule on "
+        "the spanning spiders), exact - 1 refuted by the ball search (n <= 50)",
         failures,
         f"{len(uni1_data)} instances",
     )
@@ -157,13 +176,16 @@ def test_criterion_5_two_arm_unicyclic(uni2_data):
                 errata, 2, desc.g, desc.arms, row["table"], row["exact"]
             ):
                 failures.append((format_spec(desc), row["table"], row["exact"]))
+        if _lower_side_fails(build(desc), row["exact"]):
+            failures.append((format_spec(desc), "ball search found a shorter sequence"))
     spots = {(4, (4, 4)): 4, (9, (10, 2)): 5, (8, (5, 4)): 4}
     for (g, arms), want in spots.items():
         desc = next(d for d in uni2_data if d.g == g and d.arms == arms)
         if uni2_data[desc]["exact"] != want:
             failures.append(("spot", g, arms, want, uni2_data[desc]["exact"]))
     _report(
-        "criterion 5 two-arm unicyclic table = exact modulo errata (n <= 42)",
+        "criterion 5 two-arm unicyclic table = exact modulo errata, exact - 1 refuted "
+        "(n <= 42)",
         failures,
         f"{len(uni2_data)} instances, {mismatches} mismatches in errata",
     )

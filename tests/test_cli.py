@@ -364,17 +364,28 @@ class TestCmdSweep:
         assert started == workers
         assert "instances=7 " in capsys.readouterr().out
 
-    def test_max_n_above_exact_limit_fails_before_any_instance(self, capsys, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("instances enumerated or solved above the exact search limit")
+    def test_max_n_above_the_ball_search_limit_is_routed(self, capsys):
+        # every sweep instance is routed, so an order the ball search refuses
+        # is answered
+        max_n = solver.MAX_EXACT_VERTICES + 1
+        assert main(["sweep", "--class", "cycle", "--max-n", str(max_n)]) == 0
+        out = capsys.readouterr().out
+        rows = [l.split() for l in out.splitlines() if l.startswith("cycle:")]
+        assert rows[-1][:2] == [f"cycle:{max_n}", str(max_n)]
+        assert rows[-1][4] == rows[-1][6] and rows[-1][7] == "yes"
+        assert "mismatches=0" in out
 
-        monkeypatch.setattr(cli, "enumerate_sweep", fail)
+    def test_max_n_above_the_largest_order_fails_before_any_instance(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("instance built or solved above the largest order")
+
+        monkeypatch.setattr(cli, "build", fail)
         monkeypatch.setattr(cli, "_sweep_row", fail)
-        max_n = str(solver.MAX_EXACT_VERTICES + 1)
-        assert main(["sweep", "--class", "cycle", "--max-n", max_n]) == 2
+        max_n = str(graphs.MAX_VERTICES + 1)
+        assert main(["sweep", "--class", "path", "--max-n", max_n]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
-        assert "--max-n" in captured.err and captured.err.count("\n") == 1
+        assert "max_n" in captured.err and captured.err.count("\n") == 1
 
     def test_unwritable_out_fails_before_any_instance(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):

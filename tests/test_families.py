@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burnkit.families import (
+    SWEEP_CLASSES,
     SpecError,
     build,
     enumerate_sweep,
@@ -235,6 +236,13 @@ class TestSweep:
     def test_too_small_max_n(self):
         with pytest.raises(SpecError):
             list(enumerate_sweep("cycle", 2))
+
+    @pytest.mark.parametrize("cls", SWEEP_CLASSES)
+    def test_max_n_above_the_largest_order(self, cls):
+        # refused at the first instance; at the limit the first one comes
+        with pytest.raises(SpecError, match=f"max_n <= {MAX_VERTICES}"):
+            next(enumerate_sweep(cls, MAX_VERTICES + 1))
+        assert next(enumerate_sweep(cls, MAX_VERTICES)) is not None
 
     @pytest.mark.parametrize("cls,max_n", [("path", 10), ("cycle", 10),
                                            ("forest2", 12), ("forest3", 12),

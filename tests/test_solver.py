@@ -231,6 +231,17 @@ class TestExact:
         with pytest.raises(ValueError, match="at most"):
             find_sequence(build("path:3"), MAX_ROUNDS + 1)
 
+    def test_round_limit_messages(self):
+        # a refused length is the caller's, not the graph's: path:3 burns in
+        # 2 rounds; MAX_ROUNDS + 1 components do need MAX_ROUNDS + 1
+        limit = f"exact search supports at most {MAX_ROUNDS} rounds; "
+        with pytest.raises(ValueError) as exc:
+            find_sequence(build("path:3"), MAX_ROUNDS + 1)
+        assert str(exc.value) == limit + f"the requested length is {MAX_ROUNDS + 1}"
+        with pytest.raises(ValueError) as exc:
+            burning_number_exact(Graph(MAX_ROUNDS + 3, [(0, 1), (1, 2), (0, 2)]))
+        assert str(exc.value) == limit + f"this graph needs at least {MAX_ROUNDS + 1}"
+
     def test_routed_above_the_round_limit(self):
         # the route has no round limit: MAX_ROUNDS + 1 isolated vertices, and
         # MAX_ROUNDS disjoint edges, which need one round more
@@ -1715,9 +1726,11 @@ class TestNodeCounts:
 
 def reference_cover(prep, k, budget):
     """``_cover`` as it was before the packing cut: the same budget, branch
-    vertex, cover-budget bisection and dominance, and the same order."""
-    balls, maxball, tiers = prep.balls, prep.maxball, prep.tiers
-    sizes, suffix = prep.sizes, prep.suffix
+    vertex, cover-budget bisection and dominance, and the same order. The
+    branch vertex is read off the vertices grouped by ball size, ascending,
+    each group the difference of two consecutive ``suffix`` unions."""
+    balls, maxball, sizes, suffix = prep.balls, prep.maxball, prep.sizes, prep.suffix
+    tiers = [[a & ~b for a, b in zip(unions, unions[1:])] for unions in suffix]
     centers = [None] * k
 
     def rec(uncovered, radii, capacity):
@@ -1915,7 +1928,7 @@ def reference_find_sequence(g, k, budget=None):
         raise ValueError("graph must have at least one vertex")
     if k < 1:
         raise ValueError("sequence length must be >= 1")
-    solver._check_rounds(k)
+    solver._check_rounds(k, "the requested length is")
     prep = _Prepared(g, max_radius=k - 1)
     state = _Budget(budget)
     try:
