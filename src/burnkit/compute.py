@@ -8,8 +8,11 @@ to every family without an evaluator of its own: linear forests with four
 or more components, unicyclic graphs with three or more arms, generalized
 stars and everything unrecognized. What it does not settle goes to the
 exact solver, the only route the node budget limits. ``method="formula"``
-raises NoClosedForm for those instead, and ``method="exact"`` always
-searches.
+raises NoClosedForm for those instead. ``method="exact"`` skips the
+evaluators and goes straight to the exact solver, which searches only
+what its structural route does not decide: that route answers paths,
+cycles, spiders, t-unicyclic graphs and linear forests with no search,
+unless it gives up on a hard one.
 """
 
 from __future__ import annotations
@@ -45,9 +48,7 @@ def _formula_route(g: Graph, family: FamilyDescriptor) -> Optional[BurnResult]:
     if isinstance(family, Cycle):
         return _exact_value(formulas.b_cycle(family.g), "formula-cycle")
     if isinstance(family, LinearForest):
-        parts = family.parts
-        if len(parts) == 1:
-            return _exact_value(formulas.b_path(parts[0]), "formula-path")
+        parts = family.parts  # two or more: one path is recognized as a Path
         if len(parts) == 2:
             return _exact_value(formulas.b_two_paths(*parts), "formula-forest2")
         if len(parts) == 3:

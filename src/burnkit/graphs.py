@@ -30,8 +30,10 @@ Recognition runs no components pass. After one scan of the degrees,
 along each path from its end (:func:`hub_walks`); the walks cover all n
 vertices exactly when the graph is a connected one-hub graph or a linear
 forest, and every other graph is ``Other``. The cycle of a unicyclic graph
-is the walk that comes back to the hub, not searched for separately. The
-solver's structural route reads its vertex ids off the same walks.
+is the walk that comes back to the hub, not searched for separately.
+Every walk out of the hub starts at the hub, so position p on a walk is
+its index p, which the solver's structural route reads its vertex ids
+off, and a leg's arm length is its length less one.
 
 :func:`family_walks` remembers the last graph it walked, so recognition,
 the solver's route and the spanning-tree oracle walk a graph once between
@@ -46,7 +48,6 @@ adjacency and its walks alive until another graph is walked.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO, Union
 
@@ -197,29 +198,23 @@ def connected_components(g: Graph) -> list[list[int]]:
     return [sorted(sweep) for sweep in component_sweeps(g)]
 
 
-def eccentricities(g: Graph, sweeps: Optional[list[list[int]]] = None) -> list[int]:
+def eccentricities(g: Graph, sweeps: list[list[int]]) -> list[int]:
     """Every vertex's eccentricity within its component.
 
-    ``sweeps`` are :func:`component_sweeps` of ``g``, made here when they
-    are needed and not given. ``g`` is a forest exactly when it has n - c
-    edges, c its number of components, so n edges or more need no sweep.
-    In a tree the last vertex a of a sweep and the last vertex b of a
-    search from a are the ends of a longest path, so
-    ecc(v) = max(d(a, v), d(b, v)) (the double sweep): two more searches
-    per component over shared lists, O(n). Any other graph takes
-    :func:`_ball_eccentricities`.
+    ``sweeps`` are :func:`component_sweeps` of ``g``. ``g`` is a forest
+    exactly when it has n - c edges, c the number of sweeps. In a tree the
+    last vertex a of a sweep and the last vertex b of a search from a are
+    the ends of a longest path, so ecc(v) = max(d(a, v), d(b, v)) (the
+    double sweep): two more searches per component over shared lists,
+    O(n). Any other graph takes :func:`_ball_eccentricities`.
     """
     n = g.vertex_count
-    edges = g.edge_count
-    if edges < n:
-        if sweeps is None:
-            sweeps = component_sweeps(g)
-        if edges == n - len(sweeps):
-            from_a = [2 * n] * n
-            from_b = [2 * n] * n
-            for sweep in sweeps:
-                _bfs(g, _bfs(g, sweep[-1], from_a)[-1], from_b)
-            return list(map(max, from_a, from_b))
+    if g.edge_count == n - len(sweeps):
+        from_a = [2 * n] * n
+        from_b = [2 * n] * n
+        for sweep in sweeps:
+            _bfs(g, _bfs(g, sweep[-1], from_a)[-1], from_b)
+        return list(map(max, from_a, from_b))
     return _ball_eccentricities(g.adjacency)
 
 
@@ -316,20 +311,24 @@ def recognize_family(g: Graph) -> FamilyDescriptor:
         return LinearForest(tuple(sorted(map(len, legs), reverse=True)))
     if len(g.adjacency[hub]) < 3:  # a path walked from an end, or a cycle
         return Cycle(g.vertex_count) if cycle else Path(g.vertex_count)
-    arms = tuple(sorted(map(len, legs), reverse=True))
-    return TUnicyclic(len(cycle) + 1, arms) if cycle else GeneralizedStar(arms)
+    arms = tuple(sorted((len(leg) - 1 for leg in legs), reverse=True))
+    return TUnicyclic(len(cycle), arms) if cycle else GeneralizedStar(arms)
 
 
 class Walks(NamedTuple):
     """The walks of a connected one-hub graph or of a linear forest.
 
+    A walk is a tuple of vertex ids, and position p on it is its index p.
     For a connected graph ``hub`` is its vertex of degree 3 or more, else
     the lower-id end of a path or vertex 0 of a cycle, and ``legs`` and
-    ``cycle`` are :func:`hub_walks` out of it. For a linear forest of two
-    or more paths ``hub`` is None, ``cycle`` is empty and ``legs`` holds
-    every path from its lower-id end, in the order of their least vertex.
-    ``legs``, each leg and ``cycle`` are tuples: :func:`family_walks`
-    hands the same walks to every caller of the graph.
+    ``cycle`` are :func:`hub_walks` out of it: each starts at the hub, so
+    position 0 is the hub on every one, and a lone path is its one leg (a
+    lone vertex v the leg ``(v,)``). A leg of j + 1 vertices is an arm of
+    length j, and the cycle's walk has g vertices, () for none. For a
+    linear forest of two or more paths ``hub`` is None, ``cycle`` is empty
+    and ``legs`` holds every path from its lower-id end, in the order of
+    their least vertex. ``legs`` is a tuple: :func:`family_walks` hands
+    the same walks to every caller of the graph.
     """
 
     hub: Optional[int]
@@ -350,10 +349,11 @@ def family_walks(g: Graph) -> Optional[Walks]:
     One scan of the degrees rejects two branch vertices or more than n
     edges. Then one walk goes out of the hub (:func:`hub_walks`), or, with
     no branch vertex, one from each path's lower-id end, or round the cycle
-    through vertex 0 when no vertex is an end. The walks never meet, so
-    they cover all n vertices exactly when ``g`` is one of those graphs:
-    a second component, or a second cycle through the hub, is never
-    walked. No components pass is run; O(n) in all.
+    through vertex 0 when no vertex is an end. The walks meet only at the
+    hub, so they cover all n vertices exactly when ``g`` is one of those
+    graphs: a second component is never walked. No components pass is
+    run; O(n) in all. Each walk is passed on as :func:`hub_walks` made it
+    (:class:`Walks`).
 
     The answer for the last graph walked, None included, is kept: a call
     on the same ``g.adjacency`` object returns it after one identity
@@ -387,53 +387,64 @@ def _walk(adjacency: tuple[tuple[int, ...], ...]) -> Optional[Walks]:
         far_ends = set()
         for end in (v for v, d in enumerate(degrees) if d < 2):
             if end not in far_ends:
-                path = (end, *itertools.chain(*hub_walks(adjacency, end)[0]))
+                legs = hub_walks(adjacency, end)[0]
+                path = legs[0] if legs else (end,)
                 far_ends.add(path[-1])
                 paths.append(path)
         if paths:
             if sum(map(len, paths)) != n:
                 return None  # some component is a cycle
             if len(paths) == 1:  # a path: its walk is the one leg at its end
-                path = paths[0]
-                return Walks(path[0], (path[1:],) if n > 1 else (), ())
+                return Walks(paths[0][0], tuple(paths), ())
             paths.sort(key=min)
             return Walks(None, tuple(paths), ())
         hub = 0  # no end: cycles only, walked round through vertex 0
     legs, cycle = hub_walks(adjacency, hub)
-    if 1 + sum(map(len, legs)) + len(cycle) != n:
+    # each walk holds the hub, which the graph holds once
+    walks = (*legs, cycle) if cycle else legs
+    if sum(map(len, walks)) - len(walks) + 1 != n:
         return None
-    return Walks(hub, tuple(map(tuple, legs)), tuple(cycle))
+    return Walks(hub, legs, cycle)
 
 
-def hub_walks(adjacency: Sequence[Sequence[int]], hub: int) -> tuple[list[list[int]], list[int]]:
-    """The vertices of each leg at ``hub``, from the hub outwards, and of
-    the cycle through it, from one neighbour of the hub round to the other
-    ([] for none).
+def hub_walks(
+    adjacency: Sequence[Sequence[int]], hub: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The walk along each leg at ``hub``, and the walk round the cycle
+    through it (() for none), each a tuple that starts at the hub: index p
+    is the p-th vertex out of the hub, the cycle's from one neighbour of
+    the hub round to the other.
 
-    Every vertex but ``hub`` must have degree at most 2. Then the walk
-    from each neighbour of the hub through degree-2 vertices ends at a
-    leaf, after a leg's vertices, or back at the hub, after the cycle's
-    other vertices; the cycle's far end is not walked again. Legs come in
-    the hub's neighbour order. When the graph is connected and has at
-    most as many edges as vertices (a one-hub graph, or a path or a cycle
-    with any vertex as the hub), the walks hold every vertex but the hub.
-    O(n) in all.
+    Every vertex but ``hub`` must have degree at most 2, and at most one
+    cycle may pass through ``hub``. With two, one cycle can be walked
+    twice and the other missed: for triangles 0-1-3 and 0-2-4 the result
+    is ``((), (0, 4, 2))``. A connected graph with at most n edges has at
+    most one; :func:`family_walks` may hand over such a hub only in a graph
+    with another component, whose walks then miss vertices and are
+    rejected. Then the walk from each neighbour of the hub through
+    degree-2 vertices ends at a leaf, after a leg's vertices, or back at
+    the hub, after the cycle's other vertices, and the cycle's far end,
+    the neighbour it came back from, is not walked again. Legs come in the
+    hub's neighbour order. When the graph is connected and has at most as
+    many edges as vertices (a one-hub graph, or a path or a cycle with any
+    vertex as the hub), the walks hold every vertex. O(n) in all.
     """
-    legs: list[list[int]] = []
-    cycle: list[int] = []
+    legs: list[tuple[int, ...]] = []
+    cycle: tuple[int, ...] = ()
     for first in adjacency[hub]:
         if cycle and first == cycle[-1]:
             continue
-        prev, v, walk = hub, first, [first]
+        prev, v, walk = hub, first, [hub, first]
         while v != hub and len(adjacency[v]) == 2:
             a, b = adjacency[v]
             prev, v = v, (b if a == prev else a)
             walk.append(v)
         if v == hub:
-            cycle = walk[:-1]
+            walk.pop()
+            cycle = tuple(walk)
         else:
-            legs.append(walk)
-    return legs, cycle
+            legs.append(tuple(walk))
+    return tuple(legs), cycle
 
 
 # --------------------------------------------------------------------------

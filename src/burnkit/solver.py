@@ -22,16 +22,17 @@ spiders, t-unicyclic graphs), and linear forests. One walk out of the hub,
 or along each path (``graphs.family_walks``), both recognizes these graphs
 and gives the vertex ids, so no components pass is run for them; the
 other graphs get one components pass (``graphs.component_sweeps``), which
-the bounds read and the search's preparation hands on to
-``graphs.eccentricities``. k deepens with the one-hub rule
-or the interval cover, and the cover at the first accepted k, on walk
-coordinates, becomes the certificate. A routed result has lower bound,
-value and upper bound equal and spends no search nodes. The covers are
-NP-complete to decide, so the route gives up after ``HUB_RULE_STATES``
-ticks (interval-cover states, and radii or placements of the hub's ball
-that an arithmetic pre-test rejects); the levels it refuted by then are a
-floor for the ball search. The route takes any order and any number of
-rounds; only the ball search has limits on both.
+the search's preparation holds and hands to ``graphs.eccentricities`` and
+the bounds. k deepens with the one-hub rule or the interval cover, and the
+cover at the first accepted k becomes the certificate: its entry (w, p)
+is index p of walk w, as every walk out of the hub starts at the hub. A
+routed result has lower bound, value and upper bound equal and spends no
+search nodes. The covers are NP-complete to decide, so the route gives up
+after ``HUB_RULE_STATES`` ticks (interval-cover states, and radii or
+placements of the hub's ball that an arithmetic pre-test rejects); the
+levels it refuted by then are a floor for the ball search. The route
+takes any order and any number of rounds; only the ball search has limits
+on both.
 
 Cover search (``_cover``); its state is the uncovered-vertex mask and the
 unused-radii mask, and every cut keeps it complete:
@@ -409,9 +410,10 @@ class _Prepared:
 
     No distance matrix is built: the search, the geodesic lower bounds and
     the greedy upper bound read only the balls, ``ecc`` and ``diameter``.
-    The eccentricities come from ``graphs.eccentricities`` on ``sweeps``,
-    kept for ``_known``, and made here for a graph with fewer than n edges
-    when not given; every ball layer above radius 0 comes from ``extend``.
+    ``sweeps``, the one components pass (``graphs.component_sweeps``), are
+    the ones given or made here; ``graphs.eccentricities`` reads them, and
+    so does ``_bounds``. Every ball layer above radius 0 comes from
+    ``extend``.
     The tables (``sizes``, ``suffix``, ``maxball``, ``capacity``) cover
     radii 0..``max_radius`` and the ball layers radii
     0..2 * ``max_radius``, which the search's packing cut reads at twice
@@ -425,7 +427,7 @@ class _Prepared:
         self.n = n
         self.full = (1 << n) - 1
         self.adjacency = g.adjacency
-        self.sweeps = sweeps or (component_sweeps(g) if g.edge_count < n else None)
+        self.sweeps = sweeps or component_sweeps(g)
         self.ecc = eccentricities(g, self.sweeps)
         self.diameter = max(self.ecc, default=0)
         # balls[r][v]: vertices within distance r of v, as a bitmask
@@ -726,14 +728,11 @@ def _rim_skipped(maxball: Sequence[int], k: int, n: int, h: int) -> bool:
     return sum(max(s - h, 0) for s in maxball[:k]) >= n - h
 
 
-def _bounds(
-    prep: _Prepared, components: list[list[int]], floor: int
-) -> tuple[int, tuple[int, ...]]:
+def _bounds(prep: _Prepared, floor: int) -> tuple[int, tuple[int, ...]]:
     """A rigorous lower bound on b(G), and the greedy sequence, whose length
-    is the upper bound. ``components`` holds a vertex list per component,
-    in id order of its least vertex; only their number and each one's
-    largest eccentricity are read. The lower bound is the largest of these
-    terms:
+    is the upper bound. Of the components pass ``prep.sweeps`` only the
+    number of components and each one's largest eccentricity are read. The
+    lower bound is the largest of these terms:
 
       * route floor: ``floor``, the first level the structural route
         (``_route``) did not refute before it gave up, 1 for a graph it
@@ -765,7 +764,7 @@ def _bounds(
 
     Layers are grown up to the bound, at most to the greedy length minus 1.
     """
-    n, adjacency = prep.n, prep.adjacency
+    n, adjacency, components = prep.n, prep.adjacency, prep.sweeps
     lower = max(floor, len(components), ceil_sqrt(prep.diameter + 1))
     degrees = list(map(len, adjacency))
     hubs = [d for d in degrees if d >= 3]
@@ -809,14 +808,16 @@ def _route(g: Graph) -> tuple[int, Optional[tuple[int, ...]]]:
     from ``structural.lower_bound`` with ``structural.hub_cover``, on a
     linear forest from the larger of its number of parts and ceil(sqrt(n))
     with ``structural.forest_cover``; both decide b(G) <= k exactly and
-    return the cover behind a yes, whose centers, (walk, position), map to
-    vertex ids straight off the walks. ``_burn`` turns them into the
-    certificate, swapping in unlit vertices in walk order, read lazily:
-    the hub, then each leg, then the cycle, or each path in turn. No
-    distance is computed. Deciding those covers is NP-complete, so the
-    route gives up after ``HUB_RULE_STATES`` ticks of the deciders
-    (``structural`` docstring; above ``MAX_ROUNDS`` a tick counts more),
-    and returns the first level it did not refute. Other graphs get 1.
+    return the cover behind a yes, whose center (w, p) is ``walks[w][p]``:
+    the legs and then the cycle, each from the hub, or the paths. ``_burn``
+    turns them into the certificate, swapping in unlit vertices from the
+    walks one after another, read lazily; the hub, first on every walk out
+    of it, is lit or taken the first time it is read, so it is never read
+    unlit again. No distance is computed. Deciding those covers is
+    NP-complete, so the route gives up after ``HUB_RULE_STATES`` ticks of
+    the deciders (``structural`` docstring; above ``MAX_ROUNDS`` a tick
+    counts more), and returns the first level it did not refute. Other
+    graphs get 1.
     The walks are usually those ``recognize_family`` made of the same
     graph just before (``compute``, the CLI), which ``family_walks``
     keeps, so the route walks nothing again; they are tuples, shared with
@@ -828,19 +829,13 @@ def _route(g: Graph) -> tuple[int, Optional[tuple[int, ...]]]:
     hub, legs, ring = walked
     budget = _Budget(HUB_RULE_STATES * MAX_ROUNDS)
     if hub is not None:
-        # the cycle's walk, possibly empty, is last; each walk leaves the
-        # hub, which is position 0 on every walk
-        walks = (*legs, ring)
-        spot = lambda walk, p: walks[walk][p - 1] if p else hub
-        order = itertools.chain((hub,), *walks)
-        lengths = tuple(map(len, legs))
-        cycle = len(ring) + 1 if ring else 0
+        walks = (*legs, ring)  # the cycle's walk, possibly empty, is last
+        lengths = tuple(len(leg) - 1 for leg in legs)
+        cycle = len(ring)
         k = structural.lower_bound(lengths, cycle)
         decide = lambda k: structural.hub_cover(lengths, k, cycle, budget.tick)
     else:
         walks = legs  # each path from an end
-        spot = lambda walk, p: walks[walk][p]
-        order = itertools.chain(*walks)
         parts = tuple(map(len, walks))
         k = max(len(parts), ceil_sqrt(g.vertex_count))
         decide = lambda k: structural.forest_cover(parts, k, budget.tick)
@@ -850,10 +845,10 @@ def _route(g: Graph) -> tuple[int, Optional[tuple[int, ...]]]:
         centers = decide(k)
         if centers is None:
             return None
-        return [None if c is None else spot(*c) for c in centers]
+        return [None if c is None else walks[c[0]][c[1]] for c in centers]
 
     k, spots = _deepen(k, level)
-    return k, None if spots is None else _certificate(g, spots, order)
+    return k, None if spots is None else _certificate(g, spots, itertools.chain(*walks))
 
 
 def _known(
@@ -862,9 +857,9 @@ def _known(
     """A lower bound on b(G), a burning sequence, whose length is an upper
     bound, and the search's preparation, before any level is searched: the
     route's value and certificate when it answers, else the bounds of
-    ``_bounds`` from the route's floor and one components pass, on ``prep``
-    (whose pass is reused when it has one) or on a new preparation that
-    reuses that pass (on a routed graph ``prep`` comes back as given)."""
+    ``_bounds`` from the route's floor on ``prep``, or on a new preparation
+    given the components pass that the round limit was checked on (on a
+    routed graph ``prep`` comes back as given)."""
     floor, routed = _route(g)
     if routed is not None:
         return floor, routed, prep
@@ -872,7 +867,7 @@ def _known(
         sweeps = component_sweeps(g)
         _check_rounds(len(sweeps))  # before anything is prepared
         prep = _Prepared(g, max_radius=0, sweeps=sweeps)
-    lower, greedy = _bounds(prep, prep.sweeps or component_sweeps(g), floor)
+    lower, greedy = _bounds(prep, floor)
     return lower, greedy, prep
 
 

@@ -213,11 +213,12 @@ def _path_lower(legs: tuple[int, ...], cycle: int) -> int:
 
 
 # Entry i of a cover is the center of its ball of radius k-1-i, as (walk,
-# position), or None when that radius is not needed. On a one-hub graph walk
-# j < len(legs) is leg j and walk len(legs) the cycle; position p >= 1 is the
-# p-th vertex out of the hub along it (round the cycle from one end of its
-# walk), and position 0 is the hub. On a linear forest walk j is path j and
-# position p its (p+1)-th vertex from one end.
+# position), or None when that radius is not needed. Entry (w, p) is index p
+# of walk w, as graphs.family_walks lays the walks out. On a one-hub graph
+# walk j < len(legs) is leg j and walk len(legs) the cycle, each starting at
+# the hub, so position 0 is the hub and p the p-th vertex out of it (round
+# the cycle from one end of its walk). On a linear forest walk j is path j
+# from one end.
 Cover = list[Optional[tuple[int, int]]]
 
 

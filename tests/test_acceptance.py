@@ -84,15 +84,21 @@ def _lower_side_fails(g, value):
 
 def test_criterion_1_paths_cycles():
     failures = []
-    for n in range(1, 50):
-        exact = burning_number_exact(build(f"path:{n}")).value
-        if b_path(n) != exact:
-            failures.append(("path", n, b_path(n), exact))
-    for n in range(3, 50):
-        exact = burning_number_exact(build(f"cycle:{n}")).value
-        if b_cycle(n) != exact:
-            failures.append(("cycle", n, b_cycle(n), exact))
-    _report("criterion 1 paths/cycles formula = exact (n <= 49)", failures)
+    cases = [("path", n, b_path(n)) for n in range(1, 50)]
+    cases += [("cycle", n, b_cycle(n)) for n in range(3, 50)]
+    for family, n, formula in cases:
+        g = build(f"{family}:{n}")
+        res = burning_number_exact(g)
+        if formula != res.value:
+            failures.append((family, n, formula, res.value))
+        if len(res.certificate) != res.value or not verify_sequence(g, res.certificate):
+            failures.append((family, n, "certificate", res.certificate))
+        if _lower_side_fails(g, res.value):
+            failures.append((family, n, "ball search found a shorter sequence", res.value))
+    _report(
+        "criterion 1 paths/cycles formula = exact, certificates verified, exact - 1 refuted (n <= 49)",
+        failures,
+    )
 
 
 def test_criterion_2_two_path_forests():

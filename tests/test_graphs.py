@@ -482,9 +482,7 @@ class TestSweeps:
     @settings(max_examples=120, deadline=None)
     def test_eccentricities_match_reference(self, g, isolated):
         g = Graph(g.vertex_count + isolated, g.edges())
-        expected = reference_eccentricities(g)
-        assert eccentricities(g) == expected
-        assert eccentricities(g, component_sweeps(g)) == expected
+        assert eccentricities(g, component_sweeps(g)) == reference_eccentricities(g)
 
     @given(sparse_graphs(max_n=20))
     @settings(max_examples=120, deadline=None)
@@ -568,14 +566,17 @@ class TestRecognize:
             pick = min if isinstance(desc, Path) else max
             hub = pick(range(g.vertex_count), key=g.degree)
             legs, cycle = hub_walks(g.adjacency, hub)
-            assert tuple(sorted(map(len, legs), reverse=True)) == arms, desc
-            assert (len(cycle) + 1 if cycle else 0) == cycle_length, desc
-            walked = [v for walk in (*legs, cycle) for v in walk]
+            walks = (*legs, cycle) if cycle else legs
+            # every walk is a tuple that starts at the hub
+            assert all(type(walk) is tuple and walk[0] == hub for walk in walks), desc
+            assert tuple(sorted((len(leg) - 1 for leg in legs), reverse=True)) == arms, desc
+            assert len(cycle) == cycle_length, desc
+            walked = [v for walk in walks for v in walk[1:]]
             assert sorted([hub, *walked]) == list(range(g.vertex_count)), desc
             for walk in legs:
                 assert g.degree(walk[-1]) == 1, desc
-            closed = [[hub, *cycle, hub]] if cycle else []
-            for walk in [[hub, *leg] for leg in legs] + closed:
+            closed = [(*cycle, hub)] if cycle else []
+            for walk in [*legs, *closed]:
                 assert all(v in g.adjacency[u] for u, v in zip(walk, walk[1:])), desc
 
     def test_unions_of_walkable_components_match_reference(self):
@@ -602,8 +603,13 @@ class TestRecognize:
             assert (walked is None) == (family == Other())
             if walked is not None:
                 hub, legs, cycle = walked
-                vertices = [v for walk in (*legs, cycle) for v in walk]
-                vertices += [] if hub is None else [hub]
+                if hub is None:
+                    vertices = [v for walk in legs for v in walk]
+                else:
+                    # each walk out of the hub starts there
+                    walks = (*legs, cycle) if cycle else legs
+                    assert all(walk[0] == hub for walk in walks)
+                    vertices = [hub, *(v for walk in walks for v in walk[1:])]
                 assert sorted(vertices) == list(range(start))
                 if hub is None:
                     # each path from its lower-id end, paths by least vertex
@@ -669,17 +675,20 @@ def fresh_walks(g):
     if len(comps) == 1:
         ends = [v for v in range(n) if g.degree(v) < 2]
         hub = hubs[0] if hubs else min(ends, default=0)
+        if n == 1:
+            return (hub, ((hub,),), ())  # a lone vertex is its own walk
         legs, cycle = hub_walks(g.adjacency, hub)
-        if 1 + sum(map(len, legs)) + len(cycle) != n:
+        walks = (*legs, cycle) if cycle else legs
+        if 1 + sum(len(walk) - 1 for walk in walks) != n:
             return None
-        return (hub, tuple(map(tuple, legs)), tuple(cycle))
+        return (hub, legs, cycle)
     paths = []
     for comp in comps:
         ends = [v for v in comp if g.degree(v) < 2]
         if not ends:
             return None  # a cycle
         legs, _ = hub_walks(g.adjacency, ends[0])
-        paths.append((ends[0], *(legs[0] if legs else ())))
+        paths.append(legs[0] if legs else (ends[0],))
     return (None, tuple(paths), ())
 
 
@@ -726,7 +735,8 @@ def reference_walk(adjacency):
         far_ends = set()
         for end in (v for v, d in enumerate(degrees) if d < 2):
             if end not in far_ends:
-                path = (end, *itertools.chain(*hub_walks(adjacency, end)[0]))
+                legs = hub_walks(adjacency, end)[0]
+                path = legs[0] if legs else (end,)
                 far_ends.add(path[-1])
                 paths.append(path)
         if len(paths) > 1:
@@ -736,9 +746,10 @@ def reference_walk(adjacency):
             return Walks(None, tuple(paths), ())
         hub = paths[0][0] if paths else 0
     legs, cycle = hub_walks(adjacency, hub)
-    if 1 + sum(map(len, legs)) + len(cycle) != n:
+    walks = (*legs, cycle) if cycle else legs
+    if 1 + sum(len(walk) - 1 for walk in walks) != n:
         return None
-    return Walks(hub, tuple(map(tuple, legs)), tuple(cycle))
+    return Walks(hub, legs if walks else ((hub,),), cycle)  # a lone vertex is its own walk
 
 
 class TestOneWalkPerPath:

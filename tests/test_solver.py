@@ -1362,39 +1362,32 @@ def reference_walk_sequence(g, walks, centers, hub):
 
 @st.composite
 def walks_and_centers(draw):
-    """A one-hub graph or a linear forest, its walks as the route makes
-    them, and arbitrary centers on them."""
+    """A one-hub graph or a linear forest, the walks ``graphs.family_walks``
+    gives the route (less a spider's empty cycle walk, which no center is
+    on), and arbitrary centers on them."""
     sizes = tuple(draw(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4)))
     cycle = draw(st.sampled_from([0, 0, 3, 4, 5, 6, 7, 8]))
     forest = draw(st.booleans())
     if forest:
         g = build(LinearForest(tuple(sorted(sizes + (1,), reverse=True))))
-        walks = []
-        for comp in graphs.connected_components(g):
-            end = next(v for v in comp if len(g.adjacency[v]) < 2)
-            walks.append([end, *itertools.chain(*graphs.hub_walks(g.adjacency, end)[0])])
         cycle = 0
     else:
         desc = TUnicyclic(cycle, sizes) if cycle else GeneralizedStar(sizes + (1,) * (3 - len(sizes)))
         g = build(desc)
-        hub = next(v for v, adj in enumerate(g.adjacency) if len(adj) >= 3)
-        legs, ring = graphs.hub_walks(g.adjacency, hub)
-        walks = [[hub, *walk] for walk in (*legs, ring)]
+    _, legs, ring = graphs.family_walks(g)
+    walks = [*legs, ring] if ring else list(legs)
     spots = st.tuples(st.integers(0, len(walks) - 1), st.integers(0, 20))
     centers = draw(st.lists(st.none() | spots, min_size=1, max_size=7))
     centers = [c and (c[0], c[1] % len(walks[c[0]])) for c in centers]
     return g, walks, centers, not forest, cycle
 
 
-def burn_on_walks(g, walks, centers, hub):
-    """``_burn`` on a cover on walks as the route runs it: centers mapped to
-    vertex ids, unlit vertices swapped in walk order, the hub first."""
+def burn_on_walks(g, walks, centers):
+    """``_burn`` on a cover on walks as the route runs it: center (w, p) is
+    ``walks[w][p]``, and unlit vertices are swapped in from the walks one
+    after another, the hub as often as the walks hold it."""
     spots = [None if c is None else walks[c[0]][c[1]] for c in centers]
-    if hub:
-        order = [walks[0][0], *itertools.chain(*(walk[1:] for walk in walks))]
-    else:
-        order = list(itertools.chain(*walks))
-    return _burn(g, spots, order)[0]
+    return _burn(g, spots, itertools.chain(*walks))[0]
 
 
 class TestWalkSequence:
@@ -1403,18 +1396,17 @@ class TestWalkSequence:
     def test_matches_conversion_by_distances(self, case):
         g, walks, centers, hub, cycle = case
         expected = reference_walk_sequence(g, walks, centers, hub)
-        assert burn_on_walks(g, walks, centers, hub) == expected
+        assert burn_on_walks(g, walks, centers) == expected
 
     def test_cycle_source_burns_a_leg_the_short_way_round(self):
         # c4 sits next to the hub on cycle:5, so two rounds later it has
         # burned the leg's first vertex; l1 is swapped for the first
         # unburned vertex in walk order
         g = build("uni:5;3")
-        hub = next(v for v, adj in enumerate(g.adjacency) if len(adj) >= 3)
-        legs, ring = graphs.hub_walks(g.adjacency, hub)
-        walks = [[hub, *legs[0]], [hub, *ring]]
+        _, (leg,), ring = graphs.family_walks(g)
+        walks = [leg, ring]
         centers = [(1, 4), (1, 2), (0, 3), (0, 1)]
-        seq = burn_on_walks(g, walks, centers, True)
+        seq = burn_on_walks(g, walks, centers)
         assert seq == reference_walk_sequence(g, walks, centers, True)
         assert walks[0][1] not in seq
 
@@ -1667,7 +1659,7 @@ class TestBallPreparation:
         tracemalloc.start()
         try:
             prep = _Prepared(g, 0)
-            lower, _ = _bounds(prep, graphs.connected_components(g), 1)
+            lower, _ = _bounds(prep, 1)
             prep.extend(lower - 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -1852,10 +1844,11 @@ def reference_route(g):
         return 1, None
     hub, legs, ring = walked
     if hub is not None:
-        walks = [[hub, *walk] for walk in (*legs, ring)]
-        order = [hub, *itertools.chain(*legs, ring)]
-        lengths = tuple(map(len, legs))
-        cycle = len(ring) + 1 if ring else 0
+        walks = [*legs, ring]
+        # the hub once, then the rest of each walk out of it
+        order = [hub, *itertools.chain(*(walk[1:] for walk in walks))]
+        lengths = tuple(len(leg) - 1 for leg in legs)
+        cycle = len(ring)
         k = structural.lower_bound(lengths, cycle)
         decide = lambda k, tick: structural.hub_cover(lengths, k, cycle, tick)
     else:
@@ -1890,10 +1883,9 @@ def reference_exact(g, budget=None):
     lower, routed = reference_route(g)
     if routed is not None:
         return solver.BurnResult(lower, "exact", lower, lower, routed)
-    components = graphs.connected_components(g)
-    solver._check_rounds(len(components))
+    solver._check_rounds(len(graphs.connected_components(g)))
     prep = _Prepared(g, max_radius=0)
-    lower, upper_seq = _bounds(prep, components, lower)
+    lower, upper_seq = _bounds(prep, lower)
     upper = len(upper_seq)
     greedy = solver.BurnResult(upper, "exact", lower, upper, upper_seq)
     if lower == upper:
@@ -1943,7 +1935,7 @@ def reference_find_sequence(g, k, budget=None):
         pass
     lower, known = reference_route(g)
     if known is None:
-        lower, known = _bounds(prep, graphs.connected_components(g), lower)
+        lower, known = _bounds(prep, lower)
     if len(known) == k:
         return known
     if k < lower:
