@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from functools import partial
 from typing import Optional
@@ -189,6 +188,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         # for more than there are instances or CPUs
         workers = min(args.jobs, len(specs), os.cpu_count() or 1)
         if workers > 1:
+            # imported here: loading it costs every other command about a
+            # quarter of its start-up
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(worker, specs, chunksize=16))
         else:

@@ -7,16 +7,18 @@ is integer arithmetic: the exception test computes the deficit t*t - total
 once and compares it with the level of the two smaller parts in one small
 literal table, ``SLACK``, plus a sporadic catalog.
 
-``b_two_paths`` tests its one exception, deficit 0 with smaller part 2,
-directly. No exception has a deficit above ``MAX_DEFICIT`` = 3, the
-largest ``SLACK`` level. ``b_three_paths`` compares the deficit with that
-bound (``may_be_exceptional``), so a query further below the next square
-answers ceil(sqrt(total)) without building or sorting a parts tuple;
-only the others reach the exact test, ``deficit_exceptional``.
+Both formulas read t with one ``isqrt(total - 1)``. ``b_two_paths`` tests
+its one exception, deficit 0 with a part of order 2, directly. No
+exception has a deficit above ``MAX_DEFICIT`` = 3, the largest ``SLACK``
+level. ``b_three_paths`` compares the deficit with that bound inline, so
+a query further below the next square answers ceil(sqrt(total)) without
+building or sorting a parts tuple; only the others reach the exact test,
+``deficit_exceptional``.
 """
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Optional
 
 from .graphs import Graph
@@ -110,13 +112,6 @@ def deficit_exceptional(parts: tuple[int, ...], t: int) -> bool:
     return deficit <= SLACK.get(parts[1:], -1) or parts in SPORADIC
 
 
-def may_be_exceptional(total: int, t: int) -> bool:
-    """False only if no forest of two or three parts summing to ``total`` is
-    exceptional, given t = ceil(sqrt(total)): its deficit t*t - total is
-    above ``MAX_DEFICIT``."""
-    return t * t - total <= MAX_DEFICIT
-
-
 def b_two_paths(a1: int, a2: int) -> int:
     """Burning number of the union of two paths.
 
@@ -126,17 +121,22 @@ def b_two_paths(a1: int, a2: int) -> int:
     if a1 < 1 or a2 < 1:
         raise ValueError(f"path orders must be >= 1, got ({a1}, {a2})")
     total = a1 + a2
-    t = ceil_sqrt(total)
-    return t + 1 if total == t * t and min(a1, a2) == 2 else t
+    t = isqrt(total - 1) + 1
+    # at total t*t >= 4 a part of order 2 leaves the other at least 2
+    return t + 1 if (a1 == 2 or a2 == 2) and total == t * t else t
 
 
 def b_three_paths(a1: int, a2: int, a3: int) -> int:
-    """Burning number of the union of three paths."""
-    if min(a1, a2, a3) < 1:
+    """Burning number of the union of three paths.
+
+    t = ceil(sqrt(a1 + a2 + a3)), plus one extra round when the forest is
+    exceptional; a total more than ``MAX_DEFICIT`` below t*t never is.
+    """
+    if a1 < 1 or a2 < 1 or a3 < 1:
         raise ValueError(f"path orders must be >= 1, got ({a1}, {a2}, {a3})")
     total = a1 + a2 + a3
-    t = ceil_sqrt(total)
-    if may_be_exceptional(total, t) and deficit_exceptional(
+    t = isqrt(total - 1) + 1
+    if t * t - total <= MAX_DEFICIT and deficit_exceptional(
         tuple(sorted((a1, a2, a3), reverse=True)), t
     ):
         return t + 1

@@ -1,8 +1,11 @@
 """Exact integer arithmetic helpers.
 
 Everything here is float-free: ceiling-of-square-root is the classic
-off-by-one trap when done through ``math.sqrt``, so all callers go through
-these helpers instead.
+off-by-one trap when done through ``math.sqrt``, so callers go through
+these helpers instead. The O(1) evaluators in ``tables`` and ``formulas``
+are the exception: on arguments they have already validated they call
+``math.isqrt`` once themselves, which is what ``ceil_sqrt`` would do
+without its checks and its extra call.
 """
 
 import math

@@ -16,8 +16,8 @@ leave an exceptional two-path forest while the second arm has length
 r-q+1, the triples of order q^2+r with r >= 2q-3 whose residual forest is
 an exceptional three-path forest, and five literal triples (two on short
 cycles, g <= 2q-1) that no such rule gives without also flagging triples
-that burn in q rounds. Every literal has a2 = q+1 or q+2, and only such
-triples are compared with them.
+that burn in q rounds. Every literal has r >= 2q-4 and a2 = q+1 or q+2,
+and only such triples are compared with them.
 
 Every lookup returns a BurnResult carrying the bound sandwich. The value
 is q+1 exactly when a q+1 row or an exception holds, and q otherwise: the
@@ -37,21 +37,26 @@ and never searches. For n >= 6 (one arm) or n >= 7 (two arms), so q >= 2:
     a2 <= r - ceil(g/2) <= r - q, so both rows reduce to a2 <= r-q.
   - g > q^2: no q row applies and the q+1 row g >= q^2+1 holds.
 
-Each lookup takes one integer square root, q = isqrt(n-1), and reads r,
-both bounds and every row off it. Since r >= 1, the upper bound
-ceil(sqrt(n)) is q+1. The lower bound is the counting bound
-``counting_lower(n, t)``: q rounds at a hub with t arms reach at most
-q^2 + t(q-1) vertices, and q-1 rounds fewer than n, so it is q+1 exactly
-when r > t(q-1), which is the first q+1 row (r >= q for one arm,
-r >= 2q-1 for two). The residual forest totals n - 2q + 1 - t(q-1);
-wherever a lookup applies the rule, that lies in ((q-2)^2, (q-1)^2], so
-its root is q-1 and its deficit follows from r: no second root is taken.
-One arm (r <= q-1): deficit q-1-r, and a two-path forest is exceptional
-only at deficit 0 with smaller part 2, so the pair is exceptional iff
-r = q-1 and min(g-2q+1, a-q+1) = 2. Two arms with a2 = r-q+1: the cycle
-and first arm total (q-1)^2, so iff min(g-2q+1, a1-q+1) = 2. Two arms
-with r in {2q-3, 2q-2}: deficit 2q-2-r, and the three parts, each at
-least 1, go to ``formulas.deficit_exceptional`` with root q-1.
+Each lookup takes one integer square root, q = isqrt(n-1), and reads r
+and both bounds off it. Since r >= 1, the upper bound ceil(sqrt(n)) is
+q+1. The lower bound is the counting bound ``counting_lower(n, t)``: q
+rounds at a hub with t arms reach at most q^2 + t(q-1) vertices, and q-1
+rounds fewer than n, so it is q+1 exactly when r > t(q-1), which is the
+first q+1 row (r >= q for one arm, r >= 2q-1 for two). A lookup returns
+that row at once. Otherwise the lower bound is q, and the rows follow
+cheapest first with the exceptions last; validation already gives g >= 3,
+and g <= q^2 once the row g > q^2 fails, so neither is compared again.
+The residual forest totals n - 2q + 1 - t(q-1); wherever a lookup applies
+the rule, that lies in ((q-2)^2, (q-1)^2], so its root is q-1 and its
+deficit follows from r: no second root is taken. One arm (r <= q-1):
+deficit q-1-r, and a two-path forest is exceptional only at deficit 0
+with smaller part 2, so the pair is exceptional iff r = q-1 and
+min(g-2q+1, a-q+1) = 2. The two parts total (q-1)^2 >= 4 (r = q-1 with
+n >= 6 forces q >= 3), so the smaller is 2 exactly when either is:
+g = 2q+1 or a = q+1. Two arms with a2 = r-q+1: the cycle and first arm
+total (q-1)^2, so likewise iff g = 2q+1 or a1 = q+1. Two arms with r in
+{2q-3, 2q-2}: deficit 2q-2-r, and the three parts, each at least 1, go
+in descending order to ``formulas.deficit_exceptional`` with root q-1.
 """
 
 from __future__ import annotations
@@ -72,17 +77,25 @@ def exceptional(q: int, r: int, g: int, a1: int, a2: int) -> bool:
     """True iff the two-arm triple (g, a1 >= a2) of order q^2 + r needs q+1
     although it satisfies the conditions of a q row.
 
-    Five triples are literal: two with a short cycle (g <= 2q-1) and three
-    with a long one. Every other exception has a long cycle (g >= 2q) and
-    follows from the residual forest of the hub fire: either the cycle and
-    the first arm leave an exceptional two-path forest and the second arm
-    has length r-q+1, or r >= 2q-3 and the cycle and both arms leave an
-    exceptional three-path forest. A queried triple is always valid and
-    sorted, so no literal needs a validity filter. Every literal has
-    a2 = q+1 or q+2, so only those queries build the literal tuple. The
-    domain is the q rows' r <= 2q-2, on which the residual forests' root
-    is q-1 (module docstring).
+    Every exception but five literal triples follows from the residual
+    forest of the hub fire: either the cycle and the first arm leave an
+    exceptional two-path forest and the second arm has length r-q+1, or
+    r >= 2q-3 and the cycle and both arms leave an exceptional three-path
+    forest. Of the literals, two have a short cycle (g <= 2q-1) and three
+    a long one; every literal has r >= 2q-4 and a2 = q+1 or q+2. The tests
+    run cheapest first: the two-path branch, then the gate r >= 2q-4 that
+    ends most queries, then the literals (only at a2 = q+1 or q+2), and
+    the three-path branch last. A queried triple is always valid and
+    sorted, so no literal needs a validity filter. The domain is the q
+    rows' r <= 2q-2 with q >= 3, on which the residual forests' root is
+    q-1 (module docstring).
     """
+    # the two parts g-2q+1 and a1-q+1 total (q-1)^2 >= 4, so the smaller
+    # is 2 exactly when either is
+    if a2 == r - q + 1 and (g == 2 * q + 1 or a1 == q + 1):
+        return True
+    if r < 2 * q - 4:
+        return False
     if q + 1 <= a2 <= q + 2 and (g, a1, a2) in (
         (2 * q - 2, q * q - q - 2, q + 1),
         (2 * q - 1, q * q - q - 2, q + 1),
@@ -91,12 +104,14 @@ def exceptional(q: int, r: int, g: int, a1: int, a2: int) -> bool:
         (2 * q + 1, q * q - q - 7, q + 2),
     ):
         return True
-    if a2 == r - q + 1 and min(g - 2 * q + 1, a1 - q + 1) == 2:
-        return True
-    if r < 2 * q - 3:
+    if r == 2 * q - 4:
         return False
-    parts = tuple(sorted((g - 2 * q + 1, a1 - q + 1, a2 - q + 1), reverse=True))
-    return parts[-1] >= 1 and deficit_exceptional(parts, q - 1)
+    # residual parts, y >= z since a1 >= a2; sorted by placing x
+    x, y, z = g - 2 * q + 1, a1 - q + 1, a2 - q + 1
+    if x < 1 or z < 1:
+        return False
+    parts = (x, y, z) if x >= y else (y, x, z) if x >= z else (y, z, x)
+    return deficit_exceptional(parts, q - 1)
 
 
 def _degree_b2(n: int, t: int) -> BurnResult:
@@ -120,12 +135,14 @@ def b_unicyclic_t1(g: int, a: int, budget: Optional[int] = None) -> BurnResult:
     if n <= 5:
         return _degree_b2(n, 1)
     q = isqrt(n - 1)
-    r = n - q * q
-    lower = q + 1 if r >= q else q
-    plus = lower > q or g >= q * q + 1 or g <= 2 * r or (
-        r == q - 1 and min(g - 2 * q + 1, a - q + 1) == 2
-    )
-    return BurnResult(q + 1 if plus else q, TABLE_T1, lower, q + 1)
+    qq = q * q
+    r = n - qq
+    if r >= q:
+        return BurnResult(q + 1, TABLE_T1, q + 1, q + 1)
+    # at r = q-1 (so q >= 3) the residual parts g-2q+1 and a-q+1 total
+    # (q-1)^2 >= 4, so the smaller is 2 exactly when either is
+    plus = g > qq or g <= 2 * r or (r == q - 1 and (g == 2 * q + 1 or a == q + 1))
+    return BurnResult(q + 1 if plus else q, TABLE_T1, q, q + 1)
 
 
 def b_unicyclic_t2(g: int, a1: int, a2: int, budget: Optional[int] = None) -> BurnResult:
@@ -139,24 +156,27 @@ def b_unicyclic_t2(g: int, a1: int, a2: int, budget: Optional[int] = None) -> Bu
     unused: the lookup never searches. It stays while the benchmark's
     classify workload passes it.
     """
-    a1, a2 = max(a1, a2), min(a1, a2)
+    if a1 < a2:
+        a1, a2 = a2, a1
     if g < 3 or a2 < 1:
         raise ValueError(f"need g >= 3 and arms >= 1, got (g={g}, a1={a1}, a2={a2})")
     n = g + a1 + a2
     if n <= 6:
         return _degree_b2(n, 2)
     q = isqrt(n - 1)
-    r = n - q * q
-    lower = q + 1 if r >= 2 * q - 1 else q
+    qq = q * q
+    r = n - qq
+    if r >= 2 * q - 1:
+        return BurnResult(q + 1, TABLE_T2, q + 1, q + 1)
+    # g >= 3 by validation, and g <= q^2 once the second row fails
     plus = (
-        lower > q
-        or 3 <= g <= r
-        or g >= q * q + 1
-        or a1 >= q * q - g // 2
-        or (2 * q <= g <= q * q and a2 <= r - q)
+        g <= r
+        or g > qq
+        or a1 >= qq - g // 2
+        or (g >= 2 * q and a2 <= r - q)
         or exceptional(q, r, g, a1, a2)
     )
-    return BurnResult(q + 1 if plus else q, TABLE_T2, lower, q + 1)
+    return BurnResult(q + 1 if plus else q, TABLE_T2, q, q + 1)
 
 
 # --------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -358,11 +359,25 @@ class TestCmdSweep:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakeExecutor)
+        # cmd_sweep imports the pool class only when it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         assert main(["sweep", "--class", "cycle", "--max-n", "9", "--jobs", jobs]) == 0
         assert started == workers
         assert "instances=7 " in capsys.readouterr().out
+
+    def test_import_loads_no_process_pool(self):
+        # only a sweep with more than one worker needs multiprocessing, which
+        # would add about a quarter to the start-up of every other command
+        package_root = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, burnkit.cli; print('multiprocessing' in sys.modules)"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": package_root},
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stdout == "False\n"
 
     def test_max_n_above_the_ball_search_limit_is_routed(self, capsys):
         # every sweep instance is routed, so an order the ball search refuses
