@@ -104,7 +104,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency) // 2
+        return sum(map(len, self.adjacency)) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, in sorted order."""
@@ -256,28 +256,48 @@ def _ball_eccentricities(adjacency: Sequence[Sequence[int]]) -> list[int]:
 
 @dataclass(frozen=True)
 class Path:
+    """The path of ``n`` vertices: a connected graph whose every vertex has
+    degree at most 2 and which has an end (``Path(1)`` is a lone vertex)."""
+
     n: int
 
 
 @dataclass(frozen=True)
 class Cycle:
+    """The cycle of ``g`` vertices (g >= 3): a connected graph whose every
+    vertex has degree 2. It is never reported as a unicyclic graph with
+    no arms."""
+
     g: int
 
 
 @dataclass(frozen=True)
 class LinearForest:
-    parts: tuple[int, ...]  # path orders, descending
+    """A disconnected graph whose every component is a path; ``parts``
+    are the components' orders, descending (a lone vertex is a part of
+    order 1). One path is a ``Path``."""
+
+    parts: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class GeneralizedStar:
-    arms: tuple[int, ...]  # arm lengths, descending; at least 3 arms
+    """A spider: a tree with exactly one vertex of degree 3 or more, the
+    hub. ``arms`` are the lengths in edges of the paths out of it,
+    descending; there are at least 3."""
+
+    arms: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class TUnicyclic:
+    """A connected graph of n vertices and n edges whose one vertex of
+    degree 3 or more, the hub, lies on its cycle of ``g`` vertices.
+    ``arms`` are the lengths in edges of the paths out of the hub off the
+    cycle, descending; there are ``t`` >= 1 of them."""
+
     g: int
-    arms: tuple[int, ...]  # arm lengths, descending; at least 1 arm
+    arms: tuple[int, ...]
 
     @property
     def t(self) -> int:
@@ -286,7 +306,10 @@ class TUnicyclic:
 
 @dataclass(frozen=True)
 class Other:
-    pass
+    """Every other graph: one with two or more vertices of degree 3 or
+    more, or with more edges than vertices, a disconnected graph with a
+    component that is not a path, and the graph with no vertex. It has no
+    fields."""
 
 
 FamilyDescriptor = Union[Path, Cycle, LinearForest, GeneralizedStar, TUnicyclic, Other]

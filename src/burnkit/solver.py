@@ -11,8 +11,10 @@ exhausted levels below it are the optimality proof. One loop (``_deepen``)
 deepens every such decision: the structural route's, the ball search's, the
 unicyclic oracle's and the geodesic-forest term of ``_bounds``, the one
 list of the lower bound's terms. ``_known`` gives what is known before the
-search: the route's answer, or that bound and the greedy sequence. When
-they meet, the sequence is the certificate and no level is searched;
+search: the route's answer, or that bound and the greedy sequence. The
+greedy length is never searched: the ball search deepens only below it,
+and when the value equals it (every level below refuted, or none left
+when the bound meets it) the greedy sequence is the certificate.
 ``find_sequence`` calls ``_known`` only when its budget runs out.
 
 Before any ball is grown, the structural route (``_route``) takes the
@@ -382,7 +384,7 @@ class _Budget:
                 raise _BudgetExhausted
 
 
-def _deepen(k: int, level: Callable[[int], Optional[list]]) -> tuple[int, Optional[list]]:
+def _deepen(k: int, level: Callable[[int], Optional[Sequence]]) -> tuple[int, Optional[Sequence]]:
     """The first level from ``k`` up at which ``level`` finds a cover, and that
     cover; or, when ``level`` raises ``_BudgetExhausted``, the level it was
     deciding and None. Either way every level below the one returned is refuted."""
@@ -444,8 +446,8 @@ class _Prepared:
         """Frozen candidate order: densest two-hop neighborhood first, ties
         by id. Branch vertices come early, which finds sequences far faster
         than eccentricity ordering."""
-        two_hop = self.balls[2]
-        return sorted(range(self.n), key=lambda v: (-two_hop[v].bit_count(), v))
+        counts = list(map(int.bit_count, self.balls[2]))
+        return sorted(range(self.n), key=counts.__getitem__, reverse=True)  # ties stay in id order
 
     def extend(self, max_radius: int) -> None:
         """Grow the balls to radius 2 * ``max_radius`` and the tables built
@@ -688,7 +690,7 @@ def _greedy_upper(prep: _Prepared) -> tuple[int, ...]:
     # no source; after t rounds the burned vertices are those with burn <= t
     burn = [2 * n] * n
     seq: list[int] = []
-    pick = min(range(n), key=prep.ecc.__getitem__)
+    pick = prep.ecc.index(min(prep.ecc))
     while True:
         seq.append(pick)
         t = len(seq)
@@ -705,7 +707,7 @@ def _greedy_upper(prep: _Prepared) -> tuple[int, ...]:
                         burn[u] = t
                         reached.append(u)
             frontier = reached
-        pick = max(range(n), key=burn.__getitem__)
+        pick = burn.index(max(burn))
         if burn[pick] <= len(seq):
             return tuple(seq)
 
@@ -877,35 +879,35 @@ def burning_number_exact(g: Graph, budget: Optional[int] = None) -> BurnResult:
     ``_known`` gives a lower bound and a known sequence: the structural
     route's value and certificate on one-hub graphs and linear forests, or
     the bound of ``_bounds``, which lists its terms, and the greedy
-    sequence. When they meet, the sequence is the certificate. Otherwise
-    the ball search deepens from the bound; every level below the returned
-    value is exhausted, which is the optimality proof. A node budget that
-    runs out at the greedy length leaves the greedy sequence as the answer
-    (every level below is refuted), and one that runs out below raises
-    Inconclusive, whose bounds are correct regardless.
+    sequence. The ball search deepens from the bound, but never searches
+    the greedy length: the first level below it with a cover is the value
+    and that cover the certificate, and once every level below it is
+    refuted (at once when the bound meets it) the value is the greedy
+    length and the greedy sequence is the certificate. Every level below
+    the value is exhausted, which is the optimality proof. A node budget
+    that runs out raises Inconclusive, whose bounds are correct regardless.
     """
     if g.vertex_count < 1:
         raise ValueError("graph must have at least one vertex")
 
     lower, known, prep = _known(g)
-    value, certificate = len(known), known
-    if lower < value:
+    certificate = known
+    if lower < len(known):
         state = _Budget(budget)
 
-        def level(k: int) -> Optional[list[Optional[int]]]:
+        def level(k: int) -> Optional[Sequence[Optional[int]]]:
             _check_rounds(k)
+            if k == len(known):
+                return known  # every level below is refuted
             prep.extend(k - 1)
-            centers = _cover(prep, k, state)
-            if centers is None and k >= len(known):
-                raise AssertionError("complete search missed the greedy witness")
-            return centers
+            return _cover(prep, k, state)
 
         k, centers = _deepen(lower, level)
-        if centers is not None:
-            value, certificate = k, _certificate(g, centers, prep.order)
-        elif k < value:
-            raise Inconclusive(k, value)
-    return BurnResult(value, EXACT, lower, len(known), certificate)
+        if centers is None:
+            raise Inconclusive(k, len(known))
+        if k < len(known):
+            certificate = _certificate(g, centers, prep.order)
+    return BurnResult(len(certificate), EXACT, lower, len(known), certificate)
 
 
 # --------------------------------------------------------------------------

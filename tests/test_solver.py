@@ -52,7 +52,7 @@ from burnkit.solver import (
 )
 
 from perfbench.reference_values import TREE_VALUES
-from perfbench.workloads import tree_shapes
+from perfbench.workloads import make_refute, tree_shapes
 
 from .oracle import brute_burnable, brute_burning_number
 from .test_graphs import (
@@ -1823,11 +1823,11 @@ class TestPackingCut:
 class TestCertificates:
     # Certificates are deterministic: the same graph gets the same sequence
     # from every version that keeps the search's branching order, the
-    # route's covers and the levels at which the lower bound meets the
-    # greedy length (there the greedy sequence is the certificate),
-    # whichever way a cover is turned into a sequence. 1,265 graphs: the
-    # search's node-count set and every routed shape to order 12.
-    DIGEST = "aedbb78a55d2def8616e92c67b2494ac2dacdb13cbfef3337009ec749b5c0bb9"
+    # route's covers and the graphs whose value is the greedy length (there
+    # the greedy sequence is the certificate, whether or not the lower bound
+    # meets it), whichever way a cover is turned into a sequence. 1,265
+    # graphs: the search's node-count set and every routed shape to order 12.
+    DIGEST = "bcf6a4ff9beb349d53828192108b1c681cce281f4d9c170b9e9bc987cd762b1d"
 
     def test_frozen_certificates(self):
         rows = [(name, burning_number_exact(g).certificate) for name, g in node_count_graphs()]
@@ -1983,10 +1983,23 @@ def deepening_graphs():
         yield f"tree#{index}", random_tree(rng, rng.randint(5, 40))
 
 
+def greedy_at_its_length(g, budget=None):
+    """``reference_exact`` with the greedy sequence as the certificate when
+    the value is the greedy length above the lower bound: the solver does
+    not search that length, so no cover found there becomes the
+    certificate."""
+    res = reference_exact(g, budget)
+    if res.lower_bound < res.value == res.upper_bound:
+        return dataclasses.replace(res, certificate=_greedy_upper(_Prepared(g, 0)))
+    return res
+
+
 class TestDeepeningReference:
     """One deepening loop and one pre-search step give every outcome the
     separate loops gave: values, bounds, certificates, Inconclusive bounds
-    and refusals, at every budget and at levels around the value."""
+    and refusals, at every budget and at levels around the value. Where the
+    value is the greedy length above the lower bound, the certificate is
+    the greedy sequence."""
 
     # 600 runs out while the torus's level 4 is searched, 716 at level 5
     BUDGETS = (None, 1, 3, 50, 600, 716)
@@ -2013,13 +2026,109 @@ class TestDeepeningReference:
     def test_outcomes_match_the_reference(self, states, count, monkeypatch):
         monkeypatch.setattr(solver, "HUB_RULE_STATES", states)
         got = self.outcomes(burning_number_exact, find_sequence, solver._route)
-        expected = self.outcomes(reference_exact, reference_find_sequence, reference_route)
+        expected = self.outcomes(greedy_at_its_length, reference_find_sequence, reference_route)
         assert len(expected) == count
         for row, ref in zip(got, expected):
             assert row == ref
         assert len(got) == count
         # values, certificates, Inconclusive bounds and proofs of no sequence
         assert {"BurnResult", "Inconclusive", "None"} <= {row[-1].split("(")[0] for row in got}
+
+
+def greedy_length_graphs():
+    """Every graph of ``node_count_graphs``, ``deepening_graphs`` and the
+    refute workload's trees under seeds 1 to 3, as (name, graph)."""
+    yield from node_count_graphs()
+    yield from deepening_graphs()
+    call = lambda name, fn, *args, **kwargs: fn(*args, **kwargs)
+    for seed in (1, 2, 3):
+        for item in make_refute(seed, call):
+            if item.kind == "tree":
+                yield f"{item.key}@{seed}", item.graph
+
+
+class TestGreedyLengthIsFeasible:
+    """Once every level below the greedy length is refuted, the solver
+    takes that length as the value without searching it. The search is
+    complete, so a cover must exist there: one that missed it would have
+    refuted the value."""
+
+    def test_cover_at_the_value(self):
+        checked = 0
+        for name, g in greedy_length_graphs():
+            res = burning_number_exact(g)
+            if res.lower_bound < res.value == res.upper_bound:
+                checked += 1
+                prep = _Prepared(g, max_radius=res.value - 1)
+                assert _cover(prep, res.value, _Budget(None)) is not None, name
+        assert checked == 7 + 10 + 22 + 21 + 24
+
+
+def previous_order(prep):
+    """``_Prepared.order`` as it was: a (-count, id) key per vertex."""
+    two_hop = prep.balls[2]
+    return sorted(range(prep.n), key=lambda v: (-two_hop[v].bit_count(), v))
+
+
+def previous_greedy_upper(prep):
+    """``_greedy_upper`` as it was, each pick a keyed scan of range(n)."""
+    n, adjacency = prep.n, prep.adjacency
+    burn = [2 * n] * n
+    seq = []
+    pick = min(range(n), key=prep.ecc.__getitem__)
+    while True:
+        seq.append(pick)
+        t = len(seq)
+        burn[pick] = t
+        frontier = [pick]
+        while frontier:
+            t += 1
+            reached = []
+            for v in frontier:
+                for u in adjacency[v]:
+                    if t < burn[u]:
+                        burn[u] = t
+                        reached.append(u)
+            frontier = reached
+        pick = max(range(n), key=burn.__getitem__)
+        if burn[pick] <= len(seq):
+            return tuple(seq)
+
+
+def assert_previous_picks(g):
+    prep = _Prepared(g, max_radius=0)
+    assert prep.order == previous_order(prep)
+    assert _greedy_upper(prep) == previous_greedy_upper(prep)
+
+
+class TestBuiltinPicks:
+    """The candidate order and the greedy's picks, read with built-ins
+    (a reversed stable sort, ``index`` of ``max`` and ``min``), keep the
+    lowest-id tie rule of the keyed scans they replaced."""
+
+    def test_node_count_and_deepening_graphs(self):
+        for _, g in itertools.chain(node_count_graphs(), deepening_graphs()):
+            assert_previous_picks(g)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_relabelled_graphs(self, data):
+        g = data.draw(small_graphs(max_n=14) | disconnected_graphs(max_n=14))
+        assert_previous_picks(relabelled(g, data.draw(st.permutations(range(g.vertex_count)))))
+
+    def test_every_count_ties(self):
+        cases = [build(Cycle(n)) for n in range(3, 21)] + [torus_graph(6, 7)]
+        cases += [Graph(n, list(itertools.combinations(range(n), 2))) for n in range(1, 13)]
+        for g in cases:
+            assert len(set(map(int.bit_count, _Prepared(g, 0).balls[2]))) == 1, g
+            assert_previous_picks(g)
+
+    def test_disconnected_graphs(self):
+        # the greedy's burn rounds hold 2n for vertices not yet reached
+        rng = random.Random(23)
+        cases = [Graph(1), Graph(7), build("forest:9,4,1,1"), *CYCLES_WITH_N_MINUS_ONE_EDGES]
+        for g in [*cases, *random_forests(rng, 30)]:
+            assert_previous_picks(g)
 
 
 def assert_no_cyclic_garbage(run):
