@@ -10,11 +10,13 @@ allowed). The first level with a cover is therefore b(G), and the
 exhausted levels below it are the optimality proof. One loop (``_deepen``)
 deepens every such decision: the structural route's, the ball search's, the
 unicyclic oracle's and the geodesic-forest term of ``_bounds``, the one
-list of the lower bound's terms. ``_known`` gives what is known before the
-search: the route's answer, or that bound and the greedy sequence. The
-greedy length is never searched: the ball search deepens only below it,
-and when the value equals it (every level below refuted, or none left
-when the bound meets it) the greedy sequence is the certificate.
+list of the lower bound's terms. The three structural ones take their
+start and decider from ``structural.levels`` on a shape's integers.
+``_known`` gives what is known before the search: the route's answer, or
+that bound and the greedy sequence. The greedy length is never searched:
+the ball search deepens only below it, and when the value equals it (every
+level below refuted, or none left when the bound meets it) the greedy
+sequence is the certificate.
 ``find_sequence`` calls ``_known`` only when its budget runs out.
 
 Before any ball is grown, the structural route (``_route``) takes the
@@ -25,16 +27,18 @@ or along each path (``graphs.family_walks``), both recognizes these graphs
 and gives the vertex ids, so no components pass is run for them; the
 other graphs get one components pass (``graphs.component_sweeps``), which
 the search's preparation holds and hands to ``graphs.eccentricities`` and
-the bounds. k deepens with the one-hub rule or the interval cover, and the
-cover at the first accepted k becomes the certificate: its entry (w, p)
-is index p of walk w, as every walk out of the hub starts at the hub. A
-routed result has lower bound, value and upper bound equal and spends no
-search nodes. The covers are NP-complete to decide, so the route gives up
-after ``HUB_RULE_STATES`` ticks (interval-cover states, and radii or
-placements of the hub's ball that an arithmetic pre-test rejects); the
-levels it refuted by then are a floor for the ball search. The route
-takes any order and any number of rounds; only the ball search has limits
-on both.
+the bounds. The walks' lengths go to ``structural.levels``, the one
+entry on a shape, which gives the level to start from and the decider of
+each level (the one-hub rule or the interval cover); ``_deepen`` climbs,
+and the cover at the first accepted k becomes the certificate: its entry
+(w, p) is index p of walk w, as every walk out of the hub starts at the
+hub. A routed result has lower bound, value and upper bound equal and
+spends no search nodes. The covers are NP-complete to decide, so the
+route gives up after ``HUB_RULE_STATES`` ticks (interval-cover states, and
+radii or placements of the hub's ball that an arithmetic pre-test
+rejects); the levels it refuted by then are a floor for the ball search.
+The route takes any order and any number of rounds; only the ball search
+has limits on both.
 
 Cover search (``_cover``); its state is the uncovered-vertex mask and the
 unused-radii mask, and every cut keeps it complete:
@@ -85,9 +89,9 @@ the first cover found under those rules, not the globally lexicographic
 minimum among all optima.
 
 The unicyclic oracle (``unicyclic_spanning_upper``) takes only cycles and
-t-unicyclic graphs and deepens ``structural``'s one-hub rule with the
-cycle length, so it builds no tree and shares only the loop with the
-ball-cover search. It shares the rule with the structural route, so the
+t-unicyclic graphs and deepens ``structural.levels`` on the descriptor's
+arms and cycle length, so it builds no tree and shares only the loop with
+the ball-cover search. It shares the rule with the structural route, so the
 tests check the rule against the search through the unbudgeted
 ``find_sequence``, which never runs the route.
 """
@@ -483,12 +487,16 @@ def _cover(prep: _Prepared, k: int, budget: _Budget) -> Optional[list[Optional[i
 
     Entry i of the result is the center of radius k-1-i, or None when that
     radius was not needed. The search is complete, so None is a proof.
-    ``prep`` must hold the tables up to radius k-1 and the ball layers up
-    to 2(k-1), as ``extend(k - 1)`` leaves them. Nodes are counted in a
-    local and written back to ``budget`` on every exit, where the
-    recursion also drops its reference to itself: the search then holds no
-    reference cycle, so the ball layers and tables it closed over are
-    freed when the solve drops ``prep``, not at a later garbage collection.
+    Only the root can hold more uncovered vertices than its radii's
+    capacity, as a child is entered only when its uncovered vertices fit
+    the radii left to it; such a root fails in its one node, since no
+    center's ball is large enough at any radius. ``prep`` must hold the
+    tables up to radius k-1 and the ball layers up to 2(k-1), as
+    ``extend(k - 1)`` leaves them. Nodes are counted in a local and written
+    back to ``budget`` on every exit, where the recursion also drops its
+    reference to itself: the search then holds no reference cycle, so the
+    ball layers and tables it closed over are freed when the solve drops
+    ``prep``, not at a later garbage collection.
     """
     balls, maxball, sizes, suffix = prep.balls, prep.maxball, prep.sizes, prep.suffix
     centers: list[Optional[int]] = [None] * k
@@ -502,8 +510,6 @@ def _cover(prep: _Prepared, k: int, budget: _Budget) -> Optional[list[Optional[i
         if not uncovered:
             return True
         count = uncovered.bit_count()
-        if count > capacity:
-            return False
         # branch on the uncovered vertex with the fewest centers at the
         # largest unused radius, ties by lowest id: the lowest one outside
         # suffix[top][i + 1], for the first i that leaves one
@@ -572,17 +578,18 @@ def _cover(prep: _Prepared, k: int, budget: _Budget) -> Optional[list[Optional[i
 def _search(prep: _Prepared, k: int, budget: _Budget) -> Optional[tuple[int, ...]]:
     """Find a length-k burning sequence, or prove none exists (None).
 
-    Like ``_cover``, the recursion drops its reference to itself on every
-    exit, so the balls it closed over are freed by reference counting."""
+    Source i may not lie within distance i - m - 1 of an earlier source
+    x_m; that ball holds x_m, so no source is tried twice without a mask of
+    the sources used. Like ``_cover``, the recursion drops its reference to
+    itself on every exit, so the balls it closed over are freed by
+    reference counting."""
     full, balls = prep.full, prep.balls
     capacity, order = prep.capacity, prep.order
     if k > prep.n:
         return None  # sources must be distinct vertices
     seq: list[int] = []
-    used = 0
 
     def rec(i: int, covered: int) -> bool:
-        nonlocal used
         budget.tick()
         if i == k:
             return covered == full
@@ -590,7 +597,7 @@ def _search(prep: _Prepared, k: int, budget: _Budget) -> Optional[tuple[int, ...
         needed = full & ~covered
         if needed.bit_count() > capacity[radius]:
             return False
-        forbid = used
+        forbid = 0
         for m, x in enumerate(seq):
             gap = i - m - 1
             if gap >= 0:
@@ -622,11 +629,9 @@ def _search(prep: _Prepared, k: int, budget: _Budget) -> Optional[tuple[int, ...
                     return False
         for v in cand:
             seq.append(v)
-            used |= 1 << v
             if rec(i + 1, covered | ball_r[v]):
                 return True
             seq.pop()
-            used &= ~(1 << v)
         return False
 
     try:
@@ -751,8 +756,10 @@ def _bounds(prep: _Prepared, floor: int) -> tuple[int, tuple[int, ...]]:
         per component is an isometric linear forest, and a ball of radius s
         meets a geodesic in at most 2s+1 consecutive vertices, so intervals
         of sizes {2s+1 : s < k}, each used once, cover those paths. That is
-        the cover ``structural.forest_cover`` decides exactly; burning
-        linear forests is NP-complete, so more parts are not tried;
+        the cover ``structural.levels`` decides exactly on the paths'
+        orders; the deepening starts from the larger of its start and the
+        terms above, as covers are monotone in k. Burning linear forests is
+        NP-complete, so more parts are not tried;
       * capacity, on a vertex subset P: balls of radii k-1..0 hold at most
         the sum over rho < k of max_c |B_rho(c) & P| vertices of P, so k is
         refuted when that sum is below |P|. P = V reads its shares off
@@ -774,7 +781,8 @@ def _bounds(prep: _Prepared, floor: int) -> tuple[int, tuple[int, ...]]:
         lower = max(lower, counting_lower(n, max(hubs, default=2) - 2))
     if 2 <= len(components) <= 3:
         parts = tuple(1 + max(prep.ecc[v] for v in comp) for comp in components)
-        lower, _ = _deepen(lower, lambda k: structural.forest_cover(parts, k))
+        start, decide = structural.levels(parts, None)
+        lower, _ = _deepen(max(lower, start), decide)
     greedy = _greedy_upper(prep)
     top = max(degrees)
     h = degrees.count(top)  # every other vertex is on the rim
@@ -806,16 +814,18 @@ def _route(g: Graph) -> tuple[int, Optional[tuple[int, ...]]]:
     of degree 3 or more and at most n edges (a path, a cycle, a spider or a
     t-unicyclic graph), walked once out of that vertex (a path out of an
     end, a cycle out of vertex 0), and a linear forest, walked once along
-    each path; no components pass is run. On a one-hub graph k deepens
-    from ``structural.lower_bound`` with ``structural.hub_cover``, on a
-    linear forest from the larger of its number of parts and ceil(sqrt(n))
-    with ``structural.forest_cover``; both decide b(G) <= k exactly and
-    return the cover behind a yes, whose center (w, p) is ``walks[w][p]``:
-    the legs and then the cycle, each from the hub, or the paths. ``_burn``
-    turns them into the certificate, swapping in unlit vertices from the
-    walks one after another, read lazily; the hub, first on every walk out
-    of it, is lit or taken the first time it is read, so it is never read
-    unlit again. No distance is computed. Deciding those covers is
+    each path; no components pass is run. The walks become integers once,
+    the arm lengths (each walk less the hub) and the cycle's length, or the
+    path orders, and one call of ``structural.levels`` gives the level k
+    deepens from and the decider of each level, the one-hub rule or the
+    interval cover. ``_deepen`` climbs, the tick weight set at each level;
+    each decider decides b(G) <= k exactly and returns the cover behind a
+    yes, whose center (w, p) is ``walks[w][p]``: the legs and then the
+    cycle, each from the hub, or the paths. ``_burn`` turns them into the
+    certificate, swapping in unlit vertices from the walks one after
+    another, read lazily; the hub, first on every walk out of it, is lit
+    or taken the first time it is read, so it is never read unlit again.
+    No distance is computed. Deciding those covers is
     NP-complete, so the route gives up after ``HUB_RULE_STATES`` ticks of
     the deciders (``structural`` docstring; above ``MAX_ROUNDS`` a tick
     counts more), and returns the first level it did not refute. Other
@@ -829,18 +839,13 @@ def _route(g: Graph) -> tuple[int, Optional[tuple[int, ...]]]:
     if walked is None:
         return 1, None
     hub, legs, ring = walked
+    if hub is None:  # a linear forest: path orders, and no cycle
+        sizes, cycle = tuple(map(len, legs)), None
+    else:  # arm lengths, each walk less the hub, and the cycle's length
+        sizes, cycle = tuple(len(leg) - 1 for leg in legs), len(ring)
+    walks = (*legs, ring)  # the cycle's walk, possibly empty, is last
     budget = _Budget(HUB_RULE_STATES * MAX_ROUNDS)
-    if hub is not None:
-        walks = (*legs, ring)  # the cycle's walk, possibly empty, is last
-        lengths = tuple(len(leg) - 1 for leg in legs)
-        cycle = len(ring)
-        k = structural.lower_bound(lengths, cycle)
-        decide = lambda k: structural.hub_cover(lengths, k, cycle, budget.tick)
-    else:
-        walks = legs  # each path from an end
-        parts = tuple(map(len, walks))
-        k = max(len(parts), ceil_sqrt(g.vertex_count))
-        decide = lambda k: structural.forest_cover(parts, k, budget.tick)
+    k, decide = structural.levels(sizes, cycle, budget.tick)
 
     def level(k: int) -> Optional[list[Optional[int]]]:
         budget.weight = max(k, MAX_ROUNDS)  # an open state here holds up to k demands
@@ -977,21 +982,19 @@ def unicyclic_spanning_upper(g: Graph) -> int:
     """b(G) of a cycle or a t-unicyclic graph by the structural route's
     rule on its spanning spiders.
 
-    ``_deepen`` climbs from ``structural.lower_bound(arms, g)`` to the first
-    k at which ``structural.hub_cover(arms, k, g)`` finds a cover. That is the
-    minimum of b(T) over G's spanning trees T, its g edge-deleted spiders
-    (proof in the ``structural`` docstring), which is b(G). It is the rule
-    the route of ``burning_number_exact`` runs, so it cannot check the
-    route: the independent lower side is the ball search, where
-    ``find_sequence(g, b(G) - 1)`` returns None. Raises ValueError for a
-    graph that is neither a cycle nor t-unicyclic. It has no budget and no
-    round limit.
+    ``_deepen`` climbs from the start ``structural.levels(arms, g)`` gives,
+    ``lower_bound``, to the first k at which its decider, ``hub_cover``,
+    finds a cover. That is the minimum of b(T) over G's spanning trees T,
+    its g edge-deleted spiders (proof in the ``structural`` docstring),
+    which is b(G). It is the rule the route of ``burning_number_exact``
+    runs, so it cannot check the route: the independent lower side is the
+    ball search, where ``find_sequence(g, b(G) - 1)`` returns None. Raises
+    ValueError for a graph that is neither a cycle nor t-unicyclic. It has
+    no budget and no round limit.
     """
     desc = recognize_family(g)
     if not isinstance(desc, (Cycle, TUnicyclic)):
         raise ValueError(
             f"spanning-tree oracle needs a cycle or a t-unicyclic graph, got {desc}"
         )
-    arms = getattr(desc, "arms", ())
-    start = structural.lower_bound(arms, desc.g)
-    return _deepen(start, lambda k: structural.hub_cover(arms, k, desc.g))[0]
+    return _deepen(*structural.levels(getattr(desc, "arms", ()), desc.g))[0]

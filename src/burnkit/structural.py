@@ -53,6 +53,13 @@ Each decider returns the cover behind a yes, not just the yes:
 ``assign_intervals`` the sizes it laid on each path, and ``hub_cover``
 and ``forest_cover`` the centers of the balls as positions along the
 graph's walks (``Cover``), which the solver turns into a certificate.
+
+``levels`` is the one entry on a shape: given the integers alone (arm
+lengths and a cycle length, or path orders), it returns the level to
+deepen from and the decider of each level, ``lower_bound`` and
+``hub_cover`` on a one-hub graph, the counting start and ``forest_cover``
+on a linear forest. It decides nothing itself, so a caller deepens one
+level at a time and may weigh each level's ticks; no graph is needed.
 """
 
 from __future__ import annotations
@@ -342,3 +349,23 @@ def hub_cover(
                         _place(centers, sizes, walk, cut + 1, cut + residual[walk])
                     return centers
     return None
+
+
+def levels(
+    legs: tuple[int, ...], cycle: Optional[int] = 0, tick: Optional[Callable[[], None]] = None
+) -> tuple[int, Callable[[int], Optional[Cover]]]:
+    """The level to deepen from and the decider of every level, for a shape
+    given by integers alone: the one entry on a shape.
+
+    For a one-hub graph with arm lengths ``legs`` and ``cycle`` cycle
+    vertices through the hub (0 for none) they are ``lower_bound`` and
+    ``hub_cover``. With ``cycle`` None, for the linear forest whose paths
+    have orders ``legs``, they are the larger of its number of paths and
+    ceil(sqrt(n)), and ``forest_cover``. The start is a lower bound and
+    covers are monotone in k, so the first k from the start whose decider
+    returns a cover, not None, is b(G). Nothing is decided here: the caller
+    deepens. ``tick`` goes to every decision.
+    """
+    if cycle is None:
+        return max(len(legs), ceil_sqrt(sum(legs))), lambda k: forest_cover(legs, k, tick)
+    return lower_bound(legs, cycle), lambda k: hub_cover(legs, k, cycle, tick)

@@ -1716,6 +1716,54 @@ class TestNodeCounts:
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.DIGEST
 
 
+def labelled_graphs(max_n):
+    """Every labelled graph of order 1 to ``max_n``."""
+    for n in range(1, max_n + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            yield Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+
+
+class TestSearchState:
+    # ``_search`` forbids each earlier source x_m through its ball of radius
+    # i - m - 1, which holds x_m, so it keeps no mask of the sources used;
+    # ``_cover`` enters a child only when the child's uncovered vertices fit
+    # the radii left to it, so only the root can exceed its capacity.
+
+    def test_find_sequence_matches_brute_force(self, monkeypatch):
+        searched = []
+        search = solver._search
+        monkeypatch.setattr(
+            solver, "_search", lambda prep, k, budget: searched.append(k) or search(prep, k, budget)
+        )
+        pairs = 0
+        for g in labelled_graphs(5):
+            for k in range(1, g.vertex_count + 1):
+                seq = find_sequence(g, k)
+                assert (seq is not None) == brute_burnable(g, k), (g.adjacency, k)
+                if seq is not None:
+                    assert len(seq) == k and check_sequence(g, seq).ok, (g.adjacency, k, seq)
+                pairs += 1
+        assert pairs == 5405
+        assert len(searched) == 1643  # the pairs where a cover burned in fewer rounds
+
+    @pytest.mark.parametrize(
+        "g,k",
+        [
+            pytest.param(build("path:9"), 2, id="path:9"),
+            pytest.param(grid_graph(4, 4), 2, id="grid:4x4"),
+            pytest.param(Graph(5), 4, id="empty:5"),
+            pytest.param(build("uni:7;4"), 2, id="uni:7;4"),
+        ],
+    )
+    def test_cover_refuses_above_capacity_in_one_node(self, g, k):
+        prep = _Prepared(g, max_radius=k - 1)
+        assert g.vertex_count > prep.capacity[k - 1]
+        budget = _Budget(100)
+        assert _cover(prep, k, budget) is None
+        assert budget.remaining == 99
+
+
 def reference_cover(prep, k, budget):
     """``_cover`` as it was before the packing cut: the same budget, branch
     vertex, cover-budget bisection and dominance, and the same order. The

@@ -13,6 +13,7 @@ from burnkit.formulas import b_three_paths, b_two_paths
 from burnkit.graphs import Cycle, GeneralizedStar, Path, TUnicyclic
 from burnkit.intmath import ceil_sqrt
 from burnkit.solver import MAX_ROUNDS, unicyclic_spanning_upper
+from burnkit.tables import b_unicyclic_t1, b_unicyclic_t2
 
 from .test_solver import reference_tree_shapes, search_value, t_unicyclic, tree_legs
 
@@ -887,3 +888,33 @@ class TestSpanningOracle:
         monkeypatch.setattr(solver, "burning_number_exact", fail)
         monkeypatch.setattr(families, "build", fail)
         assert unicyclic_spanning_upper(g) == value
+
+
+def levels_value(legs, cycle=0):
+    """b of the shape by ``structural.levels`` alone: deepen from its start
+    until its decider returns a cover."""
+    k, decide = structural.levels(legs, cycle)
+    while decide(k) is None:
+        k += 1
+    return k
+
+
+class TestLevelsFromIntegers:
+    # Every shape is decided from its integers, with no graph built, at 4 to
+    # 5 times the acceptance orders: 82,764 instances. A start above b(G),
+    # such as a linear forest's one level too high, gives a larger value.
+    @pytest.mark.parametrize(
+        "family,max_order,count",
+        [("uni1", 200, 19503), ("uni2", 80, 38779), ("forest3", 80, 14482), ("forest2", 200, 10000)],
+    )
+    def test_matches_closed_form(self, family, max_order, count):
+        seen = 0
+        for desc in enumerate_sweep(family, max_order):
+            if family.startswith("uni"):
+                table = b_unicyclic_t1 if family == "uni1" else b_unicyclic_t2
+                assert levels_value(desc.arms, desc.g) == table(desc.g, *desc.arms).value, desc
+            else:
+                formula = b_two_paths if family == "forest2" else b_three_paths
+                assert levels_value(desc.parts, None) == formula(*desc.parts), desc
+            seen += 1
+        assert seen == count
